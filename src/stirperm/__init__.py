@@ -95,8 +95,7 @@ from .bijections import (
     phi,
     phi_inverse,
     psi,
-    psi_inverse_123,
-    psi_inverse_132,
+    psi_inverse,
     rho,
     rho_inverse,
     to_fc_tree,

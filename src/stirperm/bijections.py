@@ -26,6 +26,7 @@ from .words import contains, first_occurrences, format_word, is_stirling, stats
 PATTERN_213 = (2, 1, 3)
 PATTERN_123 = (1, 2, 3)
 PATTERN_132 = (1, 3, 2)
+FAMILIES = {"123": PATTERN_123, "132": PATTERN_132}  # the classes psi is a bijection on
 
 
 # -- phi: 213-avoiders and ternary trees ------------------------------------
@@ -120,8 +121,13 @@ def psi(word):
 
     s_i counts the distinct letters in the subword bounded by, and
     including, the two copies of the i-th left-to-right minimum of p, so an
-    immediate plateau "mm" gives s_i = 1.
+    immediate plateau "mm" gives s_i = 1.  The letters need not be 1..n (a
+    segment fragment such as 7,10,10,7 is accepted), but relabelled in
+    order they must form a Stirling permutation.
     """
+    rank = {x: i for i, x in enumerate(sorted(set(word)), 1)}
+    if not is_stirling(tuple(rank[x] for x in word)):
+        raise ValueError(f"not a Stirling permutation: {format_word(word)}")
     perm = first_occurrences(word)
     s = []
     for m in lr_minima(perm):
@@ -160,26 +166,24 @@ def _rebuild_word(perm, s):
     return tuple(out)
 
 
-def psi_inverse_123(pair):
-    """Inverse of psi on the 123-avoiding class."""
-    perm, s = pair
-    if contains(perm, PATTERN_123):
-        raise InvalidPair(f"base permutation {format_word(perm)} contains 123")
-    _check_pair(perm, s)
-    return _rebuild_word(perm, s)
+def psi_inverse(pair, family):
+    """Inverse of psi on the 123-avoiding or the 132-avoiding class.
 
-
-def psi_inverse_132(pair):
-    """Inverse of psi on the 132-avoiding class.
-
-    The reconstruction is the same in-segment insertion as for 123; only
-    the avoidance class of the base permutation changes.
+    The reconstruction is the same in-segment insertion for both classes;
+    only the pattern the base permutation must avoid changes.
     """
+    pattern = _family_pattern(family)
     perm, s = pair
-    if contains(perm, PATTERN_132):
-        raise InvalidPair(f"base permutation {format_word(perm)} contains 132")
+    if contains(perm, pattern):
+        raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
     _check_pair(perm, s)
     return _rebuild_word(perm, s)
+
+
+def _family_pattern(family):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family]
 
 
 def involution_pair(pair):
@@ -225,6 +229,8 @@ def rho(perm):
     leading minimum; the root is 0 and children are ordered increasingly,
     then labels are erased.
     """
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
     if contains(perm, PATTERN_123):
         raise NotAvoider(f"{format_word(perm)} contains 123")
     children = _children_by_vertex(perm)
@@ -376,19 +382,14 @@ def verify_psi(n, family="123"):
     """Round-trip of psi and its plateau/descent bookkeeping on one class."""
     from .generation import generate_avoiders
 
-    if family == "123":
-        pattern, inverse = PATTERN_123, psi_inverse_123
-    elif family == "132":
-        pattern, inverse = PATTERN_132, psi_inverse_132
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    pattern = _family_pattern(family)
     checked = failures = transport_failures = 0
     images = set()
     for word in generate_avoiders(n, (pattern,)):
         checked += 1
         pair = psi(word)
         images.add(pair)
-        if inverse(pair) != word:
+        if psi_inverse(pair, family) != word:
             failures += 1
             continue
         perm, s = pair
@@ -467,3 +468,14 @@ def verify_fc(n):
         "failures": failures,
         "statistic_transport": {"checked": checked, "failures": transport_failures},
     }
+
+
+# Each name is looked up when the map is called, so a rebinding of a
+# verify_* function (a wrapper that times it, say) is seen here too.
+VERIFIERS = {
+    "phi": lambda n: verify_phi(n),
+    "psi-123": lambda n: verify_psi(n, "123"),
+    "psi-132": lambda n: verify_psi(n, "132"),
+    "rho": lambda n: verify_rho(n),
+    "fc": lambda n: verify_fc(n),
+}

@@ -91,7 +91,9 @@ def plateau_count_123(n, k):
 
 
 def plateau_poly_123(n):
-    """Plateau marginal over the 123-avoiders of order n."""
+    """Plateau marginal over the 123-avoiders of order n (1 at n = 0)."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     terms = {}
     for j in range(n + 1):
         coef = exact_div(binomial(n + 1, j) * binomial(2 * n - j, n + j), n + 1)

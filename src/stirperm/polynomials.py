@@ -73,9 +73,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not any(exp) for exp in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), 0)
 
@@ -85,10 +82,6 @@ class Polynomial:
     def total_degrees(self):
         """Set of total degrees occurring among the monomials."""
         return {sum(exp) for exp in self.terms}
-
-    def max_power(self, name):
-        i = self.vars.index(name)
-        return max((exp[i] for exp in self.terms), default=0)
 
     def min_power(self, name):
         i = self.vars.index(name)

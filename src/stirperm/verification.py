@@ -1,533 +1,349 @@
 """Registry of cross-validation checks behind the `verify` command.
 
-Each check compares two independent computation paths (closed form vs
-exhaustive enumeration, series solver vs recurrence, bijection transport vs
-direct statistics) and reports pass/fail with a minimal counterexample
-where one exists.
+Each check is one row of TABLE: an id, a suite, its orders, and two
+callables ``expected(n)`` and ``actual(n)`` that reach one object by two
+independent routes (closed form against enumeration, series solver against
+recurrence, bijection round trips against zero failures).  One runner
+compares them order by order.  An int cap covers each requested order n
+with 1 <= n <= cap; a tuple covers fixed orders whatever was requested (for
+pair-rationals and catalan-chains, a truncation order N whose coefficients
+up to x^N are all compared).  A CheckResult records the orders covered: none
+is SKIP, never PASS; a FAIL names the first order, and the first entry of a
+dict or list, where the sides differ.  Brute distributions are memoised;
+each run_checks call starts with an empty memo.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations as _var_permutations
+from functools import lru_cache
+from itertools import permutations
+from typing import Callable
 
 from . import bijections, formulas, generation, series
 from .polynomials import Polynomial
+from .trees import ternary_trees
+from .words import stats
 
 PQR = ("p", "q", "r")
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
+PATTERNS = {"213": P213, "123": P123, "132": P132}
+SWAPS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))  # two of the three statistics exchanged
 
 
 @dataclass
 class CheckResult:
     check_id: str
     suite: str
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail" or "skip"
     expected: str
     actual: str
     elapsed: float
     counterexample: str | None = None
+    orders: tuple = ()  # the orders compared, the failing one last
 
     @property
     def ok(self):
         return self.status == "pass"
 
 
-def _result(check_id, suite, ok, expected, actual, counterexample=None):
-    return CheckResult(
-        check_id, suite, "pass" if ok else "fail", expected, actual, 0.0, counterexample
-    )
+def format_orders(orders):
+    """Orders as runs, e.g. (1, 2, 3, 5) -> "1..3,5"; "none" when empty."""
+    runs = []
+    for n in orders:
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ",".join(str(a) if a == b else f"{a}..{b}" for a, b in runs) or "none"
 
 
-def _clamp(ns, cap):
-    return [n for n in ns if 1 <= n <= cap]
+def _first_difference(want, got, where=""):
+    """(path, want, got) at the first entry where equal-shaped dicts or lists differ."""
+    if isinstance(want, (dict, list)) and type(want) is type(got) and len(want) == len(got):
+        keys = list(want) if isinstance(want, dict) else range(len(want))
+        if not isinstance(want, dict) or want.keys() == got.keys():
+            for key in keys:
+                if want[key] != got[key]:
+                    return _first_difference(want[key], got[key], f"{where} at {key}")
+    return where, want, got
 
 
-# -- individual checks -------------------------------------------------------
+@dataclass(frozen=True)
+class Check:
+    check_id: str
+    suite: str
+    orders: int | tuple  # cap on the requested orders, or fixed orders
+    expected: Callable
+    actual: Callable
 
-
-def check_count_all(ns):
-    for n in _clamp(ns, 7):
-        want = generation.double_factorial_odd(n)
-        got = sum(1 for _ in generation.generate_all(n))
-        if got != want:
-            return _result("count-all", "counts", False, str(want), str(got), f"n={n}")
-    return _result("count-all", "counts", True, "(2n-1)!!", "(2n-1)!!")
-
-
-def check_count_avoiders(ns):
-    for n in _clamp(ns, 6):
-        for pat, want in (
-            (P213, formulas.count_avoid_213(n)),
-            (P123, formulas.count_avoid_123(n)),
-            (P132, formulas.count_avoid_132(n)),
-        ):
-            got = sum(1 for _ in generation.generate_avoiders(n, (pat,)))
-            if got != want:
-                return _result(
-                    "count-avoiders", "counts", False, str(want), str(got),
-                    f"n={n} pattern={pat}",
-                )
-    return _result("count-avoiders", "counts", True, "closed forms", "closed forms")
-
-
-def check_eulerian(ns):
-    rows = {1: [1]}
-    for n in range(2, 8):
-        prev = rows[n - 1] + [0]
-        rows[n] = [
-            k * prev[k - 1] + (2 * n - k) * (prev[k - 2] if k >= 2 else 0)
-            for k in range(1, n + 1)
-        ]
-    for n in _clamp(ns, 6):
-        got = generation.second_order_eulerian(n)
-        if got != rows[n]:
-            return _result("eulerian-rows", "counts", False, str(rows[n]), str(got), f"n={n}")
-    return _result("eulerian-rows", "counts", True, "recurrence rows", "recurrence rows")
-
-
-def check_sym_213(ns):
-    q = Polynomial.variable("q", PQR)
-    r = Polynomial.variable("r", PQR)
-    for n in _clamp(ns, 6):
-        base = generation.distribution(n, (P213,)) * q * r
-        for perm in _var_permutations(PQR):
-            mapping = dict(zip(PQR, perm))
-            if base.permute_vars(mapping) != base:
-                return _result(
-                    "symmetry-213", "symmetry", False, "invariant", "changed",
-                    f"n={n} mapping={mapping}",
-                )
-    return _result("symmetry-213", "symmetry", True, "qr-weighted symmetric", "symmetric")
-
-
-def check_stats_213(ns):
-    for n in _clamp(ns, 5):
-        dist = generation.distribution(n, (P213,))
-        for m in range(2 * n):
-            for d in range(2 * n - m):
-                k = 2 * n - 1 - m - d
-                want = formulas.count_213_by_stats(n, m, d, k)
-                got = dist.terms.get((k, d, m), 0)
-                if want != got:
-                    return _result(
-                        "stats-213", "symmetry", False, str(want), str(got),
-                        f"n={n} (m,d,k)=({m},{d},{k})",
-                    )
-    return _result("stats-213", "symmetry", True, "per-triple closed form", "matches")
-
-
-def check_sym_123(ns):
-    q = Polynomial.variable("q", PQR)
-    for n in _clamp(ns, 6):
-        base = generation.distribution(n, (P123,)) * q
-        if base.permute_vars({"p": "q", "q": "p"}) != base:
-            return _result("symmetry-123", "symmetry", False, "p<->q invariant", "changed", f"n={n}")
-    return _result("symmetry-123", "symmetry", True, "q-weighted p<->q symmetric", "symmetric")
-
-
-def _plateau_marginal(n, pattern):
-    return (
-        generation.distribution(n, (pattern,))
-        .specialize({"q": 1, "r": 1})
-        .project(("p",))
-    )
-
-
-def check_plateaus_213(ns):
-    for n in _clamp(ns, 6):
-        want = formulas.plateau_poly_213(n)
-        got = _plateau_marginal(n, P213)
-        if want != got:
-            return _result("plateaus-213", "plateaus", False, str(want), str(got), f"n={n}")
-    return _result("plateaus-213", "plateaus", True, "closed form", "matches")
-
-
-def check_plateaus_123(ns):
-    for n in _clamp(ns, 6):
-        want = formulas.plateau_poly_123(n)
-        got = _plateau_marginal(n, P123)
-        if want != got:
-            return _result("plateaus-123", "plateaus", False, str(want), str(got), f"n={n}")
-    return _result("plateaus-123", "plateaus", True, "closed form", "matches")
-
-
-def check_plateaus_132_vs_123(ns):
-    for n in _clamp(ns, 6):
-        a = _plateau_marginal(n, P132)
-        b = _plateau_marginal(n, P123)
-        if a != b:
-            return _result("plateaus-132-vs-123", "plateaus", False, str(b), str(a), f"n={n}")
-    return _result("plateaus-132-vs-123", "plateaus", True, "equal marginals", "equal")
-
-
-def check_marginals_123(ns):
-    q = Polynomial.variable("q", PQR)
-    for n in _clamp(ns, 5):
-        dist = generation.distribution(n, (P123,))
-        des = dist.specialize({"p": 1, "r": 1}) * q
-        plat = dist.specialize({"q": 1, "r": 1}).permute_vars({"p": "q", "q": "p"})
-        if des != plat:
-            return _result(
-                "marginals-123", "marginals", False, str(plat), str(des), f"n={n}"
-            )
-    return _result("marginals-123", "marginals", True, "des+1 == plat marginal", "equal")
-
-
-def check_marginals_213(ns):
-    q = Polynomial.variable("q", PQR)
-    for n in _clamp(ns, 5):
-        dist = generation.distribution(n, (P213,))
-        des = dist.specialize({"p": 1, "r": 1}) * q
-        plat = dist.specialize({"q": 1, "r": 1}).permute_vars({"p": "q", "q": "p"})
-        asc = dist.specialize({"p": 1, "q": 1}).permute_vars({"q": "r", "r": "q"}) * q
-        if not (des == plat == asc):
-            return _result(
-                "marginals-213", "marginals", False, "three equal marginals",
-                f"des+1:{des} plat:{plat} asc+1:{asc}", f"n={n}",
-            )
-    return _result("marginals-213", "marginals", True, "three-way equality", "equal")
-
-
-def check_descents_132(ns):
-    for n in _clamp(ns, 5):
-        marginal = (
-            generation.distribution(n, (P132,))
-            .specialize({"p": 1, "r": 1})
-            .project(("q",))
-        )
-        for d in range(2 * n):
-            want = formulas.descents_132(n, d)
-            got = marginal.terms.get((d,), 0)
+    def __call__(self, ns):
+        cap = self.orders if isinstance(self.orders, int) else None
+        orders = self.orders if cap is None else tuple(n for n in ns if 1 <= n <= cap)
+        for i, n in enumerate(orders):
+            want, got = self.expected(n), self.actual(n)
             if want != got:
-                return _result(
-                    "descents-132", "statistics-132", False, str(want), str(got),
-                    f"n={n} d={d}",
-                )
-    return _result("descents-132", "statistics-132", True, "closed form", "matches")
+                where, want, got = _first_difference(want, got)
+                return CheckResult(self.check_id, self.suite, "fail", str(want), str(got),
+                                   0.0, f"n={n}{where}", orders[: i + 1])
+        if not orders:
+            return CheckResult(self.check_id, self.suite, "skip", "", "", 0.0,
+                               f"covers 1..{cap} only; asked for {format_orders(ns)}")
+        return CheckResult(self.check_id, self.suite, "pass", "", "", 0.0, None, orders)
 
 
-def check_ascents_132(ns):
-    for n in _clamp(ns, 5):
-        want = formulas.ascent_poly_132(n)
-        got = (
-            generation.distribution(n, (P132,))
-            .specialize({"p": 1, "q": 1})
-            .project(("r",))
-        )
-        if want != got:
-            return _result("ascents-132", "statistics-132", False, str(want), str(got), f"n={n}")
-    return _result("ascents-132", "statistics-132", True, "closed form", "matches")
+@lru_cache(maxsize=None)
+def _brute(n, pattern):
+    """The brute p,q,r distribution over the order-n avoiders of one pattern."""
+    return generation.distribution(n, (pattern,))
 
 
-def check_series_oracles(ns):
-    top = min(6, max(_clamp(ns, 6), default=5))
-    solved = {
-        "213": series.series_213(top),
-        "123": series.series_123(top),
-        "132": series.series_132(top),
+def _var(name):
+    return Polynomial.variable(name, PQR)
+
+
+def _plateaus(dist):
+    return dist.specialize({"q": 1, "r": 1}).project(("p",))
+
+
+def _descents(dist, n):
+    """Counts by number of descents d = 0..2n-1 of a p,q,r distribution."""
+    marginal = dist.specialize({"p": 1, "r": 1}).project(("q",))
+    return [marginal.terms.get((d,), 0) for d in range(2 * n)]
+
+
+def _descents_132(n):
+    return [formulas.descents_132(n, d) for d in range(2 * n)]
+
+
+def _marginals(n, pattern, names):
+    """The named one-statistic marginals of a brute distribution, all in q."""
+    dist, q = _brute(n, pattern), _var("q")
+    marginals = {
+        "des+1": dist.specialize({"p": 1, "r": 1}) * q,
+        "plat": dist.specialize({"q": 1, "r": 1}).permute_vars({"p": "q", "q": "p"}),
+        "asc+1": dist.specialize({"p": 1, "q": 1}).permute_vars({"q": "r", "r": "q"}) * q,
     }
-    pattern = {"213": P213, "123": P123, "132": P132}
-    for name, ser in solved.items():
-        for n in range(top + 1):
-            want = generation.distribution(n, (pattern[name],))
-            if ser.coefficient(n) != want:
-                return _result(
-                    "series-oracles", "series", False, str(want), str(ser.coefficient(n)),
-                    f"pattern={name} n={n}",
-                )
-    return _result("series-oracles", "series", True, "brute distributions", "matches")
+    return [marginals[name] for name in names]
 
 
-def check_series_recurrences(ns):
-    top = 6
-    c123 = series.series_123(top)
-    c132 = series.series_132(top)
-    r123 = series.recurrence_123(top)
-    r132 = series.recurrence_132(top)
-    for n in range(top + 1):
-        if r123[n] != c123.coefficient(n):
-            return _result("series-recurrences", "series", False, "solver", "recurrence", f"123 n={n}")
-        if r132[n] != c132.coefficient(n):
-            return _result("series-recurrences", "series", False, "solver", "recurrence", f"132 n={n}")
-    return _result("series-recurrences", "series", True, "two routes agree", "agree")
+def _symmetric(weighted, perms):
+    """Sides of an invariance check: weighted(n) against its images under perms."""
+
+    def images(n):
+        base = weighted(n)
+        return {"".join(p): base.permute_vars(dict(zip(PQR, p))) for p in perms}
+
+    return lambda n: dict.fromkeys(("".join(p) for p in perms), weighted(n)), images
+
+
+def _stats_213_formula(n):
+    return {
+        (m, d, 2 * n - 1 - m - d): formulas.count_213_by_stats(n, m, d, 2 * n - 1 - m - d)
+        for m in range(2 * n) for d in range(2 * n - m)
+    }
+
+
+def _stats_213_brute(n):
+    dist = _brute(n, P213)
+    return {(m, d, k): dist.terms.get((k, d, m), 0) for m, d, k in _stats_213_formula(n)}
+
+
+def _eulerian_row(n):
+    """Row n of the second-order Eulerian triangle, by its recurrence."""
+    row = [1]
+    for m in range(2, n + 1):
+        prev = row + [0]
+        row = [k * prev[k - 1] + (2 * m - k) * (prev[k - 2] if k >= 2 else 0)
+               for k in range(1, m + 1)]
+    return row
+
+
+def _solved(name, n):
+    """Coefficient n of the series solver for one pattern, truncated at order n."""
+    return getattr(series, f"series_{name}")(n).coefficient(n)
+
+
+def _solved_marginals(n):
+    solved = {name: _solved(name, n) for name in PATTERNS}
+    return {**{name: _plateaus(c) for name, c in solved.items()},
+            "132 descents": _descents(solved["132"], n)}
 
 
 def _brute_catalytic(n, pattern):
     """Sum of p^plat q^des r^asc v^(i-1) over avoiders opening with i, i."""
-    from .words import stats as word_stats
-
-    terms = {}
+    terms = Counter()
     for word in generation.generate_avoiders(n, (pattern,)):
-        if word[0] != word[1]:
-            continue
-        s = word_stats(word)
-        key = (s.plat, s.des, s.asc, word[0] - 1)
-        terms[key] = terms.get(key, 0) + 1
+        if word[0] == word[1]:
+            s = stats(word)
+            terms[s.plat, s.des, s.asc, word[0] - 1] += 1
     return Polynomial(series.PQRV, terms)
 
 
-def check_series_initials(ns):
-    """Seed polynomials of the recurrences against direct enumeration."""
+def _printed_seeds(n):
+    """The printed seeds L_n(v) of the 123 and 132 recurrences, and f(2) = g(2)."""
     P, Q, R, V = Polynomial.gens(series.PQRV)
-    seeds_123 = {
-        1: P,
-        2: P * P * (R + Q * V),
-        3: P ** 3 * Q * R
-        + P * P * Q * R * (2 * P + Q) * V
-        + P * P * Q * (P * R + Q * R + P * Q) * V * V,
-    }
-    for n, want in seeds_123.items():
-        got = _brute_catalytic(n, P123)
-        if got != want:
-            return _result("series-initials", "series", False, str(want), str(got), f"123 L_{n}")
-    for n, want in {1: P, 2: P * P * (R + Q * V)}.items():
-        got = _brute_catalytic(n, P132)
-        if got != want:
-            return _result("series-initials", "series", False, str(want), str(got), f"132 L_{n}")
-    p3, q3, r3 = Polynomial.gens(PQR)
-    want_f2 = p3 * (p3 * q3 + p3 * r3 + q3 * r3)
-    if series.recurrence_123(2)[2] != want_f2 or series.recurrence_132(2)[2] != want_f2:
-        return _result("series-initials", "series", False, str(want_f2), "differs", "f(2)/g(2)")
-    return _result("series-initials", "series", True, "enumerated seeds", "match")
+    seeds = {1: P, 2: P * P * (R + Q * V)}
+    seeds[3] = (P ** 3 * Q * R + P * P * Q * R * (2 * P + Q) * V
+                + P * P * Q * (P * R + Q * R + P * Q) * V * V)
+    out = {"L123": seeds[n]}
+    if n <= 2:
+        out["L132"] = seeds[n]
+    if n == 2:
+        p, q, r = Polynomial.gens(PQR)
+        out["f"] = out["g"] = p * (p * q + p * r + q * r)
+    return out
 
 
-def check_series_specializations(ns):
-    top = min(6, max(_clamp(ns, 6), default=5))
-    c123 = series.series_123(top)
-    c132 = series.series_132(top)
-    c213 = series.series_213(top)
-    for n in range(1, top + 1):
-        plat = formulas.plateau_poly_123(n)
-        for ser in (c123, c132):
-            got = ser.coefficient(n).specialize({"q": 1, "r": 1}).project(("p",))
-            if got != plat:
-                return _result("series-specializations", "series", False, str(plat), str(got), f"n={n}")
-        got213 = c213.coefficient(n).specialize({"q": 1, "r": 1}).project(("p",))
-        if got213 != formulas.plateau_poly_213(n):
-            return _result("series-specializations", "series", False, "plateau form", str(got213), f"n={n}")
-    for n in range(1, min(5, top) + 1):
-        qmarg = c132.coefficient(n).specialize({"p": 1, "r": 1}).project(("q",))
-        want = Polynomial(
-            ("q",),
-            {(d,): formulas.descents_132(n, d) for d in range(2 * n) if formulas.descents_132(n, d)},
-        )
-        if qmarg != want:
-            return _result("series-specializations", "series", False, str(want), str(qmarg), f"n={n}")
-    return _result("series-specializations", "series", True, "marginal forms", "match")
+def _computed_seeds(n):
+    seeds = {"L123": _brute_catalytic(n, P123)}
+    if n <= 2:
+        seeds["L132"] = _brute_catalytic(n, P132)
+    if n == 2:
+        seeds["f"] = series.recurrence_123(2)[2]
+        seeds["g"] = series.recurrence_132(2)[2]
+    return seeds
 
 
-def check_pair_122(ns):
-    F = series.pair_series(("1", "11"), 10)
-    P, Q, _ = Polynomial.gens(PQR)
-    for j in range(11):
-        want = Polynomial.one(PQR) if j == 0 else P ** j * Q ** (j - 1)
-        if F.coefficient(j) != want:
-            return _result("pair-122", "pairs", False, str(want), str(F.coefficient(j)), f"x^{j}")
-    return _result("pair-122", "pairs", True, "x^j p^j q^(j-1)", "matches")
+def _chain_at_one(blocks, order):
+    return series.pair_series(blocks, order).specialize(dict.fromkeys(PQR, 1)).project_vars(())
 
 
-def _specialized_chain(blocks, order):
-    return (
-        series.pair_series(blocks, order)
-        .specialize({"p": 1, "q": 1, "r": 1})
-        .project_vars(())
-    )
+def _times(a, b):
+    """Product of two polynomials given by coefficient lists."""
+    return [sum(x * b[k - i] for i, x in enumerate(a) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
 
 
-def check_pair_rationals(ns):
-    cases = [
-        (("1", "1", "11"), [1, -2, 1], [1, -3, 1]),
-        (("1", "1", "1", "11"), [1, -6, 11, -6, 1], [1, -7, 15, -12, 5, -1]),
-    ]
-    for blocks, num, den in cases:
-        got = _specialized_chain(blocks, 10)
-        want = series.rational_series(num, den, (), 10)
-        if got != want:
-            return _result("pair-rationals", "pairs", False, str(want), str(got), str(blocks))
-    # the five-letter chain's printed numerator/denominator
-    a = [1, -7, 15, -12, 5, -1]
-    num = [0] * 11
-    for i, ai in enumerate(a):
-        for j, aj in enumerate(a):
-            if i + j <= 10:
-                num[i + j] += ai * aj
-    b = [1, -14, 77, -215, 332, -295, 157, -51, 10, -1]
-    den = [0] * 11
-    for i, bi in enumerate([1, -1]):
-        for j, bj in enumerate(b):
-            if i + j <= 10:
-                den[i + j] += bi * bj
-    got = _specialized_chain(("1", "1", "1", "1", "11"), 10)
-    want = series.rational_series(num, den, (), 10)
-    ok = got == want
-    return _result("pair-rationals", "pairs", ok, "printed rational forms", "match" if ok else str(got))
-
-
-def check_fibonacci(ns):
-    pat = series.chain_pattern(("1", "1", "11"))
-    for n in _clamp(ns, 6):
-        want = formulas.count_avoid_213_1233(n)
-        got = sum(1 for _ in generation.generate_avoiders(n, (P213, pat)))
-        if want != got:
-            return _result("fibonacci-pair", "fibonacci", False, str(want), str(got), f"n={n}")
-    return _result("fibonacci-pair", "fibonacci", True, "F(2n)", "matches")
-
-
-def check_catalan_chains(ns):
-    cat = series.catalan_series(8)
-    chains = {
-        ("11", "11"): cat,
-        ("11", "11", "11"): series.compose(cat, cat.shift(1)),
-        ("11", "11", "11", "11"): series.compose(cat, series.compose(cat, cat.shift(1)).shift(1)),
-    }
-    for blocks, want in chains.items():
-        got = _specialized_chain(blocks, 8)
-        if got != want:
-            return _result("catalan-chains", "pairs", False, str(want), str(got), str(blocks))
-    return _result("catalan-chains", "pairs", True, "nested compositions", "match")
-
-
-def check_joint_series(ns):
-    top = min(5, max(_clamp(ns, 5), default=5))
-    R = series.solve_R(top)
-    for n in range(top + 1):
-        want = generation.joint_plat_122(n)
-        if R.coefficient(n) != want:
-            return _result("joint-plat-122", "joint", False, str(want), str(R.coefficient(n)), f"n={n}")
-    return _result("joint-plat-122", "joint", True, "brute joint distribution", "matches")
-
-
-def _biject_check(check_id, runner, ns, cap=5):
-    for n in _clamp(ns, cap):
-        rep = runner(n)
-        if rep["failures"] or rep["statistic_transport"]["failures"]:
-            return _result(check_id, "bijections", False, "0 failures", str(rep), f"n={n}")
-    return _result(check_id, "bijections", True, "all round trips", "pass")
-
-
-def check_phi(ns):
-    return _biject_check("bijection-phi", bijections.verify_phi, ns)
-
-
-def check_psi_123(ns):
-    return _biject_check("bijection-psi-123", lambda n: bijections.verify_psi(n, "123"), ns)
-
-
-def check_psi_132(ns):
-    return _biject_check("bijection-psi-132", lambda n: bijections.verify_psi(n, "132"), ns)
-
-
-def check_rho(ns):
-    return _biject_check("bijection-rho", bijections.verify_rho, ns, cap=6)
-
-
-def check_fc(ns):
-    return _biject_check("bijection-fc", bijections.verify_fc, ns)
-
-
-def check_involution_swap(ns):
-    from .words import stats
-
-    for n in _clamp(ns, 5):
-        for word in generation.generate_avoiders(n, (P123,)):
-            other = bijections.psi_inverse_123(
-                bijections.involution_pair(bijections.psi(word))
-            )
-            s, s2 = stats(word), stats(other)
-            if not (s2.plat == s.ades and s2.ades == s.plat):
-                return _result(
-                    "involution-swap", "bijections", False,
-                    "plat<->augmented-descent swap", f"{word}->{other}", f"n={n}",
-                )
-    return _result("involution-swap", "bijections", True, "pointwise swap", "holds")
-
-
-def check_phi_symmetry_pullback(ns):
-    """Permuting ternary edge types permutes the three statistics."""
-    from .trees import ternary_trees
-    from .words import stats as word_stats
-
-    for n in _clamp(ns, 5):
-        dist = {}
-        for word in generation.generate_avoiders(n, (P213,)):
-            s = word_stats(word)
-            key = (s.aasc, s.plat, s.ades)
-            dist[key] = dist.get(key, 0) + 1
-        tree_dist = {}
-        for tree in ternary_trees(n - 1):
-            counts = tree.edge_counts()
-            key = tuple(n - c for c in counts)
-            tree_dist[key] = tree_dist.get(key, 0) + 1
-        if dist != tree_dist:
-            return _result("phi-pullback", "bijections", False, "equal joint dist", "differs", f"n={n}")
-        for a, b, c in {(1, 0, 2), (2, 1, 0), (0, 2, 1)}:
-            permuted = {(k[a], k[b], k[c]): v for k, v in dist.items()}
-            if permuted != dist:
-                return _result(
-                    "phi-pullback", "bijections", False, "symmetric joint dist",
-                    "not invariant", f"n={n} axes=({a},{b},{c})",
-                )
-    return _result("phi-pullback", "bijections", True, "joint symmetry via trees", "holds")
-
-
-CHECKS = {
-    "count-all": check_count_all,
-    "count-avoiders": check_count_avoiders,
-    "eulerian-rows": check_eulerian,
-    "symmetry-213": check_sym_213,
-    "stats-213": check_stats_213,
-    "symmetry-123": check_sym_123,
-    "plateaus-213": check_plateaus_213,
-    "plateaus-123": check_plateaus_123,
-    "plateaus-132-vs-123": check_plateaus_132_vs_123,
-    "marginals-123": check_marginals_123,
-    "marginals-213": check_marginals_213,
-    "descents-132": check_descents_132,
-    "ascents-132": check_ascents_132,
-    "series-oracles": check_series_oracles,
-    "series-recurrences": check_series_recurrences,
-    "series-initials": check_series_initials,
-    "series-specializations": check_series_specializations,
-    "pair-122": check_pair_122,
-    "pair-rationals": check_pair_rationals,
-    "fibonacci-pair": check_fibonacci,
-    "catalan-chains": check_catalan_chains,
-    "joint-plat-122": check_joint_series,
-    "bijection-phi": check_phi,
-    "bijection-psi-123": check_psi_123,
-    "bijection-psi-132": check_psi_132,
-    "bijection-rho": check_rho,
-    "bijection-fc": check_fc,
-    "involution-swap": check_involution_swap,
-    "phi-pullback": check_phi_symmetry_pullback,
+# Printed numerators and denominators of the chains at all variables = 1;
+# the five-letter chain's form is A5^2 / ((1 - x) B5).
+A5, B5 = [1, -7, 15, -12, 5, -1], [1, -14, 77, -215, 332, -295, 157, -51, 10, -1]
+RATIONAL_CHAINS = {
+    ("1", "1", "11"): ([1, -2, 1], [1, -3, 1]),
+    ("1", "1", "1", "11"): ([1, -6, 11, -6, 1], A5),
+    ("1", "1", "1", "1", "11"): (_times(A5, A5), _times([1, -1], B5)),
 }
+CATALAN_CHAINS = (("11", "11"), ("11", "11", "11"), ("11", "11", "11", "11"))
+
+
+def _nested_catalan(order):
+    """C, C(x C), C(x C(x C)): the chains of CATALAN_CHAINS by composition."""
+    cat = series.catalan_series(order)
+    out = [cat]
+    for _ in CATALAN_CHAINS[1:]:
+        out.append(series.compose(cat, out[-1].shift(1)))
+    return dict(zip(CATALAN_CHAINS, out))
+
+
+def _psi_involution(word):
+    """The 123-avoider whose psi pair is the involution of the word's."""
+    return bijections.psi_inverse(bijections.involution_pair(bijections.psi(word)), "123")
+
+
+def _on_123_avoiders(n, image, key):
+    return {w: key(stats(image(w))) for w in generation.generate_avoiders(n, (P123,))}
+
+
+def _tree_tally(n):
+    """n minus the edge counts of the ternary trees with n-1 edges, tallied."""
+    tally = Counter(tuple(n - c for c in tree.edge_counts()) for tree in ternary_trees(n - 1))
+    return {"words": tally, **{swap: tally for swap in SWAPS}}
+
+
+def _word_tally(n):
+    """The (aasc, plat, ades) tally of the 213-avoiders, and its images under SWAPS."""
+    words = generation.generate_avoiders(n, (P213,))
+    tally = Counter((s.aasc, s.plat, s.ades) for s in map(stats, words))
+    swapped = {swap: Counter({tuple(k[a] for a in swap): v for k, v in tally.items()})
+               for swap in SWAPS}
+    return {"words": tally, **swapped}
+
+
+def _bijection(check_id, name, cap=5):
+    """The round-trip and transport failures of one bijection verifier, against none."""
+
+    def failures(n):
+        report = bijections.VERIFIERS[name](n)
+        return {"round trip": report["failures"],
+                "transport": report["statistic_transport"]["failures"]}
+
+    return Check(check_id, "bijections", cap, lambda n: {"round trip": 0, "transport": 0},
+                 failures)
+
+
+# -- the table ---------------------------------------------------------------
+
+TABLE = (
+    Check("count-all", "counts", 7, generation.double_factorial_odd,
+          lambda n: sum(1 for _ in generation.generate_all(n))),
+    Check("count-avoiders", "counts", 6,
+          lambda n: {k: getattr(formulas, f"count_avoid_{k}")(n) for k in PATTERNS},
+          lambda n: {k: sum(_brute(n, p).terms.values()) for k, p in PATTERNS.items()}),
+    Check("eulerian-rows", "counts", 6, _eulerian_row,
+          lambda n: generation.second_order_eulerian(n)),
+    Check("symmetry-213", "symmetry", 6,
+          *_symmetric(lambda n: _brute(n, P213) * _var("q") * _var("r"),
+                      tuple(permutations(PQR)))),
+    Check("stats-213", "symmetry", 5, _stats_213_formula, _stats_213_brute),
+    Check("symmetry-123", "symmetry", 6,
+          *_symmetric(lambda n: _brute(n, P123) * _var("q"), (PQR, ("q", "p", "r")))),
+    Check("plateaus-213", "plateaus", 6, lambda n: formulas.plateau_poly_213(n),
+          lambda n: _plateaus(_brute(n, P213))),
+    Check("plateaus-123", "plateaus", 6, lambda n: formulas.plateau_poly_123(n),
+          lambda n: _plateaus(_brute(n, P123))),
+    Check("plateaus-132-vs-123", "plateaus", 6, lambda n: _plateaus(_brute(n, P123)),
+          lambda n: _plateaus(_brute(n, P132))),
+    Check("marginals-123", "marginals", 5, lambda n: _marginals(n, P123, ("plat",)),
+          lambda n: _marginals(n, P123, ("des+1",))),
+    Check("marginals-213", "marginals", 5, lambda n: _marginals(n, P213, ("des+1", "des+1")),
+          lambda n: _marginals(n, P213, ("plat", "asc+1"))),
+    Check("descents-132", "statistics-132", 5, _descents_132,
+          lambda n: _descents(_brute(n, P132), n)),
+    Check("ascents-132", "statistics-132", 5, lambda n: formulas.ascent_poly_132(n),
+          lambda n: _brute(n, P132).specialize({"p": 1, "q": 1}).project(("r",))),
+    Check("series-oracles", "series", 6,
+          lambda n: {k: _brute(n, p) for k, p in PATTERNS.items()},
+          lambda n: {k: _solved(k, n) for k in PATTERNS}),
+    Check("series-recurrences", "series", tuple(range(7)),
+          lambda n: {k: _solved(k, n) for k in ("123", "132")},
+          lambda n: {k: getattr(series, f"recurrence_{k}")(n)[n] for k in ("123", "132")}),
+    Check("series-initials", "series", (1, 2, 3), _printed_seeds, _computed_seeds),
+    Check("series-specializations", "series", 6,
+          lambda n: {"213": formulas.plateau_poly_213(n), "123": formulas.plateau_poly_123(n),
+                     "132": formulas.plateau_poly_123(n), "132 descents": _descents_132(n)},
+          _solved_marginals),
+    Check("pair-122", "pairs", tuple(range(11)),
+          lambda j: _var("p") ** j * _var("q") ** (j - 1) if j else Polynomial.one(PQR),
+          lambda j: series.pair_series(("1", "11"), j).coefficient(j)),
+    Check("pair-rationals", "pairs", (10,),
+          lambda N: {b: series.rational_series(num, den, (), N)
+                     for b, (num, den) in RATIONAL_CHAINS.items()},
+          lambda N: {b: _chain_at_one(b, N) for b in RATIONAL_CHAINS}),
+    Check("fibonacci-pair", "fibonacci", 6, lambda n: formulas.count_avoid_213_1233(n),
+          lambda n: sum(1 for _ in generation.generate_avoiders(
+              n, (P213, series.chain_pattern(("1", "1", "11")))))),
+    Check("catalan-chains", "pairs", (8,), _nested_catalan,
+          lambda N: {b: _chain_at_one(b, N) for b in CATALAN_CHAINS}),
+    Check("joint-plat-122", "joint", 5, lambda n: generation.joint_plat_122(n),
+          lambda n: series.solve_R(n).coefficient(n)),
+    _bijection("bijection-phi", "phi"),
+    _bijection("bijection-psi-123", "psi-123"),
+    _bijection("bijection-psi-132", "psi-132"),
+    _bijection("bijection-rho", "rho", cap=6),
+    _bijection("bijection-fc", "fc"),
+    Check("involution-swap", "bijections", 5,
+          lambda n: _on_123_avoiders(n, lambda w: w, lambda s: (s.ades, s.plat)),
+          lambda n: _on_123_avoiders(n, _psi_involution, lambda s: (s.plat, s.ades))),
+    Check("phi-pullback", "bijections", 5, _tree_tally, _word_tally),
+)
+
+CHECKS = {check.check_id: check for check in TABLE}
 
 SUITES = {
-    "counts": ("count-all", "count-avoiders", "eulerian-rows"),
-    "symmetry": ("symmetry-213", "stats-213", "symmetry-123"),
-    "plateaus": ("plateaus-213", "plateaus-123", "plateaus-132-vs-123"),
-    "marginals": ("marginals-123", "marginals-213"),
-    "statistics-132": ("descents-132", "ascents-132"),
-    "series": (
-        "series-oracles",
-        "series-recurrences",
-        "series-initials",
-        "series-specializations",
-    ),
-    "pairs": ("pair-122", "pair-rationals", "catalan-chains"),
-    "fibonacci": ("fibonacci-pair",),
-    "joint": ("joint-plat-122",),
-    "bijections": (
-        "bijection-phi",
-        "bijection-psi-123",
-        "bijection-psi-132",
-        "bijection-rho",
-        "bijection-fc",
-        "involution-swap",
-        "phi-pullback",
-    ),
+    suite: tuple(c.check_id for c in TABLE if c.suite == suite)
+    for suite in dict.fromkeys(c.suite for c in TABLE)
 }
 SUITES["all"] = tuple(CHECKS)
 
@@ -544,9 +360,8 @@ def run_checks(suite="all", ns=range(1, 6), jobs=1):
     """Run a suite of checks; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    ns = list(ns)
-    names = SUITES[suite]
-    work = [(name, ns) for name in names]
+    _brute.cache_clear()
+    work = [(name, list(ns)) for name in SUITES[suite]]
     if jobs > 1:
         import multiprocessing
 

@@ -12,8 +12,7 @@ from stirperm.bijections import (
     phi,
     phi_inverse,
     psi,
-    psi_inverse_123,
-    psi_inverse_132,
+    psi_inverse,
     rho,
     rho_inverse,
     to_fc_tree,
@@ -116,7 +115,7 @@ def test_psi_examples():
 
 
 def test_psi_inverse_base_case():
-    assert psi_inverse_123(((1,), (1,))) == (1, 1)
+    assert psi_inverse(((1,), (1,)), "123") == (1, 1)
 
 
 def test_psi_round_trips():
@@ -128,19 +127,19 @@ def test_psi_round_trips():
 
 
 def test_psi_inverse_132_order_two():
-    built = {psi_inverse_132(pair) for pair in apairs(2, P132)}
+    built = {psi_inverse(pair, "132") for pair in apairs(2, P132)}
     assert built == {(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1)}
 
 
 def test_psi_inverse_errors():
     with pytest.raises(InvalidPair):
-        psi_inverse_123(((1, 2, 3), (1, 1)))  # contains 123
+        psi_inverse(((1, 2, 3), (1, 1)), "123")  # contains 123
     with pytest.raises(InvalidPair):
-        psi_inverse_132(((1, 3, 2), (1, 1)))  # contains 132
+        psi_inverse(((1, 3, 2), (1, 1)), "132")  # contains 132
     with pytest.raises(InvalidPair):
-        psi_inverse_123(((2, 1), (1,)))  # wrong sequence length
+        psi_inverse(((2, 1), (1,)), "123")  # wrong sequence length
     with pytest.raises(InvalidPair):
-        psi_inverse_123(((2, 1), (2, 1)))  # entry above its bound
+        psi_inverse(((2, 1), (2, 1)), "123")  # entry above its bound
 
 
 def test_apairs_cardinality():
@@ -159,7 +158,7 @@ def test_involution_examples():
 def test_involution_statistic_swap():
     for n in range(1, 6):
         for word in generate_avoiders(n, (P123,)):
-            swapped = psi_inverse_123(involution_pair(psi(word)))
+            swapped = psi_inverse(involution_pair(psi(word)), "123")
             s, s2 = stats(word), stats(swapped)
             assert s2.plat == s.ades
             assert s2.ades == s.plat

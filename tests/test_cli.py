@@ -129,6 +129,27 @@ def test_formula_list(capsys):
     assert "count-213" in out and "ascents-132" in out
 
 
+def test_formula_list_alone(capsys):
+    code, out, _ = run_cli(capsys, "formula", "--list")
+    assert code == 0
+    assert run_cli(capsys, "formula", "--list", "--id", "count-213", "--n", "1") == (0, out, "")
+
+
+def test_formula_needs_id_and_n(capsys):
+    code, _, err = run_cli(capsys, "formula", "--id", "count-213")
+    assert code == 2 and "needs --id and --n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--eq", "213", "--order", "-1"),
+    ("formula", "--id", "plateaus-123", "--n", "-3"),
+    ("formula", "--id", "count-213", "--n", "-3"),
+])
+def test_negative_order_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "order must be" in err
+
+
 def test_biject_phi_round_trip(capsys):
     code, out, _ = run_cli(capsys, "biject", "phi", "--input", "1221")
     assert code == 0
@@ -163,6 +184,18 @@ def test_biject_rho_round_trip(capsys):
         capsys, "biject", "rho", "--direction", "inv", "--input", out.strip()
     )
     assert code == 0 and out2.strip() == perm
+
+
+def test_biject_psi_rejects_non_stirling(capsys):
+    code, out, err = run_cli(capsys, "biject", "psi", "--input", "1212")
+    assert code == 2 and out == ""
+    assert "not a Stirling permutation" in err
+
+
+def test_biject_rho_rejects_non_permutation(capsys):
+    code, out, err = run_cli(capsys, "biject", "rho", "--input", "1,1")
+    assert code == 2 and out == ""
+    assert "not a permutation" in err
 
 
 def test_biject_fc_round_trip(capsys):

@@ -141,6 +141,11 @@ def test_ascent_poly_132_plain_convention_is_not_polynomial():
         ascent_poly_132(2, convention="bogus")
 
 
+def test_plateau_poly_123_rejects_negative_order():
+    with pytest.raises(ValueError):
+        plateau_poly_123(-3)
+
+
 def test_divisions_exact_up_to_thirty():
     for n in range(1, 31):
         count_avoid_213(n)

@@ -1,0 +1,117 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+from stirperm import verification
+from stirperm.cli import main
+from stirperm.verification import Check
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from benchmarks import jobs, tracing  # noqa: E402
+
+UP_TO_5, UP_TO_6 = (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)
+
+# The orders each check covers at --n 1..6, in the order verify prints them.
+COVERED_AT_1_TO_6 = {
+    "count-all": UP_TO_6,
+    "count-avoiders": UP_TO_6,
+    "eulerian-rows": UP_TO_6,
+    "symmetry-213": UP_TO_6,
+    "stats-213": UP_TO_5,
+    "symmetry-123": UP_TO_6,
+    "plateaus-213": UP_TO_6,
+    "plateaus-123": UP_TO_6,
+    "plateaus-132-vs-123": UP_TO_6,
+    "marginals-123": UP_TO_5,
+    "marginals-213": UP_TO_5,
+    "descents-132": UP_TO_5,
+    "ascents-132": UP_TO_5,
+    "series-oracles": UP_TO_6,
+    "series-recurrences": (0,) + UP_TO_6,
+    "series-initials": (1, 2, 3),
+    "series-specializations": UP_TO_6,
+    "pair-122": tuple(range(11)),
+    "pair-rationals": (10,),
+    "fibonacci-pair": UP_TO_6,
+    "catalan-chains": (8,),
+    "joint-plat-122": UP_TO_5,
+    "bijection-phi": UP_TO_5,
+    "bijection-psi-123": UP_TO_5,
+    "bijection-psi-132": UP_TO_5,
+    "bijection-rho": UP_TO_6,
+    "bijection-fc": UP_TO_5,
+    "involution-swap": UP_TO_5,
+    "phi-pullback": UP_TO_5,
+}
+
+
+def test_runner_skips_a_check_that_covers_no_order():
+    check = Check("toy", "toy", 3, lambda n: n, lambda n: n)
+    for ns in ([], [4, 5]):
+        result = check(ns)
+        assert result.status == "skip" and not result.ok
+        assert result.orders == ()
+    assert check([2, 3, 4]).orders == (2, 3)
+
+
+def test_runner_fails_at_the_first_differing_order_and_entry():
+    check = Check(
+        "toy", "toy", 6,
+        lambda n: {"a": n, "b": [n, n]},
+        lambda n: {"a": n, "b": [n, n if n < 4 else -n]},
+    )
+    result = check(range(1, 7))
+    assert result.status == "fail"
+    assert result.orders == (1, 2, 3, 4)
+    assert result.counterexample == "n=4 at b at 1"
+    assert (result.expected, result.actual) == ("4", "-4")
+
+
+def test_fixed_orders_ignore_the_requested_range():
+    check = Check("toy", "toy", (0, 10), lambda n: n, lambda n: n)
+    assert check([]).orders == (0, 10) and check([]).ok
+
+
+def test_recorded_orders_at_1_to_6_are_pinned():
+    results = verification.run_checks("all", range(1, 7))
+    assert [r.check_id for r in results] == list(COVERED_AT_1_TO_6)
+    assert {r.check_id: r.orders for r in results} == COVERED_AT_1_TO_6
+    assert all(r.ok for r in results)
+
+
+def test_order_7_passes_count_all_and_skips_the_rest_of_counts():
+    results = {r.check_id: r for r in verification.run_checks("counts", [7])}
+    assert results["count-all"].ok and results["count-all"].orders == (7,)
+    assert [results[c].status for c in ("count-avoiders", "eulerian-rows")] == ["skip"] * 2
+
+
+def test_registry_matches_the_benchmark_gate():
+    suites = {k: v for k, v in verification.SUITES.items() if k != "all"}
+    assert tuple(suites) == tracing.SUITES
+    assert tuple(c for ids in suites.values() for c in ids) == jobs.VERIFY_CHECK_IDS
+    assert set(verification.CHECKS) == set(jobs.VERIFY_CHECK_IDS)
+    assert len(verification.CHECKS) == len(jobs.VERIFY_CHECK_IDS)
+    assert verification.SUITES["all"] == tuple(verification.CHECKS)
+
+
+@pytest.mark.parametrize("orders", ["0", "5..1", "0..3", "x"])
+def test_verify_rejects_an_empty_or_bad_range(capsys, orders):
+    assert main(["verify", "--n", orders]) == 2
+    assert "order range" in capsys.readouterr().err
+
+
+def test_verify_prints_covered_orders_and_skips(capsys):
+    assert main(["verify", "--suite", "counts", "--n", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["PASS", "count-all", "orders", "7"]
+    assert lines[1].startswith("SKIP  count-avoiders  orders none")
+    assert lines[-1] == "1/3 checks passed, 2 skipped"
+
+
+def test_verify_with_nothing_covered_is_not_a_pass(capsys):
+    assert main(["verify", "--suite", "plateaus", "--n", "7"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "0/3 checks passed, 3 skipped"
