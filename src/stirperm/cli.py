@@ -158,12 +158,15 @@ def _parse_spec(text, vars):
         except ValueError as exc:
             raise BadPattern(f"bad specialization {piece!r}") from exc
         if name == "all":
-            for v in vars:
-                values[v] = number
+            targets = vars
         elif name in vars:
-            values[name] = number
+            targets = (name,)
         else:
             raise BadPattern(f"unknown variable {name!r}; have {vars}")
+        for v in targets:
+            if v in values:
+                raise BadPattern(f"variable {v!r} assigned twice in {text!r}")
+            values[v] = number
     return values
 
 
@@ -329,10 +332,15 @@ def cmd_verify(args):
         for name in verification.SUITES:
             print(f"{name}: {', '.join(verification.SUITES[name])}")
         return 0
-    jobs = args.jobs
-    env_jobs = os.environ.get("STIRPERM_JOBS")
-    if env_jobs:
-        jobs = int(env_jobs)
+    source, value = "--jobs", args.jobs
+    if os.environ.get("STIRPERM_JOBS"):
+        source, value = "STIRPERM_JOBS", os.environ["STIRPERM_JOBS"]
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise BadPattern(f"{source} must be a positive integer, got {value!r}")
     try:
         results = verification.run_checks(args.suite, _parse_range(args.n), jobs=jobs)
     except ValueError as exc:

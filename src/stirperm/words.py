@@ -126,11 +126,13 @@ def validate_pattern(word):
     return letters
 
 
-def _occurrences(word, pattern, limit):
+def _occurrences(word, pattern, limit, split=None):
     """Count tuples of positions realizing the pattern, up to limit.
 
     Equal pattern letters demand equal word letters; distinct pattern
     letters demand the same strict order between the chosen word letters.
+    With split = (cut, at), only tuples whose first cut positions lie
+    before position at and whose others lie at or after it are counted.
     """
     k = len(pattern)
     n = len(word)
@@ -138,6 +140,7 @@ def _occurrences(word, pattern, limit):
         return 1
     if k > n:
         return 0
+    cut, at = split or (0, 0)
     found = 0
     assigned = {}  # pattern value -> word letter committed to it
 
@@ -154,7 +157,12 @@ def _occurrences(word, pattern, limit):
         t = pattern[pi]
         bound = assigned.get(t)
         last = pi == k - 1
-        for wj in range(start, n - (k - pi) + 1):
+        stop = n - (k - pi) + 1
+        if pi < cut:
+            stop = min(stop, at - (cut - pi) + 1)
+        elif start < at:
+            start = at
+        for wj in range(start, stop):
             w = word[wj]
             if bound is not None:
                 if w != bound:
@@ -184,9 +192,13 @@ def _occurrences(word, pattern, limit):
     return found
 
 
-def contains(word, pattern):
-    """True iff some subsequence of the word realizes the pattern."""
-    return _occurrences(word, pattern, 1) > 0
+def contains(word, pattern, split=None):
+    """True iff some subsequence of the word realizes the pattern.
+
+    An optional split = (cut, at) keeps only the occurrences whose first
+    cut letters lie before position at and whose others lie at or after it.
+    """
+    return _occurrences(word, pattern, 1, split) > 0
 
 
 def avoids(word, patterns):

@@ -281,3 +281,32 @@ def test_verify_jobs_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counts", "--n", "1..3")
     assert code == 0
     assert out.strip().endswith("3/3 checks passed")
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("p=1,p=2", "p"), ("all=1,p=2", "p"), ("q=2,all=1", "q"), ("all=1,all=1", "p"),
+])
+def test_series_spec_rejects_a_variable_assigned_twice(capsys, spec, name):
+    code, out, err = run_cli(capsys, "series", "--eq", "213", "--order", "3", "--spec", spec)
+    assert code == 2 and out == ""
+    assert f"variable {name!r} assigned twice" in err
+
+
+def test_series_spec_all_equals_each_variable_set_once(capsys):
+    each = run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "p=1,q=1,r=1")
+    assert each == run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "all=1")
+    assert each[0] == 0 and each[1] == "1, 1, 3, 12, 55\n"
+
+
+def test_verify_rejects_a_bad_jobs_env(capsys, monkeypatch):
+    monkeypatch.setenv("STIRPERM_JOBS", "abc")
+    code, out, err = run_cli(capsys, "verify", "--n", "1")
+    assert code == 2 and out == ""
+    assert "STIRPERM_JOBS" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("jobs", ["-3", "0"])
+def test_verify_rejects_a_jobs_count_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--n", "1", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err and jobs in err

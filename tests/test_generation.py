@@ -1,4 +1,8 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirperm.generation import (
     distribution,
@@ -6,10 +10,11 @@ from stirperm.generation import (
     generate_all,
     generate_avoiders,
     joint_plat_122,
+    occurrence_split,
     second_order_eulerian,
 )
 from stirperm.polynomials import Polynomial
-from stirperm.words import is_stirling
+from stirperm.words import avoids, contains, count_occurrences, is_stirling, parse_word
 
 PQR = ("p", "q", "r")
 PZ = ("p", "z")
@@ -100,3 +105,44 @@ def test_joint_plat_122_order_three():
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
         list(generate_all(-1))
+
+
+PATTERNS = [(p,) for p in permutations((1, 2, 3))] + [
+    (parse_word(p),)
+    for p in ("1", "11", "111", "12", "21", "1122", "1212", "1221", "1233", "2133", "3312", "1234")
+] + [(P213, (1, 2, 3, 3)), (P123, P132)]
+
+
+def test_avoiders_are_the_naive_filter_in_the_same_order():
+    for n in range(7):
+        words = list(generate_all(n))
+        for patterns in PATTERNS:
+            naive = [w for w in words if avoids(w, patterns)]
+            assert list(generate_avoiders(n, patterns)) == naive, (n, patterns)
+
+
+def test_avoider_counts_at_order_8_match_the_closed_forms():
+    counts = {p: sum(1 for _ in generate_avoiders(8, (p,))) for p in (P213, P123, P132)}
+    assert counts == {P213: 43263, P123: 11181, P132: 11181}
+
+
+@st.composite
+def insertions(draw):
+    """A random Stirling word of order 8..20, a pattern and a gap for n+1, n+1."""
+    word = ()
+    for letter in range(1, draw(st.integers(8, 20)) + 1):
+        pos = draw(st.integers(0, len(word)))
+        word = word[:pos] + (letter, letter) + word[pos:]
+    (pattern,) = draw(st.sampled_from([ps for ps in PATTERNS if len(ps) == 1]))
+    return word, pattern, draw(st.integers(0, len(word)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(insertions())
+def test_split_test_detects_exactly_the_new_occurrences(case):
+    prev, pattern, pos = case
+    n = len(prev) // 2 + 1
+    child = prev[:pos] + (n, n) + prev[pos:]
+    split = occurrence_split(pattern)
+    new = split is not None and contains(prev, split[0], (split[1], pos))
+    assert new == (count_occurrences(child, pattern) > count_occurrences(prev, pattern))

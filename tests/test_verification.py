@@ -21,15 +21,15 @@ COVERED_AT_1_TO_6 = {
     "count-avoiders": UP_TO_6,
     "eulerian-rows": UP_TO_6,
     "symmetry-213": UP_TO_6,
-    "stats-213": UP_TO_5,
+    "stats-213": UP_TO_6,
     "symmetry-123": UP_TO_6,
     "plateaus-213": UP_TO_6,
     "plateaus-123": UP_TO_6,
     "plateaus-132-vs-123": UP_TO_6,
-    "marginals-123": UP_TO_5,
-    "marginals-213": UP_TO_5,
-    "descents-132": UP_TO_5,
-    "ascents-132": UP_TO_5,
+    "marginals-123": UP_TO_6,
+    "marginals-213": UP_TO_6,
+    "descents-132": UP_TO_6,
+    "ascents-132": UP_TO_6,
     "series-oracles": UP_TO_6,
     "series-recurrences": (0,) + UP_TO_6,
     "series-initials": (1, 2, 3),
@@ -38,7 +38,7 @@ COVERED_AT_1_TO_6 = {
     "pair-rationals": (10,),
     "fibonacci-pair": UP_TO_6,
     "catalan-chains": (8,),
-    "joint-plat-122": UP_TO_5,
+    "joint-plat-122": UP_TO_6,
     "bijection-phi": UP_TO_5,
     "bijection-psi-123": UP_TO_5,
     "bijection-psi-132": UP_TO_5,
@@ -47,6 +47,15 @@ COVERED_AT_1_TO_6 = {
     "involution-swap": UP_TO_5,
     "phi-pullback": UP_TO_5,
 }
+
+# The rows whose brute side enumerates avoiders, capped at 8; the other
+# rows enumerate all words or run bijections and keep their lower caps.
+PRUNED_ORACLE_ROWS = (
+    "count-avoiders", "symmetry-213", "stats-213", "symmetry-123",
+    "plateaus-213", "plateaus-123", "plateaus-132-vs-123",
+    "marginals-123", "marginals-213", "descents-132", "ascents-132",
+    "series-oracles", "series-specializations", "fibonacci-pair", "joint-plat-122",
+)
 
 
 def test_runner_skips_a_check_that_covers_no_order():
@@ -83,10 +92,18 @@ def test_recorded_orders_at_1_to_6_are_pinned():
     assert all(r.ok for r in results)
 
 
-def test_order_7_passes_count_all_and_skips_the_rest_of_counts():
+def test_order_7_passes_count_all_and_count_avoiders_and_skips_eulerian_rows():
     results = {r.check_id: r for r in verification.run_checks("counts", [7])}
-    assert results["count-all"].ok and results["count-all"].orders == (7,)
-    assert [results[c].status for c in ("count-avoiders", "eulerian-rows")] == ["skip"] * 2
+    for cid in ("count-all", "count-avoiders"):
+        assert results[cid].ok and results[cid].orders == (7,)
+    assert results["eulerian-rows"].status == "skip"
+
+
+def test_order_8_is_covered_by_every_row_on_the_pruned_oracle():
+    results = verification.run_checks("all", [8])
+    capped = [r for r in results if isinstance(verification.CHECKS[r.check_id].orders, int)]
+    assert [r.check_id for r in capped if r.orders == (8,)] == list(PRUNED_ORACLE_ROWS)
+    assert all(r.ok for r in results if r.check_id in PRUNED_ORACLE_ROWS)
 
 
 def test_registry_matches_the_benchmark_gate():
@@ -108,10 +125,19 @@ def test_verify_prints_covered_orders_and_skips(capsys):
     assert main(["verify", "--suite", "counts", "--n", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["PASS", "count-all", "orders", "7"]
-    assert lines[1].startswith("SKIP  count-avoiders  orders none")
-    assert lines[-1] == "1/3 checks passed, 2 skipped"
+    assert lines[1].split() == ["PASS", "count-avoiders", "orders", "7"]
+    assert lines[2].startswith("SKIP  eulerian-rows   orders none")
+    assert lines[-1] == "2/3 checks passed, 1 skipped"
+
+
+def test_verify_plateaus_at_order_7(capsys):
+    assert main(["verify", "--suite", "plateaus", "--n", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2:] for line in lines[:-1]] == [["orders", "7"]] * 3
+    assert all(line.startswith("PASS") for line in lines[:-1])
+    assert lines[-1] == "3/3 checks passed"
 
 
 def test_verify_with_nothing_covered_is_not_a_pass(capsys):
-    assert main(["verify", "--suite", "plateaus", "--n", "7"]) == 1
+    assert main(["verify", "--suite", "plateaus", "--n", "9"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0/3 checks passed, 3 skipped"

@@ -88,6 +88,17 @@ def test_contains_examples():
     assert contains((2, 1, 3, 3, 1, 2), (2, 1, 3))
 
 
+def test_contains_with_a_split():
+    # occurrences of 21 in 2112: positions (0, 1) and (0, 2)
+    word, pattern = (2, 1, 1, 2), (2, 1)
+    assert contains(word, pattern, (2, 2))
+    assert not contains(word, pattern, (2, 1))
+    assert contains(word, pattern, (1, 1))
+    assert not contains(word, pattern, (1, 3))
+    assert not contains(word, pattern, (0, 3))
+    assert contains(word, (), (0, 4))
+
+
 def test_count_occurrences_examples():
     assert count_occurrences((1, 1, 2, 2), (1, 2, 2)) == 2
     assert count_occurrences((1, 2, 2, 1), (1, 2, 2)) == 1
