@@ -89,6 +89,11 @@ def build_parser():
                           help="order range lo..hi with 1 <= lo <= hi, or a single order")
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_verify.add_argument("--timings", action="store_true", help="include elapsed seconds")
+    p_verify.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="json: one object per check (id, suite, status, orders; elapsed with "
+        "--timings) and a passed/skipped/total summary",
+    )
     p_verify.add_argument("--list", action="store_true", help="list suites and exit")
 
     return parser
@@ -233,10 +238,17 @@ def cmd_formula(args):
     params = {}
     for piece in args.param:
         name, _, value = piece.partition("=")
+        name = name.strip()
         try:
-            params[name.strip()] = int(value)
+            number = int(value)
         except ValueError as exc:
             raise BadPattern(f"bad parameter {piece!r}") from exc
+        if name not in spec.params:
+            takes = ",".join(spec.params) or "no parameters"
+            raise BadPattern(f"formula {args.formula_id} has no parameter {name!r}; takes {takes}")
+        if name in params:
+            raise BadPattern(f"parameter {name!r} given twice")
+        params[name] = number
     missing = [p for p in spec.params if p not in params]
     if missing:
         raise BadPattern(f"formula {args.formula_id} needs --param {','.join(missing)}")
@@ -345,6 +357,15 @@ def cmd_verify(args):
         results = verification.run_checks(args.suite, _parse_range(args.n), jobs=jobs)
     except ValueError as exc:
         raise BadPattern(str(exc)) from exc
+    passed = sum(1 for r in results if r.ok)
+    skipped = sum(1 for r in results if r.status == "skip")
+    code = 0 if passed and passed + skipped == len(results) else 1
+    if args.format == "json":
+        print(json.dumps({
+            "checks": [_check_json(r, args.timings) for r in results],
+            "summary": {"passed": passed, "skipped": skipped, "total": len(results)},
+        }))
+        return code
     width = max(len(r.check_id) for r in results)
     for r in results:
         line = f"{r.status.upper():4}  {r.check_id:<{width}}"
@@ -356,10 +377,20 @@ def cmd_verify(args):
         if r.counterexample:
             line += f"  [{r.counterexample}]"
         print(line)
-    passed = sum(1 for r in results if r.ok)
-    skipped = sum(1 for r in results if r.status == "skip")
     print(f"{passed}/{len(results)} checks passed" + (f", {skipped} skipped" if skipped else ""))
-    return 0 if passed and passed + skipped == len(results) else 1
+    return code
+
+
+def _check_json(r, timings):
+    """One check result as a JSON object; what the text line holds, as fields."""
+    obj = {"id": r.check_id, "suite": r.suite, "status": r.status, "orders": list(r.orders)}
+    if timings:
+        obj["elapsed"] = r.elapsed
+    if r.status == "fail":
+        obj.update(expected=r.expected, actual=r.actual)
+    if r.counterexample:
+        obj["counterexample"] = r.counterexample
+    return obj
 
 
 def main(argv=None):

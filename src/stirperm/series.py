@@ -1,12 +1,15 @@
 """Truncated formal power series in x with exact polynomial coefficients.
 
-All functional equations are solved by x-adic fixed-point iteration: each
-application of the defining equation fixes one more coefficient, because the
-unknown series only ever enters multiplied by x.  This keeps every step in
-exact integer arithmetic; no radicals are ever expanded.
+Every functional equation is solved by one online solver, ``_solve`` (lazy
+online evaluation, van der Hoeven, "Relax, but don't be too lazy", 2002):
+the unknown only enters multiplied by x, so coefficient n is computed once
+from coefficients 0..n-1.  A quotient num/den is the equation
+q = num + (1 - den) q.  All arithmetic is exact; no radicals are expanded.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import CompositionError, DivisibilityError
 from .polynomials import Polynomial
@@ -98,12 +101,6 @@ class TruncatedSeries:
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.vars, out, self.order)
 
-    def scale(self, poly):
-        """Multiply every coefficient by a polynomial (or int) scalar."""
-        if isinstance(poly, int):
-            poly = Polynomial.constant(poly, self.vars)
-        return TruncatedSeries(self.vars, [c * poly for c in self.coeffs], self.order)
-
     def shift(self, k=1):
         """Multiply by x**k, dropping what overflows the truncation order."""
         return TruncatedSeries(
@@ -173,11 +170,76 @@ class TruncatedSeries:
         return [c.to_json_obj() for c in self.coeffs]
 
 
-def _iterate(step, start, order, iterations=None):
-    f = start
-    for _ in range(order + 1 if iterations is None else iterations):
-        f = step(f)
-    return f
+# -- the online solver --------------------------------------------------------
+
+F = "f"  # the unknown, as a factor of a term
+
+
+class _Stream:
+    """A series whose coefficients are computed in order on demand, each once."""
+
+    def __init__(self, next):
+        self.coeffs, self.next = [], next
+
+    def __getitem__(self, k):
+        while len(self.coeffs) <= k:
+            self.coeffs.append(self.next(len(self.coeffs)))
+        return self.coeffs[k]
+
+
+def _product(a, b, zero):
+    """The stream a*b; a square forms each cross product once and doubles it."""
+
+    def coefficient(k):
+        top = (k + 1) // 2 if a is b else k + 1
+        acc = sum((a[i] * b[k - i] for i in range(top) if a[i] and b[k - i]), zero)
+        if a is b:
+            acc = acc + acc
+            if k % 2 == 0 and a[k // 2]:
+                acc = acc + a[k // 2] * a[k // 2]
+        return acc
+
+    return _Stream(coefficient)
+
+
+def _solve(vars, order, start, terms, iterations=None):
+    """The series f = start + sum of scalar * x^s * (product of factors).
+
+    Each term is (scalar, s, factors) with s >= 1.  A factor is F (the
+    unknown f), a function applied to f coefficient by coefficient (such as
+    p -> p z^k), or a known TruncatedSeries; no factors stands for 1.  Each
+    product caches its coefficients and shares them with every product that
+    ends in it.  iterations=k computes only coefficients 0..k; the rest are 0.
+    """
+    zero = Polynomial.zero(vars)
+
+    def coefficient(n):
+        acc = Polynomial.constant(start, vars) if n == 0 else zero
+        for scalar, s, prod in compiled:
+            if n >= s and prod[n - s]:
+                acc = acc + (prod[n - s] if scalar == 1 else scalar * prod[n - s])
+        return acc
+
+    f = _Stream(coefficient)
+    streams = {(id(F),): f, (): TruncatedSeries.constant(1, vars, order).coeffs}
+
+    def stream(factors):
+        key = tuple(map(id, factors))
+        if key not in streams:
+            head = factors[0]
+            if len(factors) > 1:
+                streams[key] = _product(stream(factors[:1]), stream(factors[1:]), zero)
+            else:
+                streams[key] = _Stream(lambda k: head(f[k])) if callable(head) else head.coeffs
+        return streams[key]
+
+    compiled = [(scalar, s, stream(factors)) for scalar, s, factors in terms]
+    top = order if iterations is None else min(order, iterations)
+    coeffs = [f[k] for k in range(top + 1)]
+    # f and its products refer to each other: free them now, not at a later gc
+    streams.clear()
+    compiled.clear()
+    return TruncatedSeries(vars, coeffs, order)
 
 
 def rational_series(numer, denom, vars, order):
@@ -188,9 +250,8 @@ def rational_series(numer, denom, vars, order):
 
 
 def catalan_series(order, vars=()):
-    """Catalan generating series from the recurrence C = 1 + x C**2."""
-    one = TruncatedSeries.constant(1, vars, order)
-    return _iterate(lambda c: one + (c * c).shift(1), one, order)
+    """Catalan generating series from the closed form C_n = binom(2n, n)/(n+1)."""
+    return TruncatedSeries(vars, [comb(2 * n, n) // (n + 1) for n in range(order + 1)], order)
 
 
 def compose(outer, inner):
@@ -201,21 +262,14 @@ def compose(outer, inner):
 
 
 def solve_213(order, iterations=None):
-    """Series f = C_213 - 1 from its cubic equation, by fixed point.
+    """Series f = C_213 - 1 from its cubic equation.
 
     The equation is f = xp + x(pr+qr+pq) f + xqr(r+p+q) f^2 + x q^2 r^2 f^3.
     """
     P, Q, R = Polynomial.gens(PQR)
-    lin = P * R + Q * R + P * Q
-    quad = Q * R * (R + P + Q)
-    cub = Q * Q * R * R
-    cP = TruncatedSeries.constant(P, PQR, order)
-
-    def step(f):
-        f2 = f * f
-        return (cP + f.scale(lin) + f2.scale(quad) + (f2 * f).scale(cub)).shift(1)
-
-    return _iterate(step, TruncatedSeries.zeros(PQR, order), order, iterations)
+    terms = [(P, 1, ()), (P * R + Q * R + P * Q, 1, (F,)),
+             (Q * R * (R + P + Q), 1, (F, F)), (Q * Q * R * R, 1, (F, F, F))]
+    return _solve(PQR, order, 0, terms, iterations)
 
 
 def series_213(order):
@@ -229,22 +283,10 @@ def solve_123(order, iterations=None):
     f = 1 + pqx(-1 + (2 + x(pr+qr-pq)) f - pqx(1 - x(p-r)(q-r)) f^2) f.
     """
     P, Q, R = Polynomial.gens(PQR)
-    c2 = P * R + Q * R - P * Q
-    c4 = P * Q * (P - R) * (Q - R)
-    one = TruncatedSeries.constant(1, PQR, order)
-
-    def step(f):
-        f2 = f * f
-        bracket = (
-            (-one)
-            + f.scale(2)
-            + f.shift(1).scale(c2)
-            - f2.shift(1).scale(P * Q)
-            + f2.shift(2).scale(c4)
-        )
-        return one + (bracket * f).shift(1).scale(P * Q)
-
-    return _iterate(step, one, order, iterations)
+    PQ = P * Q
+    terms = [(-PQ, 1, (F,)), (2 * PQ, 1, (F, F)), (PQ * (P * R + Q * R - PQ), 2, (F, F)),
+             (-PQ * PQ, 2, (F, F, F)), (PQ * PQ * (P - R) * (Q - R), 3, (F, F, F))]
+    return _solve(PQR, order, 1, terms, iterations)
 
 
 def _recover_from_q_form(f):
@@ -264,20 +306,9 @@ def solve_132(order, iterations=None):
     f = 1 + px(q - 2r + r(2 + (pr-pq+q^2)x) f - p r^2 x f^2) f.
     """
     P, Q, R = Polynomial.gens(PQR)
-    d2 = R * (P * R - P * Q + Q * Q)
-    one = TruncatedSeries.constant(1, PQR, order)
-
-    def step(f):
-        f2 = f * f
-        bracket = (
-            TruncatedSeries.constant(Q - 2 * R, PQR, order)
-            + f.scale(2 * R)
-            + f.shift(1).scale(d2)
-            - f2.shift(1).scale(P * R * R)
-        )
-        return one + (bracket * f).shift(1).scale(P)
-
-    return _iterate(step, one, order, iterations)
+    terms = [(P * (Q - 2 * R), 1, (F,)), (2 * P * R, 1, (F, F)),
+             (P * R * (P * R - P * Q + Q * Q), 2, (F, F)), (-P * P * R * R, 2, (F, F, F))]
+    return _solve(PQR, order, 1, terms, iterations)
 
 
 def series_132(order):
@@ -360,30 +391,18 @@ def recurrence_132(order):
 # -- two-pattern families ---------------------------------------------------
 
 
-def initial_pair_series(order):
-    """F for a base pattern with a repeated letter: no avoider beyond order 0."""
-    return TruncatedSeries.constant(1, PQR, order)
-
-
 def prepend1(sub, order):
     """F for the pattern 1 (+) t', given the series for t'.
 
     Rational expression: F = 1 + (xp + xr(p+q) G + x q r^2 G^2)
-    / (1 - xpq - xqr(1+p) G - x q^2 r^2 G^2)  with G = F_{t'} - 1.
+    / (1 - xpq - xqr(1+p) G - x q^2 r^2 G^2)  with G = F_{t'} - 1; the
+    quotient u = num/den is solved as u = num + (1 - den) u.
     """
     P, Q, R = Polynomial.gens(PQR)
     G = sub.truncated(order) - 1
-    G2 = G * G
-    cP = TruncatedSeries.constant(P, PQR, order)
-    one = TruncatedSeries.constant(1, PQR, order)
-    num = (cP + G.scale(R * (P + Q)) + G2.scale(Q * R * R)).shift(1)
-    den = (
-        one
-        - TruncatedSeries.constant(P * Q, PQR, order).shift(1)
-        - G.shift(1).scale(Q * R * (1 + P))
-        - G2.shift(1).scale(Q * Q * R * R)
-    )
-    return one + num / den
+    terms = [(P, 1, ()), (R * (P + Q), 1, (G,)), (Q * R * R, 1, (G, G)),
+             (P * Q, 1, (F,)), (Q * R * (1 + P), 1, (G, F)), (Q * Q * R * R, 1, (G, G, F))]
+    return _solve(PQR, order, 0, terms) + 1
 
 
 def prepend11(sub, order, iterations=None):
@@ -392,25 +411,13 @@ def prepend11(sub, order, iterations=None):
     Solves the quadratic functional equation
     F = 1 + xp + x(p+r)q (F-1) + xpr G + xqr (F-1)^2
       + xqr(p+r) (F-1) G + x q^2 r^2 G (F-1)^2,  G = F_{t'} - 1,
-    by fixed point; this picks the unique series branch with constant term 1.
+    for u = F - 1; this picks the unique series branch with constant term 1.
     """
     P, Q, R = Polynomial.gens(PQR)
     G = sub.truncated(order) - 1
-    one = TruncatedSeries.constant(1, PQR, order)
-    base = one + TruncatedSeries.constant(P, PQR, order).shift(1) + G.shift(1).scale(P * R)
-
-    def step(F):
-        u = F - 1
-        u2 = u * u
-        return (
-            base
-            + u.shift(1).scale((P + R) * Q)
-            + u2.shift(1).scale(Q * R)
-            + (u * G).shift(1).scale(Q * R * (P + R))
-            + (G * u2).shift(1).scale(Q * Q * R * R)
-        )
-
-    return _iterate(step, one, order, iterations)
+    terms = [(P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
+             (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]
+    return _solve(PQR, order, 0, terms, iterations) + 1
 
 
 def pair_series(blocks, order):
@@ -424,15 +431,13 @@ def pair_series(blocks, order):
         raise ValueError("empty chain")
     if blocks[-1] not in ("1", "11"):
         raise ValueError(f"unsupported base pattern {blocks[-1]!r}")
-    F = initial_pair_series(order)
+    steps = {"1": prepend1, "11": prepend11}
+    chain = TruncatedSeries.constant(1, PQR, order)  # the base: no avoider beyond order 0
     for block in reversed(blocks[:-1]):
-        if block == "1":
-            F = prepend1(F, order)
-        elif block == "11":
-            F = prepend11(F, order)
-        else:
+        if block not in steps:
             raise ValueError(f"unsupported chain block {block!r}")
-    return F
+        chain = steps[block](chain, order)
+    return chain
 
 
 def chain_pattern(blocks):
@@ -453,16 +458,11 @@ def chain_pattern(blocks):
 def solve_R(order, iterations=None):
     """Series R(x,p,z) over the 213-avoiders marking plateaus and 122 hits.
 
-    R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)); the substitutions act
-    on coefficients by transferring p-degree into z-degree.
+    R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)), solved as
+    R = 1 + x R(x,pz,z) R(x,pz^2,z) R + x (p - 1) R(x,pz^2,z) R; the
+    substitutions act on coefficients by transferring p-degree into z-degree.
     """
     P = Polynomial.variable("p", PZ)
-    one = TruncatedSeries.constant(1, PZ, order)
-
-    def step(R):
-        r1 = R.map_coefficients(lambda c: c.shift_var("p", "z", 1))
-        r2 = R.map_coefficients(lambda c: c.shift_var("p", "z", 2))
-        den = one - ((r1 - 1 + P) * r2).shift(1)
-        return den.inverse()
-
-    return _iterate(step, one, order, iterations)
+    r1, r2 = (lambda c, k=k: c.shift_var("p", "z", k) for k in (1, 2))
+    terms = [(1, 1, (r1, r2, F)), (P - 1, 1, (r2, F))]
+    return _solve(PZ, order, 1, terms, iterations)

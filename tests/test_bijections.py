@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirperm.bijections import (
     apairs,
@@ -26,7 +28,7 @@ from stirperm.formulas import count_avoid_123, count_avoid_213, plateau_poly_123
 from stirperm.generation import generate_avoiders
 from stirperm.polynomials import Polynomial
 from stirperm.trees import TernaryTree, fc_trees, ordered_trees, ternary_trees
-from stirperm.words import stats
+from stirperm.words import contains, first_occurrences, stats
 
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
 
@@ -251,3 +253,69 @@ def test_fc_round_trip_and_conjugacy():
         assert from_fc_tree(tree) == pair
         assert fc_involution(fc_involution(tree)) == tree
         assert to_fc_tree(involution_pair(pair)) == fc_involution(tree)
+
+
+# -- seeded property tests at orders 20..40, far beyond the exhaustive ones --
+
+
+@st.composite
+def avoiders(draw, pattern):
+    """An avoider of order 20..40 grown by inserting k, k for k = 1, 2, ...
+
+    Each pair goes into the first gap, scanning cyclically from a drawn one,
+    that keeps the word avoiding the pattern (checked with words.contains).
+    The front gap always does, as the largest letter there cannot play any
+    letter of 213, 123 or 132.
+    """
+    word = ()
+    for k in range(1, draw(st.integers(20, 40)) + 1):
+        start, size = draw(st.integers(0, len(word))), len(word) + 1
+        for pos in ((start + i) % size for i in range(size)):
+            child = word[:pos] + (k, k) + word[pos:]
+            if not contains(child, pattern):
+                break
+        word = child
+    return word
+
+
+PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
+
+
+@PROPERTY
+@given(avoiders(P213))
+def test_phi_round_trip_and_transport_at_large_orders(word):
+    n, s = len(word) // 2, stats(word)
+    tree = phi(word)
+    assert phi_inverse(tree) == word
+    assert tree.edge_counts() == (n - s.aasc, n - s.plat, n - s.ades)
+
+
+@pytest.mark.parametrize("family, pattern", [("123", P123), ("132", P132)])
+@PROPERTY
+@given(data=st.data())
+def test_psi_round_trip_and_transport_at_large_orders(family, pattern, data):
+    word = data.draw(avoiders(pattern))
+    n, t = len(word) // 2, stats(word)
+    perm, s = psi(word)
+    assert psi_inverse((perm, s), family) == word
+    comp = composition_of(perm)
+    assert len(s) == len(comp) and all(1 <= x <= c for x, c in zip(s, comp))
+    assert t.plat == n - len(comp) + sum(1 for x in s if x == 1)
+    if family == "123":
+        assert t.ades == n - len(comp) + sum(1 for x, c in zip(s, comp) if x == c)
+
+
+@PROPERTY
+@given(avoiders(P123))
+def test_rho_round_trip_and_transport_at_large_orders(word):
+    perm = first_occurrences(word)
+    tree = rho(perm)
+    assert tree.edges() == len(perm)
+    assert rho_inverse(tree) == perm
+    assert rho(rho_inverse(tree)) == tree
+    # segment lengths right to left are the family sizes in leftmost-path label order
+    labels = left_path_labeling(tree)
+    families = sorted((lab, len(tree.node_at(path).children))
+                      for path, lab in labels.items() if tree.node_at(path).children)
+    sizes = list(reversed(composition_of(perm)))
+    assert sizes == [size for _, size in families]

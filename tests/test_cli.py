@@ -310,3 +310,46 @@ def test_verify_rejects_a_jobs_count_below_one(capsys, jobs):
     code, out, err = run_cli(capsys, "verify", "--n", "1", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs" in err and jobs in err
+
+
+@pytest.mark.parametrize("params, message", [
+    (("d=1", "d=2"), "parameter 'd' given twice"),
+    (("d=1", "zz=1"), "has no parameter 'zz'"),
+])
+def test_formula_rejects_a_repeated_or_unknown_param(capsys, params, message):
+    argv = ["formula", "--id", "descents-132", "--n", "3"]
+    for param in params:
+        argv += ["--param", param]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_formula_rejects_a_param_for_a_formula_without_params(capsys):
+    code, out, err = run_cli(capsys, "formula", "--id", "count-213", "--n", "3", "--param", "zz=1")
+    assert code == 2 and out == ""
+    assert "has no parameter 'zz'" in err and "no parameters" in err
+
+
+def test_verify_json_reports_each_check_and_a_summary(capsys):
+    argv = ("verify", "--suite", "counts", "--n", "7", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv) == (code, out, "")  # deterministic without --timings
+    report = json.loads(out)
+    assert report["checks"] == [
+        {"id": "count-all", "suite": "counts", "status": "pass", "orders": [7]},
+        {"id": "count-avoiders", "suite": "counts", "status": "pass", "orders": [7]},
+        {"id": "eulerian-rows", "suite": "counts", "status": "skip", "orders": [],
+         "counterexample": "covers 1..6 only; asked for 7"},
+    ]
+    assert report["summary"] == {"passed": 2, "skipped": 1, "total": 3}
+    code, out, _ = run_cli(capsys, "verify", "--suite", "counts", "--n", "1..2",
+                           "--format", "json", "--timings")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and all(isinstance(c["elapsed"], float) for c in checks)
+
+
+def test_verify_text_is_the_default_format(capsys):
+    argv = ("verify", "--suite", "pairs", "--n", "1..3")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--format", "text")

@@ -1,7 +1,7 @@
 import pytest
 
 from stirperm.errors import CompositionError, DivisibilityError
-from stirperm.formulas import descents_132, plateau_poly_123, plateau_poly_213
+from stirperm.formulas import count_avoid_213, descents_132, plateau_poly_123, plateau_poly_213
 from stirperm.generation import distribution, joint_plat_122
 from stirperm.polynomials import Polynomial
 from stirperm.series import (
@@ -326,3 +326,40 @@ def test_truncation_guard():
     assert ser.truncated(2).order == 2
     with pytest.raises(ValueError):
         ser.truncated(9)
+
+
+# -- the online engine against independent routes, above the brute-force cap --
+
+
+def test_online_123_and_132_equal_the_recurrences_up_to_order_12():
+    c123, c132 = series_123(12), series_132(12)
+    r123, r132 = recurrence_123(12), recurrence_132(12)
+    for n in range(13):
+        assert c123.coefficient(n) == r123[n], n
+        assert c132.coefficient(n) == r132[n], n
+
+
+def test_online_213_counts_equal_the_closed_form_up_to_order_20():
+    counts = ints(series_213(20).specialize({"p": 1, "q": 1, "r": 1}))
+    assert counts == [count_avoid_213(k) for k in range(21)]
+
+
+def test_online_R_at_z_1_equals_the_plateau_polynomials_up_to_order_12():
+    flat = solve_R(12).specialize({"z": 1})
+    for n in range(1, 13):
+        assert flat.coefficient(n).project(("p",)) == plateau_poly_213(n), n
+
+
+def test_online_pair_chains_equal_their_rational_forms_at_order_20():
+    a = [1, -7, 15, -12, 5, -1]
+    b = [1, -14, 77, -215, 332, -295, 157, -51, 10, -1]
+    square = [sum(a[i] * a[k - i] for i in range(len(a)) if 0 <= k - i < len(a))
+              for k in range(2 * len(a) - 1)]
+    shifted = [x - y for x, y in zip(b + [0], [0] + b)]  # (1 - x) B5
+    forms = {
+        ("1", "1", "11"): ([1, -2, 1], [1, -3, 1]),
+        ("1", "1", "1", "11"): ([1, -6, 11, -6, 1], a),
+        ("1", "1", "1", "1", "11"): (square, shifted),
+    }
+    for blocks, (num, den) in forms.items():
+        assert all_ones(pair_series(blocks, 20)) == rational_series(num, den, (), 20), blocks
