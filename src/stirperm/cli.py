@@ -13,11 +13,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import bijections, formulas, generation, series, verification
 from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
 from .trees import FCOrderedTree, OrderedTree, TernaryTree
-from .words import format_word, parse_word, stats, validate_pattern
+# stats is unused here but traced as cli.stats by the benchmark
+from .words import format_word, parse_word, stats, validate_pattern  # noqa: F401
 
 DEFAULT_LIMIT = 8
 
@@ -102,48 +104,60 @@ def build_parser():
 # -- enumerate ---------------------------------------------------------------
 
 
+# Per format: header and row ({0} word, {1} des, {2} asc, {3} plat), each
+# without and with --stats, then the row separator and the trailer.
+ENUMERATE_LAYOUTS = {
+    "lines": (("", ""), ("{0}\n", "{0} {1} {2} {3}\n"), "", ""),
+    "csv": (("word\n", "word,des,asc,plat\n"), ("{0}\n", "{0},{1},{2},{3}\n"), "", ""),
+    "json": (("[", "["), ('"{0}"', '{{"word": "{0}", "des": {1}, "asc": {2}, "plat": {3}}}'),
+             ", ", "]\n"),
+}
+ENUMERATE_BUFFER = 64  # rows per write
+
+
+def _row_limit(n, patterns):
+    """Refuse output that may pass the rows of order DEFAULT_LIMIT.
+
+    With patterns, the bound is 2n-1 rows per order n-1 avoider, counted
+    on the tree until the bound passes.
+    """
+    cap = generation.double_factorial_odd(DEFAULT_LIMIT)
+    if not patterns:
+        bound = generation.double_factorial_odd(n)
+        what = f"{bound} permutations"
+    else:
+        avoiders = generation.generate_avoiders(n - 1, patterns)
+        parents = sum(1 for _ in islice(avoiders, cap // (2 * n - 1) + 1))
+        bound = (2 * n - 1) * parents
+        what = (f"a bound of {bound} rows: {2 * n - 1} per order-{n - 1} avoider, "
+                f"counted up to {parents}")
+    if bound > cap:
+        raise LimitExceeded(
+            f"order {n} exceeds the default limit {DEFAULT_LIMIT} ({what}, "
+            f"more than the {cap} permutations of order {DEFAULT_LIMIT}); "
+            "pass --force to proceed"
+        )
+
+
 def cmd_enumerate(args):
     if args.n < 0:
         raise BadPattern("order must be nonnegative")
-    if args.n > DEFAULT_LIMIT and not args.force:
-        raise LimitExceeded(
-            f"order {args.n} exceeds the default limit {DEFAULT_LIMIT} "
-            f"({generation.double_factorial_odd(args.n)} permutations); "
-            "pass --force to proceed"
-        )
     patterns = tuple(validate_pattern(parse_word(p)) for p in args.avoid)
+    if args.n > DEFAULT_LIMIT and not args.force:
+        _row_limit(args.n, patterns)
     fmt = args.format or ("csv" if args.stats else "lines")
-    stream = generation.generate_avoiders(args.n, patterns)
-
-    if fmt == "json":
-        rows = []
-        for word in stream:
-            if args.stats:
-                s = stats(word)
-                rows.append(
-                    {"word": format_word(word), "des": s.des, "asc": s.asc, "plat": s.plat}
-                )
-            else:
-                rows.append(format_word(word))
-        print(json.dumps(rows))
-        return 0
-
-    if fmt == "csv":
-        print("word,des,asc,plat" if args.stats else "word")
-        for word in stream:
-            if args.stats:
-                s = stats(word)
-                print(f"{format_word(word)},{s.des},{s.asc},{s.plat}")
-            else:
-                print(format_word(word))
-        return 0
-
-    for word in stream:
-        if args.stats:
-            s = stats(word)
-            print(f"{format_word(word)} {s.des} {s.asc} {s.plat}")
-        else:
-            print(format_word(word))
+    heads, rows, sep, tail = ENUMERATE_LAYOUTS[fmt]
+    row = rows[args.stats].format
+    nodes = generation.generate_avoiders(args.n, patterns, with_stats=True)
+    lines = (row(format_word(word), des, asc, plat) for word, des, asc, plat, _ in nodes)
+    write = sys.stdout.write
+    write(heads[args.stats])
+    lead = ""
+    for chunk in iter(lambda: list(islice(lines, ENUMERATE_BUFFER)), []):
+        write(lead)
+        write(sep.join(chunk))
+        lead = sep
+    write(tail)
     return 0
 
 

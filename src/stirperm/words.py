@@ -55,11 +55,19 @@ def parse_word(text):
     return letters
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_word(word):
-    """Inverse of parse_word: digit run when all letters fit one digit."""
-    if any(x > 9 for x in word):
-        return ",".join(str(x) for x in word)
-    return "".join(str(x) for x in word)
+    """Inverse of parse_word: digit run when all letters fit one digit.
+
+    The digit run maps each letter byte to its ASCII digit in one
+    bytes.translate, and the comma form joins map(str, word), so both
+    branches run at C speed.
+    """
+    if max(word, default=0) > 9:
+        return ",".join(map(str, word))
+    return bytes(word).translate(_DIGITS).decode("ascii")
 
 
 def is_stirling(word):
@@ -126,6 +134,20 @@ def validate_pattern(word):
     return letters
 
 
+def _fits(assigned, value, letter):
+    """True iff letter may stand for value beside the letters already assigned.
+
+    Distinct pattern values demand the same strict order between their
+    word letters; assigned maps pattern values to committed word letters.
+    """
+    for u, w in assigned.items():
+        if u < value and w >= letter:
+            return False
+        if u > value and w <= letter:
+            return False
+    return True
+
+
 def _occurrences(word, pattern, limit, split=None):
     """Count tuples of positions realizing the pattern, up to limit.
 
@@ -143,14 +165,6 @@ def _occurrences(word, pattern, limit, split=None):
     cut, at = split or (0, 0)
     found = 0
     assigned = {}  # pattern value -> word letter committed to it
-
-    def admissible(value, letter):
-        for u, w in assigned.items():
-            if u < value and w >= letter:
-                return False
-            if u > value and w <= letter:
-                return False
-        return True
 
     def rec(pi, start):
         nonlocal found
@@ -174,7 +188,7 @@ def _occurrences(word, pattern, limit, split=None):
                 elif rec(pi + 1, wj + 1):
                     return True
             else:
-                if not admissible(t, w):
+                if not _fits(assigned, t, w):
                     continue
                 assigned[t] = w
                 if last:
@@ -199,6 +213,94 @@ def contains(word, pattern, split=None):
     cut letters lie before position at and whose others lie at or after it.
     """
     return _occurrences(word, pattern, 1, split) > 0
+
+
+def split_gaps(word, pattern, cut):
+    """Bitmask of the gaps at which the word holds the pattern split at cut.
+
+    Bit at, for 0 <= at <= len(word), is set iff contains(word, pattern,
+    (cut, at)): iff some occurrence o has o[cut-1] < at <= o[cut], the
+    bound being open at the left when cut is 0 and at the right when cut
+    is len(pattern).  For one placement of the first cut letters these
+    gaps form an interval that ends at the largest position o[cut] can
+    take, so one search finds all of them: it tries o[cut] from the right
+    and stops at the first gap the mask already holds, and it drops every
+    placement whose interval the mask already covers.
+    """
+    k, n = len(pattern), len(word)
+    if k == 0:
+        return (1 << (n + 1)) - 1
+    if k > n:
+        return 0
+    top = n if cut == k else n - (k - cut)  # the right end of any interval
+    bad = 0
+    covered = top  # (covered, top] is in the mask: nothing above covered adds a gap
+    assigned = {}  # pattern value -> word letter committed to it
+
+    def mark(last, end):
+        nonlocal bad, covered
+        bad |= (1 << (end + 1)) - (1 << (last + 1))
+        covered = (~bad & ((1 << (top + 1)) - 1)).bit_length() - 1
+
+    def suffix(pi, start):
+        """True iff pattern[pi:] can take positions from start on."""
+        if pi == k:
+            return True
+        t = pattern[pi]
+        bound = assigned.get(t)
+        for wj in range(start, n - (k - pi) + 1):
+            w = word[wj]
+            if bound is not None:
+                if w == bound and suffix(pi + 1, wj + 1):
+                    return True
+            elif not assigned or _fits(assigned, t, w):
+                assigned[t] = w
+                found = suffix(pi + 1, wj + 1)
+                del assigned[t]
+                if found:
+                    return True
+        return False
+
+    def prefix(pi, start, last):
+        """Place pattern[pi:cut] from start on, then mark each interval."""
+        if pi == cut:
+            if cut == k:
+                mark(last, n)
+                return
+            free = ~bad & -(1 << (last + 1))
+            first = (free & -free).bit_length() - 1  # the lowest gap above last not yet marked
+            t = pattern[cut]
+            bound = assigned.get(t)
+            for wj in range(top, first - 1, -1):
+                w = word[wj]
+                if bound is not None:
+                    found = w == bound and suffix(cut + 1, wj + 1)
+                elif not assigned or _fits(assigned, t, w):
+                    assigned[t] = w
+                    found = suffix(cut + 1, wj + 1)
+                    del assigned[t]
+                else:
+                    found = False
+                if found:
+                    mark(last, wj)
+                    return
+            return
+        t = pattern[pi]
+        bound = assigned.get(t)
+        for wj in range(start, n - (k - pi) + 1):
+            if wj >= covered:  # then o[cut-1] >= covered too
+                return
+            w = word[wj]
+            if bound is not None:
+                if w == bound:
+                    prefix(pi + 1, wj + 1, wj)
+            elif not assigned or _fits(assigned, t, w):
+                assigned[t] = w
+                prefix(pi + 1, wj + 1, wj)
+                del assigned[t]
+
+    prefix(0, 0, -1)
+    return bad
 
 
 def avoids(word, patterns):

@@ -23,11 +23,19 @@ from stirperm.bijections import (
     verify_psi,
     verify_rho,
 )
+from stirperm.cli import _format_pair, _parse_pair
 from stirperm.errors import InvalidPair, NotAvoider
 from stirperm.formulas import count_avoid_123, count_avoid_213, plateau_poly_123
 from stirperm.generation import generate_avoiders
 from stirperm.polynomials import Polynomial
-from stirperm.trees import TernaryTree, fc_trees, ordered_trees, ternary_trees
+from stirperm.trees import (
+    FCOrderedTree,
+    OrderedTree,
+    TernaryTree,
+    fc_trees,
+    ordered_trees,
+    ternary_trees,
+)
 from stirperm.words import contains, first_occurrences, stats
 
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
@@ -259,8 +267,8 @@ def test_fc_round_trip_and_conjugacy():
 
 
 @st.composite
-def avoiders(draw, pattern):
-    """An avoider of order 20..40 grown by inserting k, k for k = 1, 2, ...
+def avoiders(draw, pattern, orders=(20, 40)):
+    """An avoider of order 20..40 (or in orders) grown by inserting k, k for k = 1, 2, ...
 
     Each pair goes into the first gap, scanning cyclically from a drawn one,
     that keeps the word avoiding the pattern (checked with words.contains).
@@ -268,7 +276,7 @@ def avoiders(draw, pattern):
     letter of 213, 123 or 132.
     """
     word = ()
-    for k in range(1, draw(st.integers(20, 40)) + 1):
+    for k in range(1, draw(st.integers(*orders)) + 1):
         start, size = draw(st.integers(0, len(word))), len(word) + 1
         for pos in ((start + i) % size for i in range(size)):
             child = word[:pos] + (k, k) + word[pos:]
@@ -319,3 +327,38 @@ def test_rho_round_trip_and_transport_at_large_orders(word):
                       for path, lab in labels.items() if tree.node_at(path).children)
     sizes = list(reversed(composition_of(perm)))
     assert sizes == [size for _, size in families]
+
+
+# -- serialisations parse back exactly, on the images of orders 20..60 --------
+
+LARGE = (20, 60)
+
+
+def assert_round_trip(value, text, parse, form):
+    assert form(value) == text
+    assert parse(text) == value
+    assert form(parse(text)) == text
+
+
+@PROPERTY
+@given(avoiders(P213, LARGE))
+def test_ternary_tree_serialisation_round_trips(word):
+    tree = phi(word)
+    assert_round_trip(tree, tree.serialize(), TernaryTree.parse, TernaryTree.serialize)
+
+
+@PROPERTY
+@given(avoiders(P123, LARGE))
+def test_ordered_and_fc_tree_serialisations_round_trip(word):
+    tree = rho(first_occurrences(word))
+    assert_round_trip(tree, tree.serialize(), OrderedTree.parse, OrderedTree.serialize)
+    fc = to_fc_tree(psi(word))
+    assert_round_trip(fc, fc.serialize(), FCOrderedTree.parse, FCOrderedTree.serialize)
+
+
+@PROPERTY
+@given(avoiders(P123, LARGE))
+def test_pair_form_round_trips(word):
+    perm, s = psi(word)
+    text = ",".join(map(str, perm)) + "|" + ",".join(map(str, s))
+    assert_round_trip((perm, s), text, _parse_pair, _format_pair)

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from stirperm.cli import main
+from stirperm.generation import generate_all
+from stirperm.words import avoids, stats
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,52 @@ def test_enumerate_limit(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "9")
     assert code == 2
     assert "--force" in err
+
+
+def test_enumerate_limit_is_sized_by_the_avoiders(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "9", "--avoid", "123")
+    assert code == 0
+    assert len(out.splitlines()) == 49720
+
+
+def test_enumerate_limit_with_avoid_names_its_bound(capsys):
+    # 19 gaps x 106686 order-9 213-avoiders first passes the 2027025 words of order 8
+    code, _, err = run_cli(capsys, "enumerate", "--n", "10", "--avoid", "213")
+    assert code == 2
+    assert "a bound of 2027034 rows: 19 per order-9 avoider, counted up to 106686" in err
+    assert "--force" in err
+
+
+def _expected_enumerate(n, fmt, with_stats, patterns):
+    """enumerate's output built from whole-word tallies and the digit/comma form."""
+    rows = []
+    for word in generate_all(n):
+        if avoids(word, patterns):
+            text = (",".join(str(x) for x in word) if any(x > 9 for x in word)
+                    else "".join(str(x) for x in word))
+            rows.append((text, *stats(word)[:3]))
+    if fmt == "json":
+        keys = ("word", "des", "asc", "plat")
+        items = [dict(zip(keys, row)) if with_stats else row[0] for row in rows]
+        return json.dumps(items) + "\n"
+    sep = "," if fmt == "csv" else " "
+    lines = [sep.join(map(str, row if with_stats else row[:1])) for row in rows]
+    if fmt == "csv":
+        lines.insert(0, "word,des,asc,plat" if with_stats else "word")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+@pytest.mark.parametrize("with_stats", [False, True])
+@pytest.mark.parametrize("avoid", [(), ("213",)])
+def test_enumerate_output_is_byte_identical_to_whole_word_tallies(capsys, fmt, with_stats, avoid):
+    patterns = tuple(tuple(int(c) for c in p) for p in avoid)
+    for n in range(6):
+        argv = ["enumerate", "--n", str(n), "--format", fmt]
+        argv += ["--stats"] * with_stats + [arg for p in avoid for arg in ("--avoid", p)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == _expected_enumerate(n, fmt, with_stats, patterns), (n, argv)
 
 
 def test_enumerate_bad_pattern(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -14,7 +15,16 @@ from stirperm.generation import (
     second_order_eulerian,
 )
 from stirperm.polynomials import Polynomial
-from stirperm.words import avoids, contains, count_occurrences, is_stirling, parse_word
+from stirperm.words import (
+    avoids,
+    contains,
+    count_adjacent_122,
+    count_occurrences,
+    is_stirling,
+    parse_word,
+    split_gaps,
+    stats,
+)
 
 PQR = ("p", "q", "r")
 PZ = ("p", "z")
@@ -121,6 +131,35 @@ def test_avoiders_are_the_naive_filter_in_the_same_order():
             assert list(generate_avoiders(n, patterns)) == naive, (n, patterns)
 
 
+def test_carried_stats_equal_the_whole_word_tallies():
+    for n in range(8):
+        for patterns in [()] + PATTERNS:
+            nodes = list(generate_avoiders(n, patterns, with_stats=True))
+            assert [node[0] for node in nodes] == list(generate_avoiders(n, patterns))
+            for word, des, asc, plat, _ in nodes:
+                assert (des, asc, plat) == stats(word)[:3], (word, patterns)
+
+
+def test_carried_adjacent_122_equals_the_whole_word_count():
+    for n in range(8):
+        for patterns in ((), (P213,)):
+            for word, _, _, _, adj in generate_avoiders(n, patterns, with_stats=True):
+                assert adj == count_adjacent_122(word), word
+
+
+def test_walk_readers_match_whole_word_tallies():
+    for n in range(1, 6):
+        for patterns in ((), (P213,), (P132,)):
+            words = list(generate_avoiders(n, patterns))
+            want = Polynomial(PQR, Counter((s.plat, s.des, s.asc) for s in map(stats, words)))
+            assert distribution(n, patterns) == want
+            joint = Counter((stats(w).plat, count_adjacent_122(w)) for w in words)
+            assert joint_plat_122(n, patterns) == Polynomial(PZ, joint)
+        assert second_order_eulerian(n) == [
+            sum(1 for w in generate_all(n) if stats(w).des == k) for k in range(n)
+        ]
+
+
 def test_avoider_counts_at_order_8_match_the_closed_forms():
     counts = {p: sum(1 for _ in generate_avoiders(8, (p,))) for p in (P213, P123, P132)}
     assert counts == {P213: 43263, P123: 11181, P132: 11181}
@@ -146,3 +185,10 @@ def test_split_test_detects_exactly_the_new_occurrences(case):
     split = occurrence_split(pattern)
     new = split is not None and contains(prev, split[0], (split[1], pos))
     assert new == (count_occurrences(child, pattern) > count_occurrences(prev, pattern))
+    if split is not None:
+        rest, cut = split
+        gaps = split_gaps(prev, rest, cut)
+        assert {at for at in range(len(prev) + 1) if gaps >> at & 1} == {
+            at for at in range(len(prev) + 1) if contains(prev, rest, (cut, at))
+        }
+        assert gaps >> (len(prev) + 1) == 0

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stirperm.errors import BadPattern
 from stirperm.generation import double_factorial_odd, generate_all
@@ -11,6 +13,7 @@ from stirperm.words import (
     is_stirling,
     parse_word,
     reverse_word,
+    split_gaps,
     stats,
     stirling_order,
     validate_pattern,
@@ -99,6 +102,21 @@ def test_contains_with_a_split():
     assert contains(word, (), (0, 4))
 
 
+def test_split_gaps_are_the_gaps_of_the_split_occurrences():
+    # occurrences of 21 in 2112: positions (0, 1) and (0, 2)
+    word, pattern = (2, 1, 1, 2), (2, 1)
+
+    def gaps(cut):
+        mask = split_gaps(word, pattern, cut)
+        return {at for at in range(len(word) + 1) if mask >> at & 1}
+
+    assert gaps(0) == {0}
+    assert gaps(1) == {1, 2}
+    assert gaps(2) == {2, 3, 4}
+    assert split_gaps(word, (), 0) == 0b11111
+    assert split_gaps(word, (1, 2, 3), 1) == 0
+
+
 def test_count_occurrences_examples():
     assert count_occurrences((1, 1, 2, 2), (1, 2, 2)) == 2
     assert count_occurrences((1, 2, 2, 1), (1, 2, 2)) == 1
@@ -138,6 +156,37 @@ def test_parse_and_format():
         parse_word("12a")
     with pytest.raises(BadPattern):
         parse_word("102")
+
+
+ROUND_TRIP = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@ROUND_TRIP
+@given(st.lists(st.integers(1, 9), max_size=8).map(tuple))
+def test_digit_runs_round_trip(word):
+    text = format_word(word)
+    assert text == "".join(map(str, word))
+    assert parse_word(text) == word
+    assert format_word(parse_word(text)) == text
+
+
+@st.composite
+def stirling_words(draw, lo, hi):
+    """A Stirling permutation of order lo..hi grown by random k, k insertions."""
+    word = ()
+    for k in range(1, draw(st.integers(lo, hi)) + 1):
+        pos = draw(st.integers(0, len(word)))
+        word = word[:pos] + (k, k) + word[pos:]
+    return word
+
+
+@ROUND_TRIP
+@given(stirling_words(20, 60))
+def test_comma_form_round_trips(word):
+    text = format_word(word)
+    assert text == ",".join(map(str, word))
+    assert parse_word(text) == word
+    assert format_word(parse_word(text)) == text
 
 
 def test_validate_pattern():
