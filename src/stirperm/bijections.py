@@ -20,13 +20,11 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import InvalidPair, NotAvoider
-from .trees import FCOrderedTree, OrderedTree, TernaryTree
-from .words import contains, first_occurrences, format_word, is_stirling, stats
+from .generation import generate_avoiders
+from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees
+from .words import P123, P132, P213, contains, first_occurrences, format_word, is_stirling, stats
 
-PATTERN_213 = (2, 1, 3)
-PATTERN_123 = (1, 2, 3)
-PATTERN_132 = (1, 3, 2)
-FAMILIES = {"123": PATTERN_123, "132": PATTERN_132}  # the classes psi is a bijection on
+FAMILIES = {"123": P123, "132": P132}  # the classes psi is a bijection on
 
 
 # -- phi: 213-avoiders and ternary trees ------------------------------------
@@ -44,7 +42,7 @@ def phi(word):
         raise ValueError("phi is defined for order >= 1")
     if not is_stirling(word):
         raise ValueError(f"not a Stirling permutation: {format_word(word)}")
-    if contains(word, PATTERN_213):
+    if contains(word, P213):
         raise NotAvoider(f"{format_word(word)} contains 213")
     return _phi(word)
 
@@ -200,7 +198,7 @@ def avoiding_permutations(n, pattern):
     ]
 
 
-def apairs(n, pattern=PATTERN_123):
+def apairs(n, pattern=P123):
     """All pairs (p, s) with p avoiding the pattern and s bounded by c(p)."""
     out = []
     for perm in avoiding_permutations(n, pattern):
@@ -213,13 +211,17 @@ def apairs(n, pattern=PATTERN_123):
 # -- rho: 123-avoiding permutations and ordered trees ------------------------
 
 
-def _children_by_vertex(perm):
-    """Vertex -> sorted children, one segment hanging below m - 1 each."""
-    children = {}
-    for segment in _segments(perm):
-        target = segment[0] - 1
-        children[target] = sorted(segment)
-    return children
+def _grow(perm, node):
+    """The tree on 0..n with each segment of perm hanging below its minimum - 1.
+
+    Children are ordered increasingly; node(v, kids) builds vertex v.
+    """
+    children = {segment[0] - 1: sorted(segment) for segment in _segments(perm)}
+
+    def build(v):
+        return node(v, tuple(build(c) for c in children.get(v, ())))
+
+    return build(0)
 
 
 def rho(perm):
@@ -231,14 +233,9 @@ def rho(perm):
     """
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
-    if contains(perm, PATTERN_123):
+    if contains(perm, P123):
         raise NotAvoider(f"{format_word(perm)} contains 123")
-    children = _children_by_vertex(perm)
-
-    def build(v):
-        return OrderedTree(tuple(build(c) for c in children.get(v, ())))
-
-    tree = build(0)
+    tree = _grow(perm, lambda v, kids: OrderedTree(kids))
     if tree.edges() != len(perm):
         raise ValueError("segment edges did not form a tree on 0..n")
     return tree
@@ -277,6 +274,26 @@ def left_path_labeling(tree):
                 walk, nd = walk + (0,), nd.children[0]
 
 
+def _rho_inverse(tree):
+    """rho_inverse(tree), and {m: the parent vertex of m} over its left-to-right minima m."""
+    labels = left_path_labeling(tree)
+    parents = {}
+    for path in labels:
+        node = tree.node_at(path)
+        if node.children:
+            parents[labels[path + (0,)]] = node
+    minima = sorted(parents, reverse=True)
+    fillers = sorted(set(range(1, tree.edges() + 1)) - set(minima), reverse=True)
+    out = []
+    at = 0
+    for m in minima:
+        take = len(parents[m].children) - 1
+        out.append(m)
+        out.extend(fillers[at : at + take])
+        at += take
+    return tuple(out), parents
+
+
 def rho_inverse(tree):
     """Recover the 123-avoiding permutation from an ordered tree.
 
@@ -284,26 +301,7 @@ def rho_inverse(tree):
     left-to-right minimum and the parent's family size is the length of
     that minimum's segment; all remaining entries decrease left to right.
     """
-    n = tree.edges()
-    labels = left_path_labeling(tree)
-    minima = []
-    family = {}
-    for path, lab in labels.items():
-        node = tree.node_at(path)
-        if node.children:
-            leftmost = labels[path + (0,)]
-            minima.append(leftmost)
-            family[leftmost] = len(node.children)
-    minima.sort(reverse=True)
-    fillers = sorted(set(range(1, n + 1)) - set(minima), reverse=True)
-    out = []
-    at = 0
-    for m in minima:
-        take = family[m] - 1
-        out.append(m)
-        out.extend(fillers[at : at + take])
-        at += take
-    return tuple(out)
+    return _rho_inverse(tree)[0]
 
 
 # -- favorite-child composite -------------------------------------------------
@@ -316,31 +314,17 @@ def to_fc_tree(pair):
     the i-th segment, and s_i becomes the favorite index there.
     """
     perm, s = pair
-    if contains(perm, PATTERN_123):
+    if contains(perm, P123):
         raise InvalidPair(f"base permutation {format_word(perm)} contains 123")
     _check_pair(perm, s)
-    children = _children_by_vertex(perm)
     favorite = {m - 1: si for m, si in zip(lr_minima(perm), s)}
-
-    def build(v):
-        kids = children.get(v, ())
-        return FCOrderedTree(
-            tuple(build(c) for c in kids), favorite[v] if kids else None
-        )
-
-    return build(0)
+    return _grow(perm, lambda v, kids: FCOrderedTree(kids, favorite[v] if kids else None))
 
 
 def from_fc_tree(tree):
     """Inverse of to_fc_tree."""
-    perm = rho_inverse(tree.underlying())
-    labels = left_path_labeling(tree.underlying())
-    path_of = {lab: path for path, lab in labels.items()}
-    s = []
-    for m in lr_minima(perm):
-        parent = tree.node_at(path_of[m - 1])
-        s.append(parent.favorite)
-    return perm, tuple(s)
+    perm, parents = _rho_inverse(tree)
+    return perm, tuple(parents[m].favorite for m in lr_minima(perm))
 
 
 def fc_involution(tree):
@@ -353,13 +337,19 @@ def fc_involution(tree):
 # -- exhaustive verification helpers -----------------------------------------
 
 
+def _report(checked, failures, transport_failures):
+    return {
+        "checked": checked,
+        "failures": failures,
+        "statistic_transport": {"checked": checked, "failures": transport_failures},
+    }
+
+
 def verify_phi(n):
     """Round-trip and statistic transport of phi over all order-n avoiders."""
-    from .generation import generate_avoiders
-
     checked = failures = transport_failures = 0
     seen = set()
-    for word in generate_avoiders(n, (PATTERN_213,)):
+    for word in generate_avoiders(n, (P213,)):
         checked += 1
         tree = phi(word)
         seen.add(tree)
@@ -371,17 +361,11 @@ def verify_phi(n):
             transport_failures += 1
     if len(seen) != checked:
         failures += checked - len(seen)
-    return {
-        "checked": checked,
-        "failures": failures,
-        "statistic_transport": {"checked": checked, "failures": transport_failures},
-    }
+    return _report(checked, failures, transport_failures)
 
 
 def verify_psi(n, family="123"):
     """Round-trip of psi and its plateau/descent bookkeeping on one class."""
-    from .generation import generate_avoiders
-
     pattern = _family_pattern(family)
     checked = failures = transport_failures = 0
     images = set()
@@ -404,50 +388,34 @@ def verify_psi(n, family="123"):
     expected_pairs = set(apairs(n, pattern))
     if images != expected_pairs:
         failures += len(expected_pairs.symmetric_difference(images))
-    return {
-        "checked": checked,
-        "failures": failures,
-        "statistic_transport": {"checked": checked, "failures": transport_failures},
-    }
+    return _report(checked, failures, transport_failures)
 
 
 def verify_rho(n):
     """Round-trip of rho in both directions plus segment-length transport."""
-    from .trees import ordered_trees
-
     checked = failures = transport_failures = 0
-    for perm in avoiding_permutations(n, PATTERN_123):
+    for perm in avoiding_permutations(n, P123):
         checked += 1
-        tree = rho(perm)
-        if rho_inverse(tree) != perm:
+        back, parents = _rho_inverse(rho(perm))
+        if back != perm:
             failures += 1
             continue
         # segment lengths right to left == family sizes in label order
         seg_back = [len(seg) for seg in reversed(_segments(perm))]
-        labels = left_path_labeling(tree)
-        parents = sorted(
-            (lab, len(tree.node_at(path).children))
-            for path, lab in labels.items()
-            if tree.node_at(path).children
-        )
-        if seg_back != [size for _, size in parents]:
+        if seg_back != [len(parents[m].children) for m in sorted(parents)]:
             transport_failures += 1
     for tree in ordered_trees(n):
         checked += 1
         if rho(rho_inverse(tree)) != tree:
             failures += 1
-    return {
-        "checked": checked,
-        "failures": failures,
-        "statistic_transport": {"checked": checked, "failures": transport_failures},
-    }
+    return _report(checked, failures, transport_failures)
 
 
 def verify_fc(n):
     """Round-trip of the favorite-child composite and involution conjugacy."""
     checked = failures = transport_failures = 0
     images = set()
-    for pair in apairs(n, PATTERN_123):
+    for pair in apairs(n, P123):
         checked += 1
         tree = to_fc_tree(pair)
         images.add(tree)
@@ -459,15 +427,9 @@ def verify_fc(n):
             continue
         if to_fc_tree(involution_pair(pair)) != fc_involution(tree):
             transport_failures += 1
-    from .trees import fc_trees
-
     if images != set(fc_trees(n)):
         failures += 1
-    return {
-        "checked": checked,
-        "failures": failures,
-        "statistic_transport": {"checked": checked, "failures": transport_failures},
-    }
+    return _report(checked, failures, transport_failures)
 
 
 # Each name is looked up when the map is called, so a rebinding of a

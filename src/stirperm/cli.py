@@ -306,6 +306,8 @@ def cmd_biject(args):
         if name not in bijections.VERIFIERS:
             known = ", ".join(sorted(bijections.VERIFIERS))
             raise BadPattern(f"unknown map {name!r}; known: {known}")
+        if args.n < 1:
+            raise BadPattern(f"biject verify needs --n >= 1, got {args.n}")
         report = bijections.VERIFIERS[name](args.n)
         report = {"map": name, "n": args.n, **report}
         print(json.dumps(report))
@@ -424,6 +426,9 @@ def main(argv=None):
         return handlers[args.command](args)
     except (StirpermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input nests too deeply", file=sys.stderr)
         return 2
 
 

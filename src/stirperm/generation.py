@@ -20,11 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .polynomials import Polynomial
+from .polynomials import PQR, PZ, Polynomial
 from .words import avoids, count_adjacent_122, split_gaps, stats
-
-PQR = ("p", "q", "r")
-PZ = ("p", "z")
 
 
 def double_factorial_odd(n):

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .errors import DivisibilityError
 
+PQR = ("p", "q", "r")  # plateaus, descents, ascents
+PZ = ("p", "z")  # plateaus, adjacent 122 occurrences
+
 
 class Polynomial:
     """Polynomial in the variables named by ``vars`` (an ordered tuple).
@@ -82,10 +85,6 @@ class Polynomial:
     def total_degrees(self):
         """Set of total degrees occurring among the monomials."""
         return {sum(exp) for exp in self.terms}
-
-    def min_power(self, name):
-        i = self.vars.index(name)
-        return min((exp[i] for exp in self.terms), default=0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -260,17 +259,6 @@ class Polynomial:
             out[tuple(ne)] = coef
         return Polynomial._raw(new_vars, out)
 
-    def coefficient_of_power(self, name, k):
-        """Coefficient of name**k, as a polynomial with that variable cleared."""
-        i = self.vars.index(name)
-        out = {}
-        for exp, coef in self.terms.items():
-            if exp[i] == k:
-                ne = list(exp)
-                ne[i] = 0
-                out[tuple(ne)] = coef
-        return Polynomial._raw(self.vars, out)
-
     # -- exact division ---------------------------------------------------
 
     def div_exact_const(self, k):
@@ -374,8 +362,3 @@ class Polynomial:
                 for exp, coef in sorted(self.terms.items(), key=lambda kv: kv[0])
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        terms = {tuple(t["exp"]): int(t["coef"]) for t in obj["terms"]}
-        return cls(tuple(obj["vars"]), terms)

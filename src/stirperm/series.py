@@ -12,10 +12,8 @@ from __future__ import annotations
 from math import comb
 
 from .errors import CompositionError, DivisibilityError
-from .polynomials import Polynomial
+from .polynomials import PQR, PZ, Polynomial
 
-PQR = ("p", "q", "r")
-PZ = ("p", "z")
 PQRV = ("p", "q", "r", "v")
 
 
@@ -44,10 +42,6 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def zeros(cls, vars, order):
-        return cls(vars, [], order)
 
     @classmethod
     def constant(cls, value, vars, order):

@@ -2,27 +2,71 @@
 
 Ternary trees have three ordered optional child slots (left, vertical,
 right); ordered trees have an arbitrary ordered child list; favorite-child
-trees additionally mark one child per parent.  All are immutable values
-compared structurally, serialized to parenthesis strings.
+trees additionally mark one child per parent.  All are frozen dataclass
+values compared structurally, so a favorite-child tree never equals a plain
+ordered tree.  Each is written as a parenthesis string by ``serialize``,
+and ``parse`` accepts exactly what ``serialize`` writes (blanks around the
+whole string aside): any other text raises ValueError.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+
+# "(", "-" (an empty ternary slot), "," and ")", which ":k" follows after a
+# favorite-child parent.  Anything else is skipped here and caught by the
+# round trip in parse.
+_TOKEN = re.compile(r"[(,-]|\)(?::(\d+))?")
 
 
-class TernaryTree:
+class _Tree:
+    """parse and repr for the tree classes, both by way of serialize."""
+
+    __slots__ = ()
+
+    @classmethod
+    def parse(cls, text):
+        """The tree whose serialize() is text.
+
+        cls._node builds each vertex from the children read and the k of
+        its "):k".  Whatever it drops or fills in makes the round trip
+        differ, so any text that serialize would not write raises ValueError.
+        """
+        text = text.strip()
+        stack = [[]]  # the children read so far of each open vertex
+        for token in _TOKEN.finditer(text):
+            kind = token.group()[0]
+            if kind == "(":
+                stack.append([])
+            elif kind == "-":
+                stack[-1].append(None)
+            elif kind == ")" and len(stack) > 1:
+                favorite = token.group(1)
+                kids = stack.pop()
+                stack[-1].append(cls._node(kids, favorite and int(favorite)))
+        tree = stack[0][0] if len(stack) == 1 and len(stack[0]) == 1 else None
+        if tree is None or tree.serialize() != text:
+            raise ValueError(f"not a serialized {cls.__name__}: {text!r}")
+        return tree
+
+    def __repr__(self):
+        return self.serialize()
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class TernaryTree(_Tree):
     """Vertex with three optional subtrees.  A single vertex has none."""
 
-    __slots__ = ("left", "vertical", "right")
+    left: TernaryTree | None = None
+    vertical: TernaryTree | None = None
+    right: TernaryTree | None = None
 
-    def __init__(self, left=None, vertical=None, right=None):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "vertical", vertical)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TernaryTree is immutable")
+    @classmethod
+    def _node(cls, kids, favorite):
+        return cls(*kids[:3])
 
     def slots(self):
         return (self.left, self.vertical, self.right)
@@ -44,45 +88,10 @@ class TernaryTree:
 
     def serialize(self):
         """3-slot form with '-' marking an empty slot, e.g. "(-,(-,-,-),-)"."""
-        parts = ("-" if c is None else c.serialize() for c in self.slots())
+        # A list, not a generator: a level then costs two frames of the
+        # recursion limit, as in edges(), so parse reaches as deep as the maps.
+        parts = ["-" if c is None else c.serialize() for c in self.slots()]
         return "(" + ",".join(parts) + ")"
-
-    @classmethod
-    def parse(cls, text):
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ValueError(f"trailing input {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text):
-        if not text.startswith("("):
-            raise ValueError(f"expected '(' at {text!r}")
-        text = text[1:]
-        slots = []
-        for i in range(3):
-            if text.startswith("-"):
-                slots.append(None)
-                text = text[1:]
-            else:
-                child, text = cls._parse(text)
-                slots.append(child)
-            sep = "," if i < 2 else ")"
-            if not text.startswith(sep):
-                raise ValueError(f"expected {sep!r} at {text!r}")
-            text = text[1:]
-        return cls(*slots), text
-
-    def __eq__(self, other):
-        if not isinstance(other, TernaryTree):
-            return NotImplemented
-        return self.slots() == other.slots()
-
-    def __hash__(self):
-        return hash(("T",) + self.slots())
-
-    def __repr__(self):
-        return self.serialize()
 
 
 @lru_cache(maxsize=None)
@@ -105,16 +114,15 @@ def _slot_options(weight):
     return ternary_trees(weight - 1)
 
 
-class OrderedTree:
+@dataclass(frozen=True, slots=True, repr=False)
+class OrderedTree(_Tree):
     """Vertex with an ordered tuple of subtrees."""
 
-    __slots__ = ("children",)
+    children: tuple = ()
 
-    def __init__(self, children=()):
-        object.__setattr__(self, "children", tuple(children))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedTree is immutable")
+    @classmethod
+    def _node(cls, kids, favorite):
+        return cls(tuple(k for k in kids if k is not None))
 
     def edges(self):
         return sum(child.edges() + 1 for child in self.children)
@@ -138,36 +146,7 @@ class OrderedTree:
         return out
 
     def serialize(self):
-        return "(" + "".join(c.serialize() for c in self.children) + ")"
-
-    @classmethod
-    def parse(cls, text):
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ValueError(f"trailing input {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text):
-        if not text.startswith("("):
-            raise ValueError(f"expected '(' at {text!r}")
-        text = text[1:]
-        children = []
-        while not text.startswith(")"):
-            child, text = cls._parse(text)
-            children.append(child)
-        return cls(children), text[1:]
-
-    def __eq__(self, other):
-        if not isinstance(other, OrderedTree):
-            return NotImplemented
-        return self.children == other.children
-
-    def __hash__(self):
-        return hash(("O", self.children))
-
-    def __repr__(self):
-        return self.serialize()
+        return "(" + "".join([c.serialize() for c in self.children]) + ")"
 
 
 @lru_cache(maxsize=None)
@@ -183,106 +162,41 @@ def ordered_trees(n):
     return tuple(out)
 
 
-class FCOrderedTree:
+@dataclass(frozen=True, slots=True, repr=False)
+class FCOrderedTree(OrderedTree):
     """Ordered tree in which every parent marks a favorite child (1-based)."""
 
-    __slots__ = ("children", "favorite")
+    favorite: int | None = None
 
-    def __init__(self, children=(), favorite=None):
-        children = tuple(children)
-        if children and not 1 <= (favorite or 0) <= len(children):
+    def __post_init__(self):
+        if self.children and not 1 <= (self.favorite or 0) <= len(self.children):
             raise ValueError("parent needs a favorite child index in range")
-        if not children and favorite is not None:
+        if not self.children and self.favorite is not None:
             raise ValueError("leaf cannot have a favorite child")
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "favorite", favorite)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FCOrderedTree is immutable")
-
-    def edges(self):
-        return sum(child.edges() + 1 for child in self.children)
-
-    def node_at(self, path):
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
-    def underlying(self):
-        return OrderedTree(tuple(c.underlying() for c in self.children))
+    @classmethod
+    def _node(cls, kids, favorite):
+        return cls(tuple(k for k in kids if k is not None), favorite)
 
     def serialize(self):
         """Parenthesis string with ':k' after every parent, e.g. "(()()):2"."""
-        body = "(" + "".join(c.serialize() for c in self.children) + ")"
+        body = "(" + "".join([c.serialize() for c in self.children]) + ")"
         if self.children:
             body += f":{self.favorite}"
         return body
 
-    @classmethod
-    def parse(cls, text):
-        tree, rest = cls._parse(text.strip())
-        if rest:
-            raise ValueError(f"trailing input {rest!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text):
-        if not text.startswith("("):
-            raise ValueError(f"expected '(' at {text!r}")
-        text = text[1:]
-        children = []
-        while not text.startswith(")"):
-            child, text = cls._parse(text)
-            children.append(child)
-        text = text[1:]
-        favorite = None
-        if children:
-            if not text.startswith(":"):
-                raise ValueError(f"expected ':favorite' at {text!r}")
-            text = text[1:]
-            digits = ""
-            while text and text[0].isdigit():
-                digits += text[0]
-                text = text[1:]
-            if not digits:
-                raise ValueError("missing favorite index")
-            favorite = int(digits)
-        return cls(children, favorite), text
-
-    def __eq__(self, other):
-        if not isinstance(other, FCOrderedTree):
-            return NotImplemented
-        return self.children == other.children and self.favorite == other.favorite
-
-    def __hash__(self):
-        return hash(("F", self.children, self.favorite))
-
-    def __repr__(self):
-        return self.serialize()
-
 
 def fc_trees(n):
     """All favorite-child trees with n edges."""
-    out = []
-    for shape in ordered_trees(n):
-        out.extend(_decorate(shape))
-    return tuple(out)
+    return tuple(tree for shape in ordered_trees(n) for tree in _decorate(shape))
 
 
 def _decorate(shape):
+    """Every favorite-child marking of one ordered tree."""
     if not shape.children:
         return (FCOrderedTree(),)
-    decorated_children = [_decorate(c) for c in shape.children]
-    out = []
-
-    def build(i, acc):
-        if i == len(decorated_children):
-            for fav in range(1, len(acc) + 1):
-                out.append(FCOrderedTree(tuple(acc), fav))
-            return
-        for option in decorated_children[i]:
-            build(i + 1, acc + [option])
-
-    build(0, [])
-    return tuple(out)
+    return tuple(
+        FCOrderedTree(kids, fav)
+        for kids in product(*map(_decorate, shape.children))
+        for fav in range(1, len(kids) + 1)
+    )

@@ -23,12 +23,10 @@ from itertools import permutations
 from typing import Callable
 
 from . import bijections, formulas, generation, series
-from .polynomials import Polynomial
+from .polynomials import PQR, Polynomial
 from .trees import ternary_trees
-from .words import stats
+from .words import P123, P132, P213, stats
 
-PQR = ("p", "q", "r")
-P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
 PATTERNS = {"213": P213, "123": P123, "132": P132}
 SWAPS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))  # two of the three statistics exchanged
 
@@ -278,39 +276,39 @@ def _bijection(check_id, name, cap=5):
 TABLE = (
     Check("count-all", "counts", 7, generation.double_factorial_odd,
           lambda n: sum(1 for _ in generation.generate_all(n))),
-    Check("count-avoiders", "counts", 8,
+    Check("count-avoiders", "counts", 9,
           lambda n: {k: getattr(formulas, f"count_avoid_{k}")(n) for k in PATTERNS},
           lambda n: {k: sum(_brute(n, p).terms.values()) for k, p in PATTERNS.items()}),
     Check("eulerian-rows", "counts", 6, _eulerian_row,
           lambda n: generation.second_order_eulerian(n)),
-    Check("symmetry-213", "symmetry", 8,
+    Check("symmetry-213", "symmetry", 9,
           *_symmetric(lambda n: _brute(n, P213) * _var("q") * _var("r"),
                       tuple(permutations(PQR)))),
-    Check("stats-213", "symmetry", 8, _stats_213_formula, _stats_213_brute),
-    Check("symmetry-123", "symmetry", 8,
+    Check("stats-213", "symmetry", 9, _stats_213_formula, _stats_213_brute),
+    Check("symmetry-123", "symmetry", 9,
           *_symmetric(lambda n: _brute(n, P123) * _var("q"), (PQR, ("q", "p", "r")))),
-    Check("plateaus-213", "plateaus", 8, lambda n: formulas.plateau_poly_213(n),
+    Check("plateaus-213", "plateaus", 9, lambda n: formulas.plateau_poly_213(n),
           lambda n: _plateaus(_brute(n, P213))),
-    Check("plateaus-123", "plateaus", 8, lambda n: formulas.plateau_poly_123(n),
+    Check("plateaus-123", "plateaus", 9, lambda n: formulas.plateau_poly_123(n),
           lambda n: _plateaus(_brute(n, P123))),
-    Check("plateaus-132-vs-123", "plateaus", 8, lambda n: _plateaus(_brute(n, P123)),
+    Check("plateaus-132-vs-123", "plateaus", 9, lambda n: _plateaus(_brute(n, P123)),
           lambda n: _plateaus(_brute(n, P132))),
-    Check("marginals-123", "marginals", 8, lambda n: _marginals(n, P123, ("plat",)),
+    Check("marginals-123", "marginals", 9, lambda n: _marginals(n, P123, ("plat",)),
           lambda n: _marginals(n, P123, ("des+1",))),
-    Check("marginals-213", "marginals", 8, lambda n: _marginals(n, P213, ("des+1", "des+1")),
+    Check("marginals-213", "marginals", 9, lambda n: _marginals(n, P213, ("des+1", "des+1")),
           lambda n: _marginals(n, P213, ("plat", "asc+1"))),
-    Check("descents-132", "statistics-132", 8, _descents_132,
+    Check("descents-132", "statistics-132", 9, _descents_132,
           lambda n: _descents(_brute(n, P132), n)),
-    Check("ascents-132", "statistics-132", 8, lambda n: formulas.ascent_poly_132(n),
+    Check("ascents-132", "statistics-132", 9, lambda n: formulas.ascent_poly_132(n),
           lambda n: _brute(n, P132).specialize({"p": 1, "q": 1}).project(("r",))),
-    Check("series-oracles", "series", 8,
+    Check("series-oracles", "series", 9,
           lambda n: {k: _brute(n, p) for k, p in PATTERNS.items()},
           lambda n: {k: _solved(k, n) for k in PATTERNS}),
     Check("series-recurrences", "series", tuple(range(7)),
           lambda n: {k: _solved(k, n) for k in ("123", "132")},
           lambda n: {k: getattr(series, f"recurrence_{k}")(n)[n] for k in ("123", "132")}),
     Check("series-initials", "series", (1, 2, 3), _printed_seeds, _computed_seeds),
-    Check("series-specializations", "series", 8,
+    Check("series-specializations", "series", 9,
           lambda n: {"213": formulas.plateau_poly_213(n), "123": formulas.plateau_poly_123(n),
                      "132": formulas.plateau_poly_123(n), "132 descents": _descents_132(n)},
           _solved_marginals),
@@ -321,12 +319,12 @@ TABLE = (
           lambda N: {b: series.rational_series(num, den, (), N)
                      for b, (num, den) in RATIONAL_CHAINS.items()},
           lambda N: {b: _chain_at_one(b, N) for b in RATIONAL_CHAINS}),
-    Check("fibonacci-pair", "fibonacci", 8, lambda n: formulas.count_avoid_213_1233(n),
+    Check("fibonacci-pair", "fibonacci", 9, lambda n: formulas.count_avoid_213_1233(n),
           lambda n: sum(1 for _ in generation.generate_avoiders(
               n, (P213, series.chain_pattern(("1", "1", "11")))))),
     Check("catalan-chains", "pairs", (8,), _nested_catalan,
           lambda N: {b: _chain_at_one(b, N) for b in CATALAN_CHAINS}),
-    Check("joint-plat-122", "joint", 8, lambda n: generation.joint_plat_122(n),
+    Check("joint-plat-122", "joint", 9, lambda n: generation.joint_plat_122(n),
           lambda n: series.solve_R(n).coefficient(n)),
     _bijection("bijection-phi", "phi"),
     _bijection("bijection-psi-123", "psi-123"),

@@ -12,6 +12,8 @@ from typing import NamedTuple
 
 from .errors import BadPattern
 
+P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)  # the three patterns of length 3 studied
+
 
 class StatVector(NamedTuple):
     """Adjacent-pair statistics of a Stirling permutation of the given order.
@@ -115,10 +117,6 @@ def stats(word):
         else:
             plat += 1
     return StatVector(des, asc, plat, len(word) // 2)
-
-
-def reverse_word(word):
-    return tuple(reversed(word))
 
 
 def validate_pattern(word):

@@ -278,6 +278,25 @@ def test_biject_verify_needs_args(capsys):
     assert code == 2 and "needs --map" in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+@pytest.mark.parametrize("name", ["phi", "psi-123", "psi-132", "rho", "fc"])
+def test_biject_verify_rejects_an_order_below_one(capsys, name, n):
+    code, out, err = run_cli(capsys, "biject", "verify", "--map", name, "--n", n)
+    assert code == 2 and out == ""
+    assert f"needs --n >= 1, got {n}" in err
+
+
+# 1,200 levels: a chain of first children, and of vertical slots
+@pytest.mark.parametrize("name, tree", [
+    ("rho", "(" * 1200 + ")" * 1200),
+    ("phi", "(-," * 1200 + "(-,-,-)" + ",-)" * 1200),
+], ids=["rho", "phi"])
+def test_biject_inverse_of_a_too_deep_tree_is_a_usage_error(capsys, name, tree):
+    code, out, err = run_cli(capsys, "biject", name, "--direction", "inv", "--input", tree)
+    assert code == 2 and out == ""
+    assert "nests too deeply" in err and "Traceback" not in err
+
+
 def test_biject_not_avoider(capsys):
     code, _, err = run_cli(capsys, "biject", "phi", "--input", "221133")
     assert code == 2 and "contains 213" in err

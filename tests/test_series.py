@@ -49,7 +49,7 @@ def test_compose():
     # 1/(1 - 2x) via substituting 2x
     doubled = compose(geom, x + x)
     assert ints(doubled) == [2**k for k in range(7)]
-    assert ints(compose(geom, TruncatedSeries.zeros((), 6))) == [1, 0, 0, 0, 0, 0, 0]
+    assert ints(compose(geom, TruncatedSeries((), [], 6))) == [1, 0, 0, 0, 0, 0, 0]
     with pytest.raises(CompositionError):
         compose(geom, one)
 
@@ -307,9 +307,10 @@ def test_series_q_division_shapes():
     assert f.coefficient(0) == Polynomial.one(PQR)
     g = solve_132(4)
     assert g.coefficient(0) == Polynomial.one(PQR)
+    q = PQR.index("q")
     for n in range(1, 5):
         for poly in (f.coefficient(n), g.coefficient(n)):
-            assert poly.min_power("q") >= 1
+            assert min((exp[q] for exp in poly.terms), default=0) >= 1
 
 
 def test_series_json():

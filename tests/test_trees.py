@@ -33,10 +33,10 @@ def test_ternary_serialization():
     assert t.serialize() == "(-,(-,-,-),-)"
     for tree in ternary_trees(3):
         assert TernaryTree.parse(tree.serialize()) == tree
-    with pytest.raises(ValueError):
-        TernaryTree.parse("(-,-)")
-    with pytest.raises(ValueError):
-        TernaryTree.parse("(-,-,-)x")
+    # parse accepts exactly what serialize writes
+    for text in ("(-,-)", "(-,-,-)x", "(-,-,-,-)", "(-,-,-", "()", "(-, -,-)", "(-,-,-):1"):
+        with pytest.raises(ValueError):
+            TernaryTree.parse(text)
 
 
 def test_ordered_tree_counts():
@@ -57,6 +57,9 @@ def test_ordered_serialization():
     assert two_leaves.serialize() == "(()())"
     for t in ordered_trees(5):
         assert OrderedTree.parse(t.serialize()) == t
+    for text in ("((),())", "(-)", "(()):1", "()()", "(()", ""):
+        with pytest.raises(ValueError):
+            OrderedTree.parse(text)
 
 
 def test_fc_tree_counts():
@@ -81,8 +84,12 @@ def test_fc_tree_validation_and_serialization():
         FCOrderedTree((leaf,), None)
     with pytest.raises(ValueError):
         FCOrderedTree((), 1)
-    with pytest.raises(ValueError):
-        FCOrderedTree.parse("(()())")
+    for text in ("(()())", "(()):01", "(()):0", "(()()):3", "():1", "(():1)"):
+        with pytest.raises(ValueError):
+            FCOrderedTree.parse(text)
+    # an FC tree never equals the plain ordered tree of its shape
+    assert parent != OrderedTree((OrderedTree(), OrderedTree()))
+    assert leaf != OrderedTree()
 
 
 def test_node_at():

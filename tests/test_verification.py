@@ -48,7 +48,7 @@ COVERED_AT_1_TO_6 = {
     "phi-pullback": UP_TO_5,
 }
 
-# The rows whose brute side enumerates avoiders, capped at 8; the other
+# The rows whose brute side enumerates avoiders, capped at 9; the other
 # rows enumerate all words or run bijections and keep their lower caps.
 PRUNED_ORACLE_ROWS = (
     "count-avoiders", "symmetry-213", "stats-213", "symmetry-123",
@@ -99,10 +99,11 @@ def test_order_7_passes_count_all_and_count_avoiders_and_skips_eulerian_rows():
     assert results["eulerian-rows"].status == "skip"
 
 
-def test_order_8_is_covered_by_every_row_on_the_pruned_oracle():
-    results = verification.run_checks("all", [8])
+@pytest.mark.parametrize("order", [8, 9])
+def test_orders_8_and_9_are_covered_by_every_row_on_the_pruned_oracle(order):
+    results = verification.run_checks("all", [order])
     capped = [r for r in results if isinstance(verification.CHECKS[r.check_id].orders, int)]
-    assert [r.check_id for r in capped if r.orders == (8,)] == list(PRUNED_ORACLE_ROWS)
+    assert [r.check_id for r in capped if r.orders == (order,)] == list(PRUNED_ORACLE_ROWS)
     assert all(r.ok for r in results if r.check_id in PRUNED_ORACLE_ROWS)
 
 
@@ -139,5 +140,5 @@ def test_verify_plateaus_at_order_7(capsys):
 
 
 def test_verify_with_nothing_covered_is_not_a_pass(capsys):
-    assert main(["verify", "--suite", "plateaus", "--n", "9"]) == 1
+    assert main(["verify", "--suite", "plateaus", "--n", "10"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0/3 checks passed, 3 skipped"
