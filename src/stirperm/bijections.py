@@ -10,14 +10,16 @@ Maps implemented here, each with its inverse:
   Restricted to 123-avoiders or to 132-avoiders, psi is a bijection onto
   the pairs whose sequence s is bounded by the segment composition of p.
 * rho: 123-avoiding permutations of [n]  <->  n-edge ordered trees, via
-  segments attaching to the vertex one below their leading minimum.
+  segments attaching to the vertex one below their leading minimum.  The
+  inverse reads the tree through its leftmost-path labels, in which the
+  first child of a parent labelled i is labelled i + 1.
 * The favorite-child composite: pairs (p, s) map onto ordered trees whose
   parents each mark a favorite child.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from .errors import InvalidPair, NotAvoider
 from .generation import generate_avoiders
@@ -58,16 +60,9 @@ def _phi(word):
     return TernaryTree(left, vertical, right)
 
 
-def phi_inverse(tree, order=None):
+def phi_inverse(tree):
     """Inverse of phi; a tree with m edges yields a word of order m + 1."""
-    n = tree.edges() + 1
-    if order is not None and order != n:
-        raise ValueError(f"tree has {n - 1} edges, expected order {order}")
-    return _phi_inverse(tree)
-
-
-def _phi_inverse(tree):
-    blocks = [(_phi_inverse(c) if c is not None else ()) for c in tree.slots()]
+    blocks = [(phi_inverse(c) if c is not None else ()) for c in tree.slots()]
     sizes = [len(b) // 2 for b in blocks]
     offsets = (1 + sizes[1] + sizes[2], 1 + sizes[2], 1)
     shifted = [
@@ -79,39 +74,25 @@ def _phi_inverse(tree):
 # -- compositions and the psi pairing ---------------------------------------
 
 
-def lr_minima(perm):
-    """Values of the left-to-right minima, in order of appearance."""
+def _segments(perm):
+    """perm cut into lists, each starting at a left-to-right minimum."""
     out = []
     for x in perm:
-        if not out or x < out[-1]:
-            out.append(x)
-    return tuple(out)
+        if not out or x < out[-1][0]:
+            out.append([x])
+        else:
+            out[-1].append(x)
+    return out
+
+
+def lr_minima(perm):
+    """Values of the left-to-right minima, in order of appearance."""
+    return tuple(segment[0] for segment in _segments(perm))
 
 
 def composition_of(perm):
-    """Gaps between successive left-to-right minimum positions.
-
-    A sentinel below everything is appended, so the parts sum to len(perm)
-    and are exactly the segment lengths (a segment starts at each minimum).
-    """
-    positions = []
-    best = None
-    for i, x in enumerate(perm):
-        if best is None or x < best:
-            best = x
-            positions.append(i)
-    positions.append(len(perm))
-    return tuple(b - a for a, b in zip(positions, positions[1:]))
-
-
-def _segments(perm):
-    sizes = composition_of(perm)
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(perm[start : start + size])
-        start += size
-    return out
+    """The segment lengths; they sum to len(perm)."""
+    return tuple(map(len, _segments(perm)))
 
 
 def psi(word):
@@ -135,7 +116,16 @@ def psi(word):
     return perm, tuple(s)
 
 
-def _check_pair(perm, s):
+def _check_permutation(perm, error=ValueError):
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise error(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
+
+
+def _check_pair(perm, s, family=None):
+    """perm's segment lengths; InvalidPair unless (perm, s) is a pair (of the family, if given)."""
+    _check_permutation(perm, InvalidPair)
+    if family and contains(perm, _family_pattern(family)):
+        raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
     comp = composition_of(perm)
     if len(s) != len(comp):
         raise InvalidPair(f"sequence length {len(s)} != {len(comp)} segments")
@@ -170,11 +160,8 @@ def psi_inverse(pair, family):
     The reconstruction is the same in-segment insertion for both classes;
     only the pattern the base permutation must avoid changes.
     """
-    pattern = _family_pattern(family)
     perm, s = pair
-    if contains(perm, pattern):
-        raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
-    _check_pair(perm, s)
+    _check_pair(perm, s, family)
     return _rebuild_word(perm, s)
 
 
@@ -231,67 +218,48 @@ def rho(perm):
     leading minimum; the root is 0 and children are ordered increasingly,
     then labels are erased.
     """
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
+    _check_permutation(perm)
     if contains(perm, P123):
         raise NotAvoider(f"{format_word(perm)} contains 123")
-    tree = _grow(perm, lambda v, kids: OrderedTree(kids))
-    if tree.edges() != len(perm):
-        raise ValueError("segment edges did not form a tree on 0..n")
-    return tree
+    # Each entry hangs below a vertex smaller than itself, so a permutation
+    # of 1..n always gives a tree on 0..n.
+    return _grow(perm, lambda v, kids: OrderedTree(kids))
 
 
-def left_path_labeling(tree):
-    """Vertex labels (by child-index path) in leftmost-path order.
+def left_path_order(tree):
+    """The vertices of tree in leftmost-path label order, the root (0) first.
 
-    The root gets 0.  Repeatedly take the labeled vertex with the smallest
-    label that still has an unlabeled child, and label the leftmost path
-    descending from each of its unlabeled children, left to right, with the
-    smallest unused labels.
+    Walking the list as it grows, each vertex labels the leftmost path down
+    from each of its unlabelled children, left to right, with the next
+    labels: all children of the root, and children[1:] of any other vertex,
+    whose first child was labelled on its own path.  So the first child of
+    the parent labelled i is labelled i + 1.
     """
-    labels = {(): 0}
-    nxt = 1
-    while True:
-        best = None
-        for path, lab in labels.items():
-            node = tree.node_at(path)
-            if any(path + (i,) not in labels for i in range(len(node.children))):
-                if best is None or lab < labels[best]:
-                    best = path
-        if best is None:
-            return labels
-        node = tree.node_at(best)
-        for i in range(len(node.children)):
-            cpath = best + (i,)
-            if cpath in labels:
-                continue
-            walk, nd = cpath, node.children[i]
-            while True:
-                labels[walk] = nxt
-                nxt += 1
-                if not nd.children:
-                    break
-                walk, nd = walk + (0,), nd.children[0]
+    order = [tree]
+    for i, node in enumerate(order):
+        for child in node.children[1 if i else 0 :]:
+            order.append(child)
+            while child.children:
+                child = child.children[0]
+                order.append(child)
+    return order
 
 
 def _rho_inverse(tree):
-    """rho_inverse(tree), and {m: the parent vertex of m} over its left-to-right minima m."""
-    labels = left_path_labeling(tree)
-    parents = {}
-    for path in labels:
-        node = tree.node_at(path)
-        if node.children:
-            parents[labels[path + (0,)]] = node
-    minima = sorted(parents, reverse=True)
-    fillers = sorted(set(range(1, tree.edges() + 1)) - set(minima), reverse=True)
+    """rho_inverse(tree), and the vertices of tree in leftmost-path label order.
+
+    The left-to-right minima are the labels i + 1 with order[i] a parent,
+    and the family of the minimum m is order[m - 1].
+    """
+    order = left_path_order(tree)
+    labels = range(len(order) - 1, 0, -1)
+    fillers = iter([m for m in labels if not order[m - 1].children])
     out = []
-    at = 0
-    for m in minima:
-        take = len(parents[m].children) - 1
-        out.append(m)
-        out.extend(fillers[at : at + take])
-        at += take
-    return tuple(out), parents
+    for m in labels:
+        if order[m - 1].children:
+            out.append(m)
+            out.extend(islice(fillers, len(order[m - 1].children) - 1))
+    return tuple(out), order
 
 
 def rho_inverse(tree):
@@ -314,17 +282,15 @@ def to_fc_tree(pair):
     the i-th segment, and s_i becomes the favorite index there.
     """
     perm, s = pair
-    if contains(perm, P123):
-        raise InvalidPair(f"base permutation {format_word(perm)} contains 123")
-    _check_pair(perm, s)
+    _check_pair(perm, s, "123")
     favorite = {m - 1: si for m, si in zip(lr_minima(perm), s)}
     return _grow(perm, lambda v, kids: FCOrderedTree(kids, favorite[v] if kids else None))
 
 
 def from_fc_tree(tree):
     """Inverse of to_fc_tree."""
-    perm, parents = _rho_inverse(tree)
-    return perm, tuple(parents[m].favorite for m in lr_minima(perm))
+    perm, order = _rho_inverse(tree)
+    return perm, tuple(order[m - 1].favorite for m in lr_minima(perm))
 
 
 def fc_involution(tree):
@@ -396,13 +362,12 @@ def verify_rho(n):
     checked = failures = transport_failures = 0
     for perm in avoiding_permutations(n, P123):
         checked += 1
-        back, parents = _rho_inverse(rho(perm))
+        back, order = _rho_inverse(rho(perm))
         if back != perm:
             failures += 1
             continue
         # segment lengths right to left == family sizes in label order
-        seg_back = [len(seg) for seg in reversed(_segments(perm))]
-        if seg_back != [len(parents[m].children) for m in sorted(parents)]:
+        if composition_of(perm)[::-1] != tuple(len(v.children) for v in order if v.children):
             transport_failures += 1
     for tree in ordered_trees(n):
         checked += 1

@@ -284,12 +284,12 @@ def cmd_formula(args):
 
 
 def _parse_pair(text):
-    perm_text, _, s_text = text.partition("|")
-    perm = parse_word(perm_text)
-    if not s_text:
+    """(perm, s) from 'perm|s'; "|" alone is the order-0 pair ((), ())."""
+    perm_text, bar, s_text = text.partition("|")
+    if not bar:
         raise BadPattern("pair input must look like 'perm|s', e.g. 4,6,5,2,1,3|3,1,1")
-    s = tuple(int(x) for x in s_text.split(","))
-    return perm, s
+    s = tuple(int(x) for x in s_text.split(",")) if s_text else ()
+    return parse_word(perm_text), s
 
 
 def _format_pair(pair):

@@ -77,12 +77,7 @@ def plateau_poly_213(n):
     """Plateau marginal over the 213-avoiders of order n, as a polynomial in p."""
     if n < 1:
         raise ValueError("order must be positive")
-    terms = {}
-    for i in range(n):
-        coef = exact_div(binomial(n, i) * binomial(2 * n, n - 1 - i), n)
-        if coef:
-            terms[(n - i,)] = coef
-    return Polynomial(P_ONLY, terms)
+    return Polynomial(P_ONLY, {(k,): plateau_count_213(n, k) for k in range(n, 0, -1)})
 
 
 def plateau_count_123(n, k):
@@ -94,12 +89,7 @@ def plateau_poly_123(n):
     """Plateau marginal over the 123-avoiders of order n (1 at n = 0)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    terms = {}
-    for j in range(n + 1):
-        coef = exact_div(binomial(n + 1, j) * binomial(2 * n - j, n + j), n + 1)
-        if coef:
-            terms[(n - j,)] = coef
-    return Polynomial(P_ONLY, terms)
+    return Polynomial(P_ONLY, {(k,): plateau_count_123(n, k) for k in range(n, -1, -1)})
 
 
 def descents_132(n, d):

@@ -196,14 +196,14 @@ def _product(a, b, zero):
     return _Stream(coefficient)
 
 
-def _solve(vars, order, start, terms, iterations=None):
+def _solve(vars, order, start, terms):
     """The series f = start + sum of scalar * x^s * (product of factors).
 
     Each term is (scalar, s, factors) with s >= 1.  A factor is F (the
     unknown f), a function applied to f coefficient by coefficient (such as
     p -> p z^k), or a known TruncatedSeries; no factors stands for 1.  Each
     product caches its coefficients and shares them with every product that
-    ends in it.  iterations=k computes only coefficients 0..k; the rest are 0.
+    ends in it.
     """
     zero = Polynomial.zero(vars)
 
@@ -228,8 +228,7 @@ def _solve(vars, order, start, terms, iterations=None):
         return streams[key]
 
     compiled = [(scalar, s, stream(factors)) for scalar, s, factors in terms]
-    top = order if iterations is None else min(order, iterations)
-    coeffs = [f[k] for k in range(top + 1)]
+    coeffs = [f[k] for k in range(order + 1)]
     # f and its products refer to each other: free them now, not at a later gc
     streams.clear()
     compiled.clear()
@@ -248,14 +247,10 @@ def catalan_series(order, vars=()):
     return TruncatedSeries(vars, [comb(2 * n, n) // (n + 1) for n in range(order + 1)], order)
 
 
-def compose(outer, inner):
-    return outer.compose(inner)
-
-
 # -- the three single-pattern equations ------------------------------------
 
 
-def solve_213(order, iterations=None):
+def solve_213(order):
     """Series f = C_213 - 1 from its cubic equation.
 
     The equation is f = xp + x(pr+qr+pq) f + xqr(r+p+q) f^2 + x q^2 r^2 f^3.
@@ -263,7 +258,7 @@ def solve_213(order, iterations=None):
     P, Q, R = Polynomial.gens(PQR)
     terms = [(P, 1, ()), (P * R + Q * R + P * Q, 1, (F,)),
              (Q * R * (R + P + Q), 1, (F, F)), (Q * Q * R * R, 1, (F, F, F))]
-    return _solve(PQR, order, 0, terms, iterations)
+    return _solve(PQR, order, 0, terms)
 
 
 def series_213(order):
@@ -271,7 +266,7 @@ def series_213(order):
     return solve_213(order) + 1
 
 
-def solve_123(order, iterations=None):
+def solve_123(order):
     """Auxiliary series f = q C_123 - q + 1 from its functional equation.
 
     f = 1 + pqx(-1 + (2 + x(pr+qr-pq)) f - pqx(1 - x(p-r)(q-r)) f^2) f.
@@ -280,7 +275,7 @@ def solve_123(order, iterations=None):
     PQ = P * Q
     terms = [(-PQ, 1, (F,)), (2 * PQ, 1, (F, F)), (PQ * (P * R + Q * R - PQ), 2, (F, F)),
              (-PQ * PQ, 2, (F, F, F)), (PQ * PQ * (P - R) * (Q - R), 3, (F, F, F))]
-    return _solve(PQR, order, 1, terms, iterations)
+    return _solve(PQR, order, 1, terms)
 
 
 def _recover_from_q_form(f):
@@ -294,7 +289,7 @@ def series_123(order):
     return _recover_from_q_form(solve_123(order))
 
 
-def solve_132(order, iterations=None):
+def solve_132(order):
     """Auxiliary series f = q C_132 - q + 1 from its functional equation.
 
     f = 1 + px(q - 2r + r(2 + (pr-pq+q^2)x) f - p r^2 x f^2) f.
@@ -302,7 +297,7 @@ def solve_132(order, iterations=None):
     P, Q, R = Polynomial.gens(PQR)
     terms = [(P * (Q - 2 * R), 1, (F,)), (2 * P * R, 1, (F, F)),
              (P * R * (P * R - P * Q + Q * Q), 2, (F, F)), (-P * P * R * R, 2, (F, F, F))]
-    return _solve(PQR, order, 1, terms, iterations)
+    return _solve(PQR, order, 1, terms)
 
 
 def series_132(order):
@@ -318,10 +313,12 @@ def series_132(order):
 # by construction, and the division is performed exactly.
 
 
-def recurrence_123(order):
-    """Coefficients of C_123 computed via the L_n(v) recurrence system."""
+def printed_seeds():
+    """The paper's printed seeds, in p,q,r,v: ({n: L_n(v)}, f(2) = g(2)).
+
+    L_1..L_3 seed the 123 system; L_1 and L_2 also seed the 132 system.
+    """
     P, Q, R, V = Polynomial.gens(PQRV)
-    one = Polynomial.one(PQRV)
     L = {
         1: P,
         2: P * P * (R + Q * V),
@@ -329,7 +326,15 @@ def recurrence_123(order):
         + P * P * Q * R * (2 * P + Q) * V
         + P * P * Q * (P * R + Q * R + P * Q) * V * V,
     }
-    f = {0: one, 1: P, 2: P * (P * Q + P * R + Q * R)}
+    return L, P * (P * Q + P * R + Q * R)
+
+
+def recurrence_123(order):
+    """Coefficients of C_123 computed via the L_n(v) recurrence system."""
+    P, Q, R, V = Polynomial.gens(PQRV)
+    one = Polynomial.one(PQRV)
+    L, f2 = printed_seeds()
+    f = {0: one, 1: P, 2: f2}
 
     def at_one(poly):
         return poly.specialize({"v": 1})
@@ -361,8 +366,9 @@ def recurrence_132(order):
     """Coefficients of C_132 computed via the L_n(v) recurrence system."""
     P, Q, R, V = Polynomial.gens(PQRV)
     one = Polynomial.one(PQRV)
-    L = {1: P, 2: P * P * (R + Q * V)}
-    g = {0: one, 1: P, 2: P * (P * R + Q * R + P * Q)}
+    seeds, g2 = printed_seeds()
+    L = {1: seeds[1], 2: seeds[2]}
+    g = {0: one, 1: P, 2: g2}
 
     def at_one(poly):
         return poly.specialize({"v": 1})
@@ -399,7 +405,7 @@ def prepend1(sub, order):
     return _solve(PQR, order, 0, terms) + 1
 
 
-def prepend11(sub, order, iterations=None):
+def prepend11(sub, order):
     """F for the pattern 11 (+) t', given the series for t'.
 
     Solves the quadratic functional equation
@@ -411,7 +417,7 @@ def prepend11(sub, order, iterations=None):
     G = sub.truncated(order) - 1
     terms = [(P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
              (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]
-    return _solve(PQR, order, 0, terms, iterations) + 1
+    return _solve(PQR, order, 0, terms) + 1
 
 
 def pair_series(blocks, order):
@@ -449,7 +455,7 @@ def chain_pattern(blocks):
 # -- joint plateau / 122-occurrence series ----------------------------------
 
 
-def solve_R(order, iterations=None):
+def solve_R(order):
     """Series R(x,p,z) over the 213-avoiders marking plateaus and 122 hits.
 
     R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)), solved as
@@ -459,4 +465,4 @@ def solve_R(order, iterations=None):
     P = Polynomial.variable("p", PZ)
     r1, r2 = (lambda c, k=k: c.shift_var("p", "z", k) for k in (1, 2))
     terms = [(1, 1, (r1, r2, F)), (P - 1, 1, (r2, F))]
-    return _solve(PZ, order, 1, terms, iterations)
+    return _solve(PZ, order, 1, terms)

@@ -127,24 +127,6 @@ class OrderedTree(_Tree):
     def edges(self):
         return sum(child.edges() + 1 for child in self.children)
 
-    def node_at(self, path):
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
-    def all_paths(self):
-        """Every vertex as a path of child indices from the root."""
-        out = [()]
-        stack = [((), self)]
-        while stack:
-            path, node = stack.pop()
-            for i, child in enumerate(node.children):
-                cp = path + (i,)
-                out.append(cp)
-                stack.append((cp, child))
-        return out
-
     def serialize(self):
         return "(" + "".join([c.serialize() for c in self.children]) + ")"
 

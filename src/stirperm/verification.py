@@ -182,16 +182,12 @@ def _brute_catalytic(n, pattern):
 
 def _printed_seeds(n):
     """The printed seeds L_n(v) of the 123 and 132 recurrences, and f(2) = g(2)."""
-    P, Q, R, V = Polynomial.gens(series.PQRV)
-    seeds = {1: P, 2: P * P * (R + Q * V)}
-    seeds[3] = (P ** 3 * Q * R + P * P * Q * R * (2 * P + Q) * V
-                + P * P * Q * (P * R + Q * R + P * Q) * V * V)
+    seeds, f2 = series.printed_seeds()
     out = {"L123": seeds[n]}
     if n <= 2:
         out["L132"] = seeds[n]
     if n == 2:
-        p, q, r = Polynomial.gens(PQR)
-        out["f"] = out["g"] = p * (p * q + p * r + q * r)
+        out["f"] = out["g"] = f2.project(PQR)
     return out
 
 
@@ -200,8 +196,8 @@ def _computed_seeds(n):
     if n <= 2:
         seeds["L132"] = _brute_catalytic(n, P132)
     if n == 2:
-        seeds["f"] = series.recurrence_123(2)[2]
-        seeds["g"] = series.recurrence_132(2)[2]
+        seeds["f"] = _brute(2, P123)
+        seeds["g"] = _brute(2, P132)
     return seeds
 
 
@@ -231,7 +227,7 @@ def _nested_catalan(order):
     cat = series.catalan_series(order)
     out = [cat]
     for _ in CATALAN_CHAINS[1:]:
-        out.append(series.compose(cat, out[-1].shift(1)))
+        out.append(cat.compose(out[-1].shift(1)))
     return dict(zip(CATALAN_CHAINS, out))
 
 

@@ -9,7 +9,7 @@ from stirperm.bijections import (
     fc_involution,
     from_fc_tree,
     involution_pair,
-    left_path_labeling,
+    left_path_order,
     lr_minima,
     phi,
     phi_inverse,
@@ -211,27 +211,46 @@ def test_rho_worked_example():
     tree = rho(EXAMPLE_PERM)
     assert tree.edges() == 16
     assert rho_inverse(tree) == EXAMPLE_PERM
-    labels = left_path_labeling(tree)
-    assert sorted(labels.values()) == list(range(17))
+    order = left_path_order(tree)
+    assert len(order) == 17
     # family sizes by left-path label: parents 0,2,3,6,7,8,11,14
-    family = {
-        labels[path]: len(tree.node_at(path).children) for path in labels
-    }
-    parents = {lab: size for lab, size in family.items() if size}
+    parents = {lab: len(v.children) for lab, v in enumerate(order) if v.children}
     assert parents == {0: 5, 2: 1, 3: 1, 6: 2, 7: 1, 8: 3, 11: 1, 14: 2}
     # segment lengths right to left equal family sizes in label order
     assert [parents[k] for k in sorted(parents)] == [5, 1, 1, 2, 1, 3, 1, 2]
 
 
-def test_left_path_labeling_simple_shapes():
-    from stirperm.trees import OrderedTree
+def assert_order(tree, expected):
+    order = left_path_order(tree)
+    assert len(order) == len(expected)
+    assert all(v is w for v, w in zip(order, expected))
 
-    chain = OrderedTree((OrderedTree((OrderedTree(),)),))
-    labels = left_path_labeling(chain)
-    assert labels == {(): 0, (0,): 1, (0, 0): 2}
+
+def test_left_path_order_simple_shapes():
+    mid = OrderedTree((OrderedTree(),))
+    chain = OrderedTree((mid,))
+    assert_order(chain, [chain, mid, mid.children[0]])
     star = OrderedTree((OrderedTree(), OrderedTree(), OrderedTree()))
-    labels = left_path_labeling(star)
-    assert labels == {(): 0, (0,): 1, (1,): 2, (2,): 3}
+    assert_order(star, [star, *star.children])
+    # the root's second child is labelled before the first child's second child
+    fork = OrderedTree((OrderedTree(), OrderedTree()))
+    tree = OrderedTree((fork, OrderedTree()))
+    assert_order(tree, [tree, fork, fork.children[0], tree.children[1], fork.children[1]])
+
+
+def comb(m):
+    """A path of m + 1 vertices, each but the last with a leaf after its path child."""
+    tree = OrderedTree()
+    for _ in range(m):
+        tree = OrderedTree((tree, OrderedTree()))
+    return tree
+
+
+def test_rho_inverse_round_trips_a_600_edge_comb():
+    tree = comb(300)
+    perm = rho_inverse(tree)
+    assert sorted(perm) == list(range(1, 601))
+    assert rho(perm).serialize() == tree.serialize()  # == would recurse too deeply
 
 
 def test_rho_round_trips():
@@ -322,11 +341,8 @@ def test_rho_round_trip_and_transport_at_large_orders(word):
     assert rho_inverse(tree) == perm
     assert rho(rho_inverse(tree)) == tree
     # segment lengths right to left are the family sizes in leftmost-path label order
-    labels = left_path_labeling(tree)
-    families = sorted((lab, len(tree.node_at(path).children))
-                      for path, lab in labels.items() if tree.node_at(path).children)
-    sizes = list(reversed(composition_of(perm)))
-    assert sizes == [size for _, size in families]
+    families = [len(v.children) for v in left_path_order(tree) if v.children]
+    assert list(reversed(composition_of(perm))) == families
 
 
 # -- serialisations parse back exactly, on the images of orders 20..60 --------

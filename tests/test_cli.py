@@ -265,6 +265,32 @@ def test_biject_fc_round_trip_letters_above_9(capsys):
     assert code == 0 and out2.strip() == pair
 
 
+@pytest.mark.parametrize("argv", [
+    ("psi", "--direction", "inv", "--input", "5,3|1,1"),
+    ("psi", "--direction", "inv", "--input", "2,2|1"),
+    ("psi", "--direction", "inv", "--family", "132", "--input", "2,2|1"),
+    ("fc", "--direction", "fwd", "--input", "5,3|1,1"),
+])
+def test_biject_pair_whose_base_is_not_a_permutation_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "biject", *argv)
+    assert code == 2 and out == ""
+    assert "not a permutation" in err
+
+
+def test_biject_fc_round_trips_the_order_0_pair(capsys):
+    code, out, _ = run_cli(capsys, "biject", "fc", "--direction", "inv", "--input", "()")
+    assert code == 0 and out == "|\n"
+    code, out, _ = run_cli(capsys, "biject", "fc", "--direction", "fwd", "--input", "|")
+    assert code == 0 and out == "()\n"
+
+
+@pytest.mark.parametrize("text", ["1|", "|1"])
+@pytest.mark.parametrize("argv", [("fc",), ("psi", "--direction", "inv")])
+def test_biject_pair_with_one_empty_half_is_a_usage_error(capsys, argv, text):
+    code, out, _ = run_cli(capsys, "biject", *argv, "--input", text)
+    assert code == 2 and out == ""
+
+
 def test_biject_verify(capsys):
     code, out, _ = run_cli(capsys, "biject", "verify", "--map", "phi", "--n", "3")
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from stirperm.bijections import left_path_order
 from stirperm.formulas import count_avoid_123, count_avoid_213
 from stirperm.trees import (
     FCOrderedTree,
@@ -48,7 +49,7 @@ def test_ordered_tree_edges_vertices():
     for n in range(5):
         for t in ordered_trees(n):
             assert t.edges() == n
-            assert len(t.all_paths()) == n + 1
+            assert len(left_path_order(t)) == n + 1
 
 
 def test_ordered_serialization():
@@ -91,8 +92,3 @@ def test_fc_tree_validation_and_serialization():
     assert parent != OrderedTree((OrderedTree(), OrderedTree()))
     assert leaf != OrderedTree()
 
-
-def test_node_at():
-    t = OrderedTree((OrderedTree((OrderedTree(),)), OrderedTree()))
-    assert t.node_at(()) is t
-    assert t.node_at((0, 0)).children == ()
