@@ -4,9 +4,16 @@ A polynomial is stored as a mapping from exponent tuples to nonzero ints,
 over a fixed ordered tuple of variable names.  Exponents are allowed to be
 negative, so the same class serves as a Laurent ring where an expansion has
 to pass through negative powers before cancellation.
+
+Besides the constructors and the printed forms, three methods build new
+exponent tuples: ``sum_products`` (every product, in the series layer too),
+``_remap`` (substitution, renaming, projection and division by a variable)
+and ``div_one_minus_exact``.  A change of the exponent format touches those.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import DivisibilityError
 
@@ -19,7 +26,7 @@ class Polynomial:
 
     Instances are treated as immutable values; all arithmetic returns new
     objects.  Two polynomials compare equal only if they share the same
-    variable tuple, use ``project``/``extend`` to move between rings.
+    variable tuple; ``project`` moves to a smaller ring.
     """
 
     __slots__ = ("vars", "terms")
@@ -132,12 +139,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial._raw(self.vars, {e: c for e, c in out.items() if c})
+        return Polynomial.sum_products(self.vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -166,7 +168,32 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
+    @staticmethod
+    def sum_products(vars, pairs):
+        """The sum of a * b over the pairs of polynomials in ``vars``, in one dict."""
+        out = {}
+        get = out.get
+        for a, b in pairs:
+            right = b.terms.items()
+            for e1, c1 in a.terms.items():
+                for e2, c2 in right:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+        return Polynomial._raw(tuple(vars), {e: c for e, c in out.items() if c})
+
     # -- substitution and reshaping ---------------------------------------
+
+    def _remap(self, vars, move):
+        """Send each term's exponent through move(exp) -> (new_exp, weight).
+
+        The result, in ``vars``, sums the weighted coefficients of the terms
+        that land on one exponent and drops those that cancel.
+        """
+        out = {}
+        for exp, coef in self.terms.items():
+            key, weight = move(exp)
+            out[key] = out.get(key, 0) + coef * weight
+        return Polynomial._raw(tuple(vars), {e: c for e, c in out.items() if c})
 
     def specialize(self, values):
         """Substitute integers for some variables; keeps the variable tuple.
@@ -174,90 +201,41 @@ class Polynomial:
         Negative exponents are only substitutable at 1 or -1.
         """
         idx = [(self.vars.index(v), val) for v, val in values.items()]
-        out = {}
-        for exp, coef in self.terms.items():
-            factor = 1
-            ne = list(exp)
-            for i, val in idx:
-                e = ne[i]
-                if e >= 0:
-                    factor *= val ** e
-                elif val == 1:
-                    pass
-                elif val == -1:
-                    factor *= -1 if e % 2 else 1
-                else:
-                    raise ValueError("negative exponent at non-unit value")
-                ne[i] = 0
-            key = tuple(ne)
-            c = out.get(key, 0) + coef * factor
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(self.vars, out)
 
-    def evaluate(self, values):
-        """Evaluate at integer values given for every variable."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        return self.specialize(values).constant_term()
+        def move(exp):
+            ne, weight = list(exp), 1
+            for i, val in idx:
+                if ne[i] < 0 and val not in (1, -1):
+                    raise ValueError("negative exponent at non-unit value")
+                weight *= val ** abs(ne[i])
+                ne[i] = 0
+            return tuple(ne), weight
+
+        return self._remap(self.vars, move)
 
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the variable set onto itself."""
         target = [self.vars.index(mapping.get(v, v)) for v in self.vars]
         if sorted(target) != list(range(len(self.vars))):
             raise ValueError("mapping is not a bijection of the variables")
-        out = {}
-        for exp, coef in self.terms.items():
-            ne = [0] * len(exp)
-            for i, e in enumerate(exp):
-                ne[target[i]] = e
-            out[tuple(ne)] = coef
-        return Polynomial._raw(self.vars, out)
+        source = [target.index(k) for k in range(len(target))]
+        return self._remap(self.vars, lambda exp: (tuple(exp[k] for k in source), 1))
 
     def shift_var(self, src, dst, mult):
         """Substitute src -> src * dst**mult (an exponent transfer)."""
         i, j = self.vars.index(src), self.vars.index(dst)
-        out = {}
-        for exp, coef in self.terms.items():
-            ne = list(exp)
-            ne[j] += mult * exp[i]
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + coef
-        return Polynomial._raw(self.vars, {e: c for e, c in out.items() if c})
+        return self._remap(
+            self.vars, lambda exp: (exp[:j] + (exp[j] + mult * exp[i],) + exp[j + 1:], 1)
+        )
 
     def project(self, new_vars):
         """Restrict to a sub-tuple of variables; the dropped ones must not occur."""
         new_vars = tuple(new_vars)
-        keep = []
         for pos, v in enumerate(self.vars):
-            if v in new_vars:
-                keep.append((new_vars.index(v), pos))
-            else:
-                for exp in self.terms:
-                    if exp[pos]:
-                        raise ValueError(f"variable {v} occurs; cannot project")
-        out = {}
-        for exp, coef in self.terms.items():
-            ne = [0] * len(new_vars)
-            for tgt, pos in keep:
-                ne[tgt] = exp[pos]
-            out[tuple(ne)] = coef
-        return Polynomial._raw(new_vars, out)
-
-    def extend(self, new_vars):
-        """Embed into a larger variable tuple."""
-        new_vars = tuple(new_vars)
-        pos = [new_vars.index(v) for v in self.vars]
-        out = {}
-        for exp, coef in self.terms.items():
-            ne = [0] * len(new_vars)
-            for p, e in zip(pos, exp):
-                ne[p] = e
-            out[tuple(ne)] = coef
-        return Polynomial._raw(new_vars, out)
+            if v not in new_vars and any(exp[pos] for exp in self.terms):
+                raise ValueError(f"variable {v} occurs; cannot project")
+        keep = [self.vars.index(v) for v in new_vars]
+        return self._remap(new_vars, lambda exp: (tuple(exp[k] for k in keep), 1))
 
     # -- exact division ---------------------------------------------------
 
@@ -274,14 +252,13 @@ class Polynomial:
     def div_var_exact(self, name):
         """Divide by the variable, exactly (every monomial must contain it)."""
         i = self.vars.index(name)
-        out = {}
-        for exp, coef in self.terms.items():
+
+        def move(exp):
             if exp[i] < 1:
                 raise DivisibilityError(f"monomial {exp} has no factor {name}")
-            ne = list(exp)
-            ne[i] -= 1
-            out[tuple(ne)] = coef
-        return Polynomial._raw(self.vars, out)
+            return exp[:i] + (exp[i] - 1,) + exp[i + 1:], 1
+
+        return self._remap(self.vars, move)
 
     def div_one_minus_exact(self, name):
         """Divide by (1 - name), exactly.
@@ -289,48 +266,33 @@ class Polynomial:
         Writing the polynomial as sum of a_k * name**k with coefficients in
         the remaining variables, the quotient coefficients are the running
         prefix sums b_k = a_0 + ... + a_k, and exactness is equivalent to the
-        final prefix sum (the value at name=1) vanishing.
+        final prefix sum (the value at name=1) vanishing.  Each monomial in
+        the remaining variables is its own such sum.
         """
         i = self.vars.index(name)
-        by_power = {}
-        top = 0
+        groups = {}
         for exp, coef in self.terms.items():
-            k = exp[i]
-            if k < 0:
+            if exp[i] < 0:
                 raise ValueError("negative power of divisor variable")
-            ne = list(exp)
-            ne[i] = 0
-            by_power.setdefault(k, {})[tuple(ne)] = coef
-            top = max(top, k)
-        running = {}
+            groups.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = coef
         out = {}
-        for k in range(top + 1):
-            for rest, coef in by_power.get(k, {}).items():
-                c = running.get(rest, 0) + coef
-                if c:
-                    running[rest] = c
-                else:
-                    running.pop(rest, None)
-            if k < top:
-                for rest, coef in running.items():
-                    ne = list(rest)
-                    ne[i] = k
-                    out[tuple(ne)] = coef
-        if running:
-            raise DivisibilityError(f"not divisible by (1 - {name})")
+        for rest, row in groups.items():
+            running = 0
+            for k in range(min(row), max(row) + 1):
+                running += row.get(k, 0)
+                if running:
+                    out[rest[:i] + (k,) + rest[i:]] = running
+            if running:
+                raise DivisibilityError(f"not divisible by (1 - {name})")
         return Polynomial._raw(self.vars, out)
 
     # -- presentation -----------------------------------------------------
-
-    def sorted_terms(self):
-        """Terms in a canonical order (descending lexicographic exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for exp, coef in self.sorted_terms():
+        for exp, coef in sorted(self.terms.items(), reverse=True):
             factors = []
             for name, e in zip(self.vars, exp):
                 if e == 0:
@@ -359,6 +321,6 @@ class Polynomial:
             "vars": list(self.vars),
             "terms": [
                 {"exp": list(exp), "coef": str(coef)}
-                for exp, coef in sorted(self.terms.items(), key=lambda kv: kv[0])
+                for exp, coef in sorted(self.terms.items())
             ],
         }

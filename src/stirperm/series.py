@@ -47,10 +47,6 @@ class TruncatedSeries:
     def constant(cls, value, vars, order):
         return cls(vars, [value], order)
 
-    @classmethod
-    def x(cls, vars, order):
-        return cls(vars, [0, 1], order)
-
     def coefficient(self, k):
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
@@ -83,17 +79,10 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         self._check(other)
-        zero = Polynomial.zero(self.vars)
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.vars, out, self.order)
+        a, b = self.coeffs, other.coeffs
+        coeffs = [Polynomial.sum_products(self.vars, [(a[i], b[k - i]) for i in range(k + 1)])
+                  for k in range(self.order + 1)]
+        return TruncatedSeries(self.vars, coeffs, self.order)
 
     def shift(self, k=1):
         """Multiply by x**k, dropping what overflows the truncation order."""
@@ -105,12 +94,10 @@ class TruncatedSeries:
         """Reciprocal series; the constant coefficient must be exactly 1."""
         if self.coeffs[0] != Polynomial.one(self.vars):
             raise DivisibilityError("series inverse needs constant coefficient 1")
-        inv = [Polynomial.one(self.vars)]
+        a, inv = self.coeffs, [Polynomial.one(self.vars)]
         for n in range(1, self.order + 1):
-            acc = Polynomial.zero(self.vars)
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * inv[n - k]
-            inv.append(-acc)
+            pairs = [(a[k], inv[n - k]) for k in range(1, n + 1)]
+            inv.append(-Polynomial.sum_products(self.vars, pairs))
         return TruncatedSeries(self.vars, inv, self.order)
 
     def __truediv__(self, other):
@@ -136,11 +123,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple(new_vars), [c.project(new_vars) for c in self.coeffs], self.order
         )
-
-    def truncated(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.vars, self.coeffs[: order + 1], order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -181,17 +163,16 @@ class _Stream:
         return self.coeffs[k]
 
 
-def _product(a, b, zero):
-    """The stream a*b; a square forms each cross product once and doubles it."""
+def _product(a, b, vars):
+    """The stream a*b; a square forms each cross product once, with factor 2."""
 
     def coefficient(k):
-        top = (k + 1) // 2 if a is b else k + 1
-        acc = sum((a[i] * b[k - i] for i in range(top) if a[i] and b[k - i]), zero)
-        if a is b:
-            acc = acc + acc
-            if k % 2 == 0 and a[k // 2]:
-                acc = acc + a[k // 2] * a[k // 2]
-        return acc
+        if a is not b:
+            return Polynomial.sum_products(vars, [(a[i], b[k - i]) for i in range(k + 1)])
+        pairs = [(2 * a[i], a[k - i]) for i in range((k + 1) // 2)]
+        if k % 2 == 0:
+            pairs.append((a[k // 2], a[k // 2]))
+        return Polynomial.sum_products(vars, pairs)
 
     return _Stream(coefficient)
 
@@ -205,14 +186,13 @@ def _solve(vars, order, start, terms):
     product caches its coefficients and shares them with every product that
     ends in it.
     """
-    zero = Polynomial.zero(vars)
 
     def coefficient(n):
-        acc = Polynomial.constant(start, vars) if n == 0 else zero
-        for scalar, s, prod in compiled:
-            if n >= s and prod[n - s]:
-                acc = acc + (prod[n - s] if scalar == 1 else scalar * prod[n - s])
-        return acc
+        if n == 0:
+            return Polynomial.constant(start, vars)
+        return Polynomial.sum_products(
+            vars, [(scalar, prod[n - s]) for scalar, s, prod in compiled if n >= s]
+        )
 
     f = _Stream(coefficient)
     streams = {(id(F),): f, (): TruncatedSeries.constant(1, vars, order).coeffs}
@@ -222,12 +202,13 @@ def _solve(vars, order, start, terms):
         if key not in streams:
             head = factors[0]
             if len(factors) > 1:
-                streams[key] = _product(stream(factors[:1]), stream(factors[1:]), zero)
+                streams[key] = _product(stream(factors[:1]), stream(factors[1:]), vars)
             else:
                 streams[key] = _Stream(lambda k: head(f[k])) if callable(head) else head.coeffs
         return streams[key]
 
-    compiled = [(scalar, s, stream(factors)) for scalar, s, factors in terms]
+    one = Polynomial.one(vars)  # int scalars become constant polynomials
+    compiled = [(one * scalar, s, stream(factors)) for scalar, s, factors in terms]
     coeffs = [f[k] for k in range(order + 1)]
     # f and its products refer to each other: free them now, not at a later gc
     streams.clear()
@@ -391,7 +372,7 @@ def recurrence_132(order):
 # -- two-pattern families ---------------------------------------------------
 
 
-def prepend1(sub, order):
+def prepend1(sub):
     """F for the pattern 1 (+) t', given the series for t'.
 
     Rational expression: F = 1 + (xp + xr(p+q) G + x q r^2 G^2)
@@ -399,13 +380,13 @@ def prepend1(sub, order):
     quotient u = num/den is solved as u = num + (1 - den) u.
     """
     P, Q, R = Polynomial.gens(PQR)
-    G = sub.truncated(order) - 1
+    G = sub - 1
     terms = [(P, 1, ()), (R * (P + Q), 1, (G,)), (Q * R * R, 1, (G, G)),
              (P * Q, 1, (F,)), (Q * R * (1 + P), 1, (G, F)), (Q * Q * R * R, 1, (G, G, F))]
-    return _solve(PQR, order, 0, terms) + 1
+    return _solve(PQR, sub.order, 0, terms) + 1
 
 
-def prepend11(sub, order):
+def prepend11(sub):
     """F for the pattern 11 (+) t', given the series for t'.
 
     Solves the quadratic functional equation
@@ -414,10 +395,10 @@ def prepend11(sub, order):
     for u = F - 1; this picks the unique series branch with constant term 1.
     """
     P, Q, R = Polynomial.gens(PQR)
-    G = sub.truncated(order) - 1
+    G = sub - 1
     terms = [(P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
              (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]
-    return _solve(PQR, order, 0, terms) + 1
+    return _solve(PQR, sub.order, 0, terms) + 1
 
 
 def pair_series(blocks, order):
@@ -436,7 +417,7 @@ def pair_series(blocks, order):
     for block in reversed(blocks[:-1]):
         if block not in steps:
             raise ValueError(f"unsupported chain block {block!r}")
-        chain = steps[block](chain, order)
+        chain = steps[block](chain)
     return chain
 
 

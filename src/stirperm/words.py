@@ -99,13 +99,6 @@ def is_stirling(word):
     return not stack
 
 
-def stirling_order(word):
-    """Order n of a valid Stirling permutation; ValueError otherwise."""
-    if not is_stirling(word):
-        raise ValueError(f"not a Stirling permutation: {format_word(word)}")
-    return len(word) // 2
-
-
 def stats(word):
     """StatVector of adjacent-pair counts.  Assumes a valid word."""
     des = asc = plat = 0

@@ -14,7 +14,6 @@ from stirperm.words import (
     parse_word,
     split_gaps,
     stats,
-    stirling_order,
     validate_pattern,
 )
 
@@ -194,9 +193,3 @@ def test_validate_pattern():
         validate_pattern((1, 3))
     with pytest.raises(BadPattern):
         validate_pattern(())
-
-
-def test_stirling_order():
-    assert stirling_order((1, 2, 2, 1)) == 2
-    with pytest.raises(ValueError):
-        stirling_order((1, 2, 1, 2))
