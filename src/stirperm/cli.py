@@ -4,24 +4,46 @@ Subcommands: enumerate, series, formula, biject, verify.  Output is
 byte-deterministic for fixed flags: fixed orderings everywhere, decimal
 strings for all numbers, and no timings unless asked for.
 
+Input rules, the same for every verb.  Orders and counts are checked while
+the command line is parsed: enumerate --n, series --order and formula --n
+must be integers >= 0, biject --n and verify --jobs integers >= 1.  Series
+--spec and formula --param are read by one name=integer parser: blank pieces
+are skipped, all=N assigns every name, and a bad integer, an unknown name
+or a name assigned twice is refused.  Bad input prints one line naming it
+on stderr and nothing on stdout.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import os
 import sys
 from itertools import islice
 
 from . import bijections, formulas, generation, series, verification
 from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
+from .polynomials import Polynomial
 from .trees import FCOrderedTree, OrderedTree, TernaryTree
 # stats is unused here but traced as cli.stats by the benchmark
 from .words import format_word, parse_word, stats, validate_pattern  # noqa: F401
 
 DEFAULT_LIMIT = 8
+
+
+def _at_least(low):
+    """argparse type: an integer >= low, else an error naming the text."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -32,23 +54,24 @@ def build_parser():
         "the bijections between avoiders and trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order, positive = _at_least(0), _at_least(1)
 
     p_enum = sub.add_parser("enumerate", help="list Stirling permutations")
-    p_enum.add_argument("--n", type=int, required=True, help="order")
-    p_enum.add_argument(
-        "--avoid", action="append", default=[], metavar="PATTERN",
-        help="pattern to avoid (repeatable), e.g. 213 or 1122",
-    )
+    p_enum.set_defaults(handler=cmd_enumerate)
+    p_enum.add_argument("--n", type=order, required=True, help="order")
+    p_enum.add_argument("--avoid", action="append", default=[], metavar="PATTERN",
+                        help="pattern to avoid (repeatable), e.g. 213 or 1122")
     p_enum.add_argument("--stats", action="store_true", help="append des,asc,plat columns")
     p_enum.add_argument("--format", choices=("lines", "json", "csv"), default=None)
     p_enum.add_argument("--force", action="store_true", help="override the size limit")
 
     p_series = sub.add_parser("series", help="solve a generating-function equation")
+    p_series.set_defaults(handler=cmd_series)
     p_series.add_argument(
         "--eq", required=True,
         help="equation id: 213, 123, 132, R, prepend1:<chain>, prepend11:<chain>",
     )
-    p_series.add_argument("--order", type=int, default=10, help="truncation order N")
+    p_series.add_argument("--order", type=order, default=10, help="truncation order N")
     p_series.add_argument(
         "--spec", default=None, metavar="ASSIGN",
         help="specialization, e.g. p=1,q=1 or all=1, applied before printing",
@@ -56,17 +79,17 @@ def build_parser():
     p_series.add_argument("--format", choices=("lines", "json"), default="lines")
 
     p_formula = sub.add_parser("formula", help="evaluate a closed-form count")
+    p_formula.set_defaults(handler=cmd_formula)
     p_formula.add_argument("--id", dest="formula_id",
                            help="formula id, e.g. count-213 or plateaus-123")
-    p_formula.add_argument("--n", type=int, help="order")
-    p_formula.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE",
-        help="extra integer parameter, e.g. d=2 (repeatable)",
-    )
+    p_formula.add_argument("--n", type=order, help="order")
+    p_formula.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
+                           help="extra integer parameter, e.g. d=2 (repeatable)")
     p_formula.add_argument("--format", choices=("lines", "json"), default="lines")
     p_formula.add_argument("--list", action="store_true", help="list formula ids and exit")
 
     p_biject = sub.add_parser("biject", help="run a bijection or verify one")
+    p_biject.set_defaults(handler=cmd_biject)
     p_biject.add_argument("map", choices=("phi", "psi", "rho", "fc", "verify"))
     p_biject.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
     p_biject.add_argument("--input", default=None,
@@ -75,7 +98,7 @@ def build_parser():
                           help="avoidance class for psi")
     p_biject.add_argument("--map", dest="verify_map", default=None,
                           help="map name for the verify verb: phi, psi-123, psi-132, rho, fc")
-    p_biject.add_argument("--n", type=int, default=None, help="order for the verify verb")
+    p_biject.add_argument("--n", type=positive, help="order for the verify verb")
 
     p_verify = sub.add_parser(
         "verify", help="run cross-validation suites",
@@ -85,11 +108,11 @@ def build_parser():
         "is SKIP and does not count as passed. Exit 0 when no check failed and at least "
         "one passed, 1 otherwise, 2 on a usage error.",
     )
-    p_verify.add_argument("--suite", default="all",
-                          help="suite name (see --list), default all")
+    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.add_argument("--suite", default="all", help="suite name (see --list), default all")
     p_verify.add_argument("--n", default="1..5", metavar="RANGE",
                           help="order range lo..hi with 1 <= lo <= hi, or a single order")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_verify.add_argument("--jobs", type=positive, default=1, help="parallel worker processes")
     p_verify.add_argument("--timings", action="store_true", help="include elapsed seconds")
     p_verify.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -140,8 +163,6 @@ def _row_limit(n, patterns):
 
 
 def cmd_enumerate(args):
-    if args.n < 0:
-        raise BadPattern("order must be nonnegative")
     patterns = tuple(validate_pattern(parse_word(p)) for p in args.avoid)
     if args.n > DEFAULT_LIMIT and not args.force:
         _row_limit(args.n, patterns)
@@ -161,13 +182,16 @@ def cmd_enumerate(args):
     return 0
 
 
-# -- series ------------------------------------------------------------------
+# -- series and formula ------------------------------------------------------
 
 
-def _parse_spec(text, vars):
+def _assignments(pieces, names, noun, owner):
+    """{name: int} from name=integer pieces over names; all=N assigns them all.
+
+    Skips blank pieces; a bad integer, an unknown or a repeated name raises BadPattern.
+    """
     values = {}
-    for piece in text.split(","):
-        piece = piece.strip()
+    for piece in map(str.strip, pieces):
         if not piece:
             continue
         name, _, value = piece.partition("=")
@@ -175,108 +199,78 @@ def _parse_spec(text, vars):
         try:
             number = int(value)
         except ValueError as exc:
-            raise BadPattern(f"bad specialization {piece!r}") from exc
-        if name == "all":
-            targets = vars
-        elif name in vars:
-            targets = (name,)
-        else:
-            raise BadPattern(f"unknown variable {name!r}; have {vars}")
-        for v in targets:
+            raise BadPattern(f"bad {noun} {piece!r}; want name=integer") from exc
+        for v in (name == "all" and names) or (name,):
+            if v not in names:
+                takes = ",".join(names) or f"no {noun}s"
+                raise BadPattern(f"{owner} has no {noun} {v!r}; takes {takes}")
             if v in values:
-                raise BadPattern(f"variable {v!r} assigned twice in {text!r}")
+                raise BadPattern(f"{noun} {v!r} given twice")
             values[v] = number
     return values
 
 
+# --eq ids of the single equations -> solver name in series
+SINGLE_EQUATIONS = {"213": "series_213", "123": "series_123", "132": "series_132", "R": "solve_R"}
+
+
 def _resolve_series(eq, order):
-    if eq == "213":
-        return series.series_213(order)
-    if eq == "123":
-        return series.series_123(order)
-    if eq == "132":
-        return series.series_132(order)
-    if eq == "R":
-        return series.solve_R(order)
-    if eq.startswith("prepend1:") or eq.startswith("prepend11:"):
-        verb, _, chain = eq.partition(":")
+    if eq in SINGLE_EQUATIONS:
+        return getattr(series, SINGLE_EQUATIONS[eq])(order)
+    verb, colon, chain = eq.partition(":")
+    if colon and verb in ("prepend1", "prepend11"):
         blocks = tuple(b.strip() for b in chain.split(",") if b.strip())
         if not blocks:
             raise UnknownEquation(f"empty chain in {eq!r}")
-        expected_head = verb.removeprefix("prepend")
-        if blocks[0] != expected_head:
-            raise UnknownEquation(
-                f"chain head {blocks[0]!r} does not match verb {verb!r}"
-            )
+        if blocks[0] != verb.removeprefix("prepend"):
+            raise UnknownEquation(f"chain head {blocks[0]!r} does not match verb {verb!r}")
         try:
             return series.pair_series(blocks, order)
         except ValueError as exc:
             raise UnknownEquation(str(exc)) from exc
-    raise UnknownEquation(
-        f"unknown equation {eq!r}; known: 213, 123, 132, R, prepend1:<chain>, prepend11:<chain>"
-    )
+    known = "213, 123, 132, R, prepend1:<chain>, prepend11:<chain>"
+    raise UnknownEquation(f"unknown equation {eq!r}; known: {known}")
 
 
 def cmd_series(args):
-    if args.order < 0:
-        raise BadPattern("order must be nonnegative")
     ser = _resolve_series(args.eq, args.order)
     if args.spec:
-        ser = ser.specialize(_parse_spec(args.spec, ser.vars))
-    if args.format == "json":
-        print(json.dumps(ser.to_json_obj()))
-        return 0
-    print(", ".join(str(ser.coefficient(k)) for k in range(ser.order + 1)))
+        spec = _assignments(args.spec.split(","), ser.vars, "variable", f"equation {args.eq}")
+        ser = ser.specialize(spec)
+    print(json.dumps(ser.to_json_obj()) if args.format == "json"
+          else ", ".join(str(ser.coefficient(k)) for k in range(ser.order + 1)))
     return 0
 
 
-# -- formula -----------------------------------------------------------------
+def _formula_params(func):
+    """A formula's parameters: its positional names after n without a default."""
+    params = list(inspect.signature(func).parameters.values())[1:]
+    return tuple(p.name for p in params if p.default is p.empty)
 
 
 def cmd_formula(args):
     if args.list:
-        for name in sorted(formulas.FORMULAS):
-            spec = formulas.FORMULAS[name]
-            extra = ("; needs " + ",".join(spec.params)) if spec.params else ""
-            print(f"{name}: {spec.summary}{extra}")
+        for name, (func, summary) in sorted(formulas.FORMULAS.items()):
+            params = _formula_params(func)
+            print(f"{name}: {summary}" + ("; needs " + ",".join(params) if params else ""))
         return 0
     if args.formula_id is None or args.n is None:
         raise BadPattern("formula needs --id and --n, or --list")
-    if args.n < 0:
-        raise BadPattern("order must be nonnegative")
-    spec = formulas.FORMULAS.get(args.formula_id)
-    if spec is None:
+    if args.formula_id not in formulas.FORMULAS:
         raise UnknownEquation(
             f"unknown formula {args.formula_id!r}; known: {', '.join(sorted(formulas.FORMULAS))}"
         )
-    params = {}
-    for piece in args.param:
-        name, _, value = piece.partition("=")
-        name = name.strip()
-        try:
-            number = int(value)
-        except ValueError as exc:
-            raise BadPattern(f"bad parameter {piece!r}") from exc
-        if name not in spec.params:
-            takes = ",".join(spec.params) or "no parameters"
-            raise BadPattern(f"formula {args.formula_id} has no parameter {name!r}; takes {takes}")
-        if name in params:
-            raise BadPattern(f"parameter {name!r} given twice")
-        params[name] = number
-    missing = [p for p in spec.params if p not in params]
+    func, _ = formulas.FORMULAS[args.formula_id]
+    names = _formula_params(func)
+    params = _assignments(args.param, names, "parameter", f"formula {args.formula_id}")
+    missing = [p for p in names if p not in params]
     if missing:
         raise BadPattern(f"formula {args.formula_id} needs --param {','.join(missing)}")
-    value = spec.func(args.n, *[params[p] for p in spec.params])
-    if spec.kind == "poly":
-        if args.format == "json":
-            print(json.dumps(value.to_json_obj()))
-        else:
-            print(str(value))
-    else:
-        if args.format == "json":
-            print(json.dumps({"value": str(value)}))
-        else:
-            print(value)
+    value = func(args.n, *[params[p] for p in names])
+    if args.format == "json":
+        obj = value.to_json_obj() if isinstance(value, Polynomial) else {"value": str(value)}
+        value = json.dumps(obj)
+    print(value)
     return 0
 
 
@@ -288,7 +282,10 @@ def _parse_pair(text):
     perm_text, bar, s_text = text.partition("|")
     if not bar:
         raise BadPattern("pair input must look like 'perm|s', e.g. 4,6,5,2,1,3|3,1,1")
-    s = tuple(int(x) for x in s_text.split(",")) if s_text else ()
+    try:
+        s = tuple(int(x) for x in s_text.split(",")) if s_text else ()
+    except ValueError as exc:
+        raise BadPattern(f"bad pair {text!r}: s must be comma-separated integers") from exc
     return parse_word(perm_text), s
 
 
@@ -306,38 +303,26 @@ def cmd_biject(args):
         if name not in bijections.VERIFIERS:
             known = ", ".join(sorted(bijections.VERIFIERS))
             raise BadPattern(f"unknown map {name!r}; known: {known}")
-        if args.n < 1:
-            raise BadPattern(f"biject verify needs --n >= 1, got {args.n}")
-        report = bijections.VERIFIERS[name](args.n)
-        report = {"map": name, "n": args.n, **report}
+        report = {"map": name, "n": args.n, **bijections.VERIFIERS[name](args.n)}
         print(json.dumps(report))
         return 0 if report["failures"] == 0 and report["statistic_transport"]["failures"] == 0 else 1
 
     if args.input is None:
         raise BadPattern("biject needs --input")
-    text = args.input
-    if args.map == "phi":
-        if args.direction == "fwd":
-            print(bijections.phi(parse_word(text)).serialize())
-        else:
-            print(format_word(bijections.phi_inverse(TernaryTree.parse(text))))
-    elif args.map == "psi":
-        if args.direction == "fwd":
-            word = parse_word(text)
-            perm, s = bijections.psi(word)
-            print(json.dumps({"perm": format_word(perm), "s": list(s)}))
-        else:
-            print(format_word(bijections.psi_inverse(_parse_pair(text), args.family)))
-    elif args.map == "rho":
-        if args.direction == "fwd":
-            print(bijections.rho(parse_word(text)).serialize())
-        else:
-            print(format_word(bijections.rho_inverse(OrderedTree.parse(text))))
-    elif args.map == "fc":
-        if args.direction == "fwd":
-            print(bijections.to_fc_tree(_parse_pair(text)).serialize())
-        else:
-            print(_format_pair(bijections.from_fc_tree(FCOrderedTree.parse(text))))
+    b = bijections
+    # (read the input, map it, write the image) per map and direction
+    read, run, write = {
+        ("phi", "fwd"): (parse_word, b.phi, TernaryTree.serialize),
+        ("phi", "inv"): (TernaryTree.parse, b.phi_inverse, format_word),
+        ("psi", "fwd"): (parse_word, b.psi,
+                         lambda ps: json.dumps({"perm": format_word(ps[0]), "s": list(ps[1])})),
+        ("psi", "inv"): (_parse_pair, lambda pair: b.psi_inverse(pair, args.family), format_word),
+        ("rho", "fwd"): (parse_word, b.rho, OrderedTree.serialize),
+        ("rho", "inv"): (OrderedTree.parse, b.rho_inverse, format_word),
+        ("fc", "fwd"): (_parse_pair, b.to_fc_tree, FCOrderedTree.serialize),
+        ("fc", "inv"): (FCOrderedTree.parse, b.from_fc_tree, _format_pair),
+    }[args.map, args.direction]
+    print(write(run(read(args.input))))
     return 0
 
 
@@ -360,17 +345,8 @@ def cmd_verify(args):
         for name in verification.SUITES:
             print(f"{name}: {', '.join(verification.SUITES[name])}")
         return 0
-    source, value = "--jobs", args.jobs
-    if os.environ.get("STIRPERM_JOBS"):
-        source, value = "STIRPERM_JOBS", os.environ["STIRPERM_JOBS"]
     try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise BadPattern(f"{source} must be a positive integer, got {value!r}")
-    try:
-        results = verification.run_checks(args.suite, _parse_range(args.n), jobs=jobs)
+        results = verification.run_checks(args.suite, _parse_range(args.n), jobs=args.jobs)
     except ValueError as exc:
         raise BadPattern(str(exc)) from exc
     passed = sum(1 for r in results if r.ok)
@@ -410,20 +386,12 @@ def _check_json(r, timings):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    handlers = {
-        "enumerate": cmd_enumerate,
-        "series": cmd_series,
-        "formula": cmd_formula,
-        "biject": cmd_biject,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (StirpermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

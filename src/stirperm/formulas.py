@@ -147,47 +147,15 @@ def count_avoid_213_1233(n):
     return fibonacci(2 * n)
 
 
-class FormulaSpec:
-    """CLI-facing descriptor: how to call a formula and what it returns."""
-
-    __slots__ = ("func", "params", "kind", "summary")
-
-    def __init__(self, func, params, kind, summary):
-        self.func = func
-        self.params = params
-        self.kind = kind  # "int" or "poly"
-        self.summary = summary
-
-
+# formula id -> (function of n and its parameters, summary)
 FORMULAS = {
-    "count-213": FormulaSpec(
-        count_avoid_213, (), "int", "number of 213-avoiders of order n"
-    ),
-    "count-123": FormulaSpec(
-        count_avoid_123, (), "int", "number of 123-avoiders of order n"
-    ),
-    "count-132": FormulaSpec(
-        count_avoid_132, (), "int", "number of 132-avoiders of order n"
-    ),
-    "stats-213": FormulaSpec(
-        count_213_by_stats,
-        ("m", "d", "k"),
-        "int",
-        "213-avoiders with m ascents, d descents, k plateaus",
-    ),
-    "plateaus-213": FormulaSpec(
-        plateau_poly_213, (), "poly", "plateau marginal over 213-avoiders"
-    ),
-    "plateaus-123": FormulaSpec(
-        plateau_poly_123, (), "poly", "plateau marginal over 123-avoiders"
-    ),
-    "descents-132": FormulaSpec(
-        descents_132, ("d",), "int", "132-avoiders with d descents"
-    ),
-    "ascents-132": FormulaSpec(
-        ascent_poly_132, (), "poly", "ascent marginal over 132-avoiders"
-    ),
-    "fibonacci-213-1233": FormulaSpec(
-        count_avoid_213_1233, (), "int", "avoiders of 213 and 1233: F(2n)"
-    ),
+    "count-213": (count_avoid_213, "number of 213-avoiders of order n"),
+    "count-123": (count_avoid_123, "number of 123-avoiders of order n"),
+    "count-132": (count_avoid_132, "number of 132-avoiders of order n"),
+    "stats-213": (count_213_by_stats, "213-avoiders with m ascents, d descents, k plateaus"),
+    "plateaus-213": (plateau_poly_213, "plateau marginal over 213-avoiders"),
+    "plateaus-123": (plateau_poly_123, "plateau marginal over 123-avoiders"),
+    "descents-132": (descents_132, "132-avoiders with d descents"),
+    "ascents-132": (ascent_poly_132, "ascent marginal over 132-avoiders"),
+    "fibonacci-213-1233": (count_avoid_213_1233, "avoiders of 213 and 1233: F(2n)"),
 }

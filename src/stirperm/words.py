@@ -16,7 +16,7 @@ P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)  # the three patterns of leng
 
 
 class StatVector(NamedTuple):
-    """Adjacent-pair statistics of a Stirling permutation of the given order.
+    """Adjacent-pair statistics of a Stirling permutation.
 
     des/asc/plat count strict descents, strict ascents and equalities among
     the 2n-1 adjacent pairs; they always sum to 2n-1.  The augmented forms
@@ -27,7 +27,6 @@ class StatVector(NamedTuple):
     des: int
     asc: int
     plat: int
-    order: int
 
     @property
     def ades(self):
@@ -109,7 +108,7 @@ def stats(word):
             asc += 1
         else:
             plat += 1
-    return StatVector(des, asc, plat, len(word) // 2)
+    return StatVector(des, asc, plat)
 
 
 def validate_pattern(word):

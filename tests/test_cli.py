@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stirperm
 from stirperm.cli import main
 from stirperm.generation import generate_all
 from stirperm.words import avoids, stats
@@ -164,6 +167,33 @@ def test_formula_values(capsys):
     assert code == 0 and out.strip() == "5*p^3 + 5*p^2"
 
 
+FORMULA_LIST = """\
+ascents-132: ascent marginal over 132-avoiders
+count-123: number of 123-avoiders of order n
+count-132: number of 132-avoiders of order n
+count-213: number of 213-avoiders of order n
+descents-132: 132-avoiders with d descents; needs d
+fibonacci-213-1233: avoiders of 213 and 1233: F(2n)
+plateaus-123: plateau marginal over 123-avoiders
+plateaus-213: plateau marginal over 213-avoiders
+stats-213: 213-avoiders with m ascents, d descents, k plateaus; needs m,d,k
+"""
+
+
+def test_formula_list_is_pinned(capsys):
+    assert run_cli(capsys, "formula", "--list") == (0, FORMULA_LIST, "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("count-123", "--n", "2", "--format", "json"), '{"value": "3"}\n'),
+    (("plateaus-123", "--n", "3", "--format", "json"),
+     '{"vars": ["p"], "terms": [{"exp": [2], "coef": "5"}, {"exp": [3], "coef": "5"}]}\n'),
+    (("descents-132", "--n", "3", "--param", "d=1"), "5\n"),
+])
+def test_formula_output_is_pinned(capsys, argv, out):
+    assert run_cli(capsys, "formula", "--id", *argv) == (0, out, "")
+
+
 def test_formula_errors(capsys):
     code, _, err = run_cli(capsys, "formula", "--id", "nope", "--n", "2")
     assert code == 2 and "unknown formula" in err
@@ -195,7 +225,7 @@ def test_formula_needs_id_and_n(capsys):
 ])
 def test_negative_order_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == "" and "order must be" in err
+    assert code == 2 and out == "" and "must be an integer >= 0, got '-" in err
 
 
 def test_biject_phi_round_trip(capsys):
@@ -291,6 +321,13 @@ def test_biject_pair_with_one_empty_half_is_a_usage_error(capsys, argv, text):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [("fc",), ("psi", "--direction", "inv")])
+def test_biject_pair_with_a_bad_integer_names_the_pair(capsys, argv):
+    code, out, err = run_cli(capsys, "biject", *argv, "--input", "4,6,5,2,1,3|3,x,1")
+    assert code == 2 and out == ""
+    assert "bad pair '4,6,5,2,1,3|3,x,1'" in err
+
+
 def test_biject_verify(capsys):
     code, out, _ = run_cli(capsys, "biject", "verify", "--map", "phi", "--n", "3")
     assert code == 0
@@ -309,7 +346,7 @@ def test_biject_verify_needs_args(capsys):
 def test_biject_verify_rejects_an_order_below_one(capsys, name, n):
     code, out, err = run_cli(capsys, "biject", "verify", "--map", name, "--n", n)
     assert code == 2 and out == ""
-    assert f"needs --n >= 1, got {n}" in err
+    assert f"argument --n: must be an integer >= 1, got '{n}'" in err
 
 
 # 1,200 levels: a chain of first children, and of vertical slots
@@ -360,20 +397,25 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, however pytest was started
+    src = str(Path(stirperm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "stirperm", "enumerate", "--n", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
 
 
-def test_verify_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("STIRPERM_JOBS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--suite", "counts", "--n", "1..3")
-    assert code == 0
-    assert out.strip().endswith("3/3 checks passed")
+def test_verify_jobs_prints_the_same_bytes_as_one_job(capsys):
+    argv = ("verify", "--suite", "counts", "--n", "1..3")
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == 0 and out.endswith("3/3 checks passed\n")
+    assert run_cli(capsys, *argv, "--jobs", "2") == (0, out, "")
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -382,20 +424,13 @@ def test_verify_jobs_env(capsys, monkeypatch):
 def test_series_spec_rejects_a_variable_assigned_twice(capsys, spec, name):
     code, out, err = run_cli(capsys, "series", "--eq", "213", "--order", "3", "--spec", spec)
     assert code == 2 and out == ""
-    assert f"variable {name!r} assigned twice" in err
+    assert f"variable {name!r} given twice" in err
 
 
 def test_series_spec_all_equals_each_variable_set_once(capsys):
     each = run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "p=1,q=1,r=1")
     assert each == run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "all=1")
     assert each[0] == 0 and each[1] == "1, 1, 3, 12, 55\n"
-
-
-def test_verify_rejects_a_bad_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("STIRPERM_JOBS", "abc")
-    code, out, err = run_cli(capsys, "verify", "--n", "1")
-    assert code == 2 and out == ""
-    assert "STIRPERM_JOBS" in err and "'abc'" in err
 
 
 @pytest.mark.parametrize("jobs", ["-3", "0"])
@@ -408,6 +443,7 @@ def test_verify_rejects_a_jobs_count_below_one(capsys, jobs):
 @pytest.mark.parametrize("params, message", [
     (("d=1", "d=2"), "parameter 'd' given twice"),
     (("d=1", "zz=1"), "has no parameter 'zz'"),
+    (("d=x",), "bad parameter 'd=x'"),
 ])
 def test_formula_rejects_a_repeated_or_unknown_param(capsys, params, message):
     argv = ["formula", "--id", "descents-132", "--n", "3"]

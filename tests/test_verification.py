@@ -1,17 +1,9 @@
-import sys
-from pathlib import Path
-
 import pytest
 
+from benchmarks import jobs, tracing
 from stirperm import verification
 from stirperm.cli import main
 from stirperm.verification import Check
-
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from benchmarks import jobs, tracing  # noqa: E402
 
 UP_TO_5, UP_TO_6 = (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)
 

@@ -60,7 +60,7 @@ def test_stats_examples():
     assert stats((1, 1, 2, 2))[:3] == (0, 1, 2)
     assert stats((1, 2, 2, 1))[:3] == (1, 1, 1)
     assert stats((2, 2, 1, 1))[:3] == (1, 0, 2)
-    assert stats(()) == (0, 0, 0, 0)
+    assert stats(()) == (0, 0, 0)
 
 
 def test_stat_trichotomy_and_augmented():
