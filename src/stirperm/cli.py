@@ -12,21 +12,19 @@ are skipped, all=N assigns every name, and a bad integer, an unknown name
 or a name assigned twice is refused.  Bad input prints one line naming it
 on stderr and nothing on stdout.
 
+Each handler imports the modules it runs, so a call loads only those.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from itertools import islice
 
-from . import bijections, formulas, generation, series, verification
 from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
-from .polynomials import Polynomial
-from .trees import FCOrderedTree, OrderedTree, TernaryTree
 # stats is unused here but traced as cli.stats by the benchmark
 from .words import format_word, parse_word, stats, validate_pattern  # noqa: F401
 
@@ -144,6 +142,8 @@ def _row_limit(n, patterns):
     With patterns, the bound is 2n-1 rows per order n-1 avoider, counted
     on the tree until the bound passes.
     """
+    from . import generation
+
     cap = generation.double_factorial_odd(DEFAULT_LIMIT)
     if not patterns:
         bound = generation.double_factorial_odd(n)
@@ -163,6 +163,8 @@ def _row_limit(n, patterns):
 
 
 def cmd_enumerate(args):
+    from . import generation
+
     patterns = tuple(validate_pattern(parse_word(p)) for p in args.avoid)
     if args.n > DEFAULT_LIMIT and not args.force:
         _row_limit(args.n, patterns)
@@ -215,6 +217,8 @@ SINGLE_EQUATIONS = {"213": "series_213", "123": "series_123", "132": "series_132
 
 
 def _resolve_series(eq, order):
+    from . import series
+
     if eq in SINGLE_EQUATIONS:
         return getattr(series, SINGLE_EQUATIONS[eq])(order)
     verb, colon, chain = eq.partition(":")
@@ -244,11 +248,16 @@ def cmd_series(args):
 
 def _formula_params(func):
     """A formula's parameters: its positional names after n without a default."""
+    import inspect
+
     params = list(inspect.signature(func).parameters.values())[1:]
     return tuple(p.name for p in params if p.default is p.empty)
 
 
 def cmd_formula(args):
+    from . import formulas
+    from .polynomials import Polynomial
+
     if args.list:
         for name, (func, summary) in sorted(formulas.FORMULAS.items()):
             params = _formula_params(func)
@@ -296,6 +305,8 @@ def _format_pair(pair):
 
 
 def cmd_biject(args):
+    from . import bijections
+
     if args.map == "verify":
         name = args.verify_map
         if name is None or args.n is None:
@@ -309,6 +320,8 @@ def cmd_biject(args):
 
     if args.input is None:
         raise BadPattern("biject needs --input")
+    from .trees import FCOrderedTree, OrderedTree, TernaryTree
+
     b = bijections
     # (read the input, map it, write the image) per map and direction
     read, run, write = {
@@ -341,6 +354,8 @@ def _parse_range(text):
 
 
 def cmd_verify(args):
+    from . import verification
+
     if args.list:
         for name in verification.SUITES:
             print(f"{name}: {', '.join(verification.SUITES[name])}")

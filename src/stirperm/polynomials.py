@@ -1,59 +1,113 @@
 """Exact multivariate polynomials with arbitrary-precision integer coefficients.
 
-A polynomial is stored as a mapping from exponent tuples to nonzero ints,
-over a fixed ordered tuple of variable names.  Exponents are allowed to be
-negative, so the same class serves as a Laurent ring where an expansion has
-to pass through negative powers before cancellation.
+A polynomial over an ordered tuple of variable names stores its terms as a
+dict from packed exponent keys to nonzero ints.  A key packs the exponent
+vector into one int by Kronecker substitution (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): each exponent plus ``BIAS`` = 2**15 fills its own
+``FIELD_BITS`` = 16 bit field, the first variable in the highest field.
+Every field holds a value in 1..2**16-1, so int order of the keys is the
+order of the exponent tuples, and a product's key is ``k1 + k2 - origin``,
+where ``origin`` packs the zero exponent (``BIAS`` in every field).
 
-Besides the constructors and the printed forms, three methods build new
-exponent tuples: ``sum_products`` (every product, in the series layer too),
-``_remap`` (substitution, renaming, projection and division by a variable)
-and ``div_one_minus_exact``.  A change of the exponent format touches those.
+Exponents may be negative, so the same class serves as a Laurent ring where
+an expansion has to pass through negative powers before cancellation.  An
+exponent must lie in -MAX_EXPONENT..MAX_EXPONENT (2**15 - 1), so that no
+field carries into its neighbour.  Each polynomial carries ``bound``, an
+upper bound on |exponent| over its terms: exact for what the constructor
+builds, ``a.bound + b.bound`` for a product.  An exponent past the range
+raises ValueError, in the constructor, in ``sum_products`` (checked once per
+pair of polynomials) and in ``shift_var``; it never yields a wrong monomial.
+
+Exponent tuples appear only at the edges: the constructor and
+``coefficient`` take them, ``items`` and the printed forms give them back.
 """
 
 from __future__ import annotations
 
-from operator import add
+from collections import defaultdict
 
 from .errors import DivisibilityError
 
 PQR = ("p", "q", "r")  # plateaus, descents, ascents
 PZ = ("p", "z")  # plateaus, adjacent 122 occurrences
 
+FIELD_BITS = 16
+BIAS = 1 << (FIELD_BITS - 1)
+MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = BIAS - 1
+
+
+def _origin(n):
+    """The key of the zero exponent in n variables: BIAS in every field."""
+    return BIAS * (((1 << FIELD_BITS * n) - 1) // MASK)
+
+
+def _check(reach):
+    if reach > MAX_EXPONENT:
+        raise ValueError(f"exponent out of range: |exponent| may reach {reach}, "
+                         f"past the limit {MAX_EXPONENT}")
+
+
+def _field(vars, name):
+    """The bit offset of the named variable's field."""
+    return FIELD_BITS * (len(vars) - 1 - vars.index(name))
+
+
+def _pack(exp):
+    key = 0
+    for e in exp:
+        key = key << FIELD_BITS | (e + BIAS)
+    return key
+
+
+def _unpack(key, n):
+    return tuple((key >> s & MASK) - BIAS for s in range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
+
 
 class Polynomial:
     """Polynomial in the variables named by ``vars`` (an ordered tuple).
 
-    Instances are treated as immutable values; all arithmetic returns new
-    objects.  Two polynomials compare equal only if they share the same
-    variable tuple; ``project`` moves to a smaller ring.
+    ``terms`` maps packed exponent keys to nonzero coefficients and
+    ``bound`` bounds |exponent| (see the module docstring).  Instances are
+    treated as immutable values; all arithmetic returns new objects.  Two
+    polynomials compare equal only if they share the same variable tuple;
+    ``project`` moves to a smaller ring.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "bound")
 
     def __init__(self, vars, terms=None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean = {}
-        if terms:
-            for exp, coef in terms.items():
-                if coef:
-                    clean[tuple(exp)] = coef
+        """Build from a mapping of exponent tuples to coefficients; zeros are dropped."""
+        vars = tuple(vars)
+        clean, reach = {}, 0
+        for exp, coef in (terms or {}).items():
+            if coef:
+                exp = tuple(exp)
+                if len(exp) != len(vars):
+                    raise ValueError(f"exponent {exp} does not fit the variables {vars}")
+                reach = max(reach, max(map(abs, exp), default=0))
+                _check(reach)
+                clean[_pack(exp)] = coef
+        object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "bound", reach)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _raw(cls, vars, terms):
-        # trusted constructor: terms already clean
+    def _raw(cls, vars, terms, bound):
+        # trusted constructor: terms already clean, packed and within bound
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "bound", bound)
         return self
 
     @classmethod
     def zero(cls, vars):
-        return cls._raw(tuple(vars), {})
+        return cls._raw(tuple(vars), {}, 0)
 
     @classmethod
     def one(cls, vars):
@@ -62,21 +116,33 @@ class Polynomial:
     @classmethod
     def constant(cls, c, vars):
         vars = tuple(vars)
-        if not c:
-            return cls._raw(vars, {})
-        return cls._raw(vars, {(0,) * len(vars): c})
+        return cls._raw(vars, {_origin(len(vars)): c} if c else {}, 0)
 
     @classmethod
     def variable(cls, name, vars):
         vars = tuple(vars)
-        exp = [0] * len(vars)
-        exp[vars.index(name)] = 1
-        return cls._raw(vars, {tuple(exp): 1})
+        return cls._raw(vars, {_origin(len(vars)) + (1 << _field(vars, name)): 1}, 1)
 
     @classmethod
     def gens(cls, vars):
         """Generator polynomials, one per variable, in order."""
         return tuple(cls.variable(v, vars) for v in vars)
+
+    # -- reading terms ----------------------------------------------------
+
+    def coefficient(self, exp):
+        """The coefficient of the monomial with the exponent tuple exp; 0 if absent."""
+        exp = tuple(exp)
+        if len(exp) != len(self.vars):
+            raise ValueError(f"exponent {exp} does not fit the variables {self.vars}")
+        if any(abs(e) > self.bound for e in exp):
+            return 0
+        return self.terms.get(_pack(exp), 0)
+
+    def items(self):
+        """(exponent tuple, coefficient) pairs, ascending by exponent tuple."""
+        n = len(self.vars)
+        return [(_unpack(key, n), coef) for key, coef in sorted(self.terms.items())]
 
     # -- predicates -------------------------------------------------------
 
@@ -84,14 +150,16 @@ class Polynomial:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), 0)
+        return self.terms.get(_origin(len(self.vars)), 0)
 
     def has_negative_exponents(self):
-        return any(e < 0 for exp in self.terms for e in exp)
+        # a field holds a negative exponent exactly when its top bit, BIAS, is clear
+        origin = _origin(len(self.vars))
+        return any(key & origin != origin for key in self.terms)
 
     def total_degrees(self):
         """Set of total degrees occurring among the monomials."""
-        return {sum(exp) for exp in self.terms}
+        return {sum(exp) for exp, _ in self.items()}
 
     # -- arithmetic -------------------------------------------------------
 
@@ -109,18 +177,18 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            c = out.get(exp, 0) + coef
+        for key, coef in other.terms.items():
+            c = out.get(key, 0) + coef
             if c:
-                out[exp] = c
+                out[key] = c
             else:
-                out.pop(exp, None)
-        return Polynomial._raw(self.vars, out)
+                out.pop(key, None)
+        return Polynomial._raw(self.vars, out, max(self.bound, other.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.vars, {k: -c for k, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -135,7 +203,9 @@ class Polynomial:
         if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.vars)
-            return Polynomial._raw(self.vars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._raw(
+                self.vars, {k: c * other for k, c in self.terms.items()}, self.bound
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -151,8 +221,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -170,93 +241,123 @@ class Polynomial:
 
     @staticmethod
     def sum_products(vars, pairs):
-        """The sum of a * b over the pairs of polynomials in ``vars``, in one dict."""
-        out = {}
-        get = out.get
+        """The sum of a * b over the pairs of polynomials in ``vars``, in one dict.
+
+        Raises ValueError, before it forms a pair's products, when the pair's
+        bounds may take an exponent past MAX_EXPONENT.
+        """
+        vars = tuple(vars)
+        origin = _origin(len(vars))
+        out, reach = defaultdict(int), 0
         for a, b in pairs:
+            reach = max(reach, a.bound + b.bound)
+            _check(reach)
             right = b.terms.items()
-            for e1, c1 in a.terms.items():
-                for e2, c2 in right:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + c1 * c2
-        return Polynomial._raw(tuple(vars), {e: c for e, c in out.items() if c})
+            for k1, c1 in a.terms.items():
+                k1 -= origin
+                for k2, c2 in right:
+                    out[k1 + k2] += c1 * c2
+        return Polynomial._raw(vars, {k: c for k, c in out.items() if c}, reach)
 
     # -- substitution and reshaping ---------------------------------------
 
-    def _remap(self, vars, move):
-        """Send each term's exponent through move(exp) -> (new_exp, weight).
+    def _remap(self, vars, move, bound=None):
+        """Send each term's key through move(key) -> (new_key, weight).
 
-        The result, in ``vars``, sums the weighted coefficients of the terms
-        that land on one exponent and drops those that cancel.
+        The result, in ``vars`` and within ``bound`` (default: this one's),
+        sums the weighted coefficients of the terms that land on one key and
+        drops those that cancel.
         """
-        out = {}
-        for exp, coef in self.terms.items():
-            key, weight = move(exp)
-            out[key] = out.get(key, 0) + coef * weight
-        return Polynomial._raw(tuple(vars), {e: c for e, c in out.items() if c})
+        out = defaultdict(int)
+        for key, coef in self.terms.items():
+            key, weight = move(key)
+            out[key] += coef * weight
+        return Polynomial._raw(
+            tuple(vars), {k: c for k, c in out.items() if c},
+            self.bound if bound is None else bound,
+        )
 
     def specialize(self, values):
         """Substitute integers for some variables; keeps the variable tuple.
 
         Negative exponents are only substitutable at 1 or -1.
         """
-        idx = [(self.vars.index(v), val) for v, val in values.items()]
+        fields = [(_field(self.vars, v), val) for v, val in values.items()]
 
-        def move(exp):
-            ne, weight = list(exp), 1
-            for i, val in idx:
-                if ne[i] < 0 and val not in (1, -1):
-                    raise ValueError("negative exponent at non-unit value")
-                weight *= val ** abs(ne[i])
-                ne[i] = 0
-            return tuple(ne), weight
+        def move(key):
+            weight = 1
+            for s, val in fields:
+                e = (key >> s & MASK) - BIAS
+                if e:
+                    if e < 0 and val not in (1, -1):
+                        raise ValueError("negative exponent at non-unit value")
+                    weight *= val ** abs(e)
+                    key -= e << s
+            return key, weight
 
         return self._remap(self.vars, move)
 
+    def _move_fields(self, vars, sources):
+        """The polynomial in vars whose field t holds this one's field sources[t]."""
+        top = FIELD_BITS * (len(vars) - 1)
+        moves = [(_field(self.vars, v), top - FIELD_BITS * t) for t, v in enumerate(sources)]
+
+        def move(key):
+            new = 0
+            for s, t in moves:
+                new |= (key >> s & MASK) << t
+            return new, 1
+
+        return self._remap(vars, move)
+
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the variable set onto itself."""
-        target = [self.vars.index(mapping.get(v, v)) for v in self.vars]
-        if sorted(target) != list(range(len(self.vars))):
+        source = {mapping.get(v, v): v for v in self.vars}  # new name -> old name
+        if sorted(source) != sorted(self.vars):
             raise ValueError("mapping is not a bijection of the variables")
-        source = [target.index(k) for k in range(len(target))]
-        return self._remap(self.vars, lambda exp: (tuple(exp[k] for k in source), 1))
+        return self._move_fields(self.vars, [source[v] for v in self.vars])
 
     def shift_var(self, src, dst, mult):
         """Substitute src -> src * dst**mult (an exponent transfer)."""
-        i, j = self.vars.index(src), self.vars.index(dst)
+        i, j = _field(self.vars, src), _field(self.vars, dst)
+        reach = max((abs((k >> j & MASK) - BIAS + mult * ((k >> i & MASK) - BIAS))
+                     for k in self.terms), default=0)
+        _check(reach)
         return self._remap(
-            self.vars, lambda exp: (exp[:j] + (exp[j] + mult * exp[i],) + exp[j + 1:], 1)
+            self.vars, lambda k: (k + (mult * ((k >> i & MASK) - BIAS) << j), 1),
+            max(self.bound, reach),
         )
 
     def project(self, new_vars):
         """Restrict to a sub-tuple of variables; the dropped ones must not occur."""
         new_vars = tuple(new_vars)
-        for pos, v in enumerate(self.vars):
-            if v not in new_vars and any(exp[pos] for exp in self.terms):
+        for v in self.vars:
+            s = _field(self.vars, v)
+            if v not in new_vars and any(key >> s & MASK != BIAS for key in self.terms):
                 raise ValueError(f"variable {v} occurs; cannot project")
-        keep = [self.vars.index(v) for v in new_vars]
-        return self._remap(new_vars, lambda exp: (tuple(exp[k] for k in keep), 1))
+        return self._move_fields(new_vars, new_vars)
 
     # -- exact division ---------------------------------------------------
 
     def div_exact_const(self, k):
         """Divide every coefficient by the integer k, exactly."""
         out = {}
-        for exp, coef in self.terms.items():
+        for key, coef in self.terms.items():
             q, r = divmod(coef, k)
             if r:
                 raise DivisibilityError(f"coefficient {coef} not divisible by {k}")
-            out[exp] = q
-        return Polynomial._raw(self.vars, out)
+            out[key] = q
+        return Polynomial._raw(self.vars, out, self.bound)
 
     def div_var_exact(self, name):
         """Divide by the variable, exactly (every monomial must contain it)."""
-        i = self.vars.index(name)
+        s = _field(self.vars, name)
 
-        def move(exp):
-            if exp[i] < 1:
+        def move(key):
+            if key >> s & MASK <= BIAS:
+                exp = _unpack(key, len(self.vars))
                 raise DivisibilityError(f"monomial {exp} has no factor {name}")
-            return exp[:i] + (exp[i] - 1,) + exp[i + 1:], 1
+            return key - (1 << s), 1
 
         return self._remap(self.vars, move)
 
@@ -267,24 +368,26 @@ class Polynomial:
         the remaining variables, the quotient coefficients are the running
         prefix sums b_k = a_0 + ... + a_k, and exactness is equivalent to the
         final prefix sum (the value at name=1) vanishing.  Each monomial in
-        the remaining variables is its own such sum.
+        the remaining variables is its own such sum; its key, with the
+        divisor's field at zero, names the group.
         """
-        i = self.vars.index(name)
+        s = _field(self.vars, name)
         groups = {}
-        for exp, coef in self.terms.items():
-            if exp[i] < 0:
+        for key, coef in self.terms.items():
+            e = (key >> s & MASK) - BIAS
+            if e < 0:
                 raise ValueError("negative power of divisor variable")
-            groups.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = coef
+            groups.setdefault(key - (e << s), {})[e] = coef
         out = {}
         for rest, row in groups.items():
             running = 0
             for k in range(min(row), max(row) + 1):
                 running += row.get(k, 0)
                 if running:
-                    out[rest[:i] + (k,) + rest[i:]] = running
+                    out[rest + (k << s)] = running
             if running:
                 raise DivisibilityError(f"not divisible by (1 - {name})")
-        return Polynomial._raw(self.vars, out)
+        return Polynomial._raw(self.vars, out, self.bound)
 
     # -- presentation -----------------------------------------------------
 
@@ -292,7 +395,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for exp, coef in sorted(self.terms.items(), reverse=True):
+        for exp, coef in reversed(self.items()):
             factors = []
             for name, e in zip(self.vars, exp):
                 if e == 0:
@@ -319,8 +422,5 @@ class Polynomial:
         """JSON form: {"vars": [...], "terms": [{"exp": [...], "coef": "..."}]}."""
         return {
             "vars": list(self.vars),
-            "terms": [
-                {"exp": list(exp), "coef": str(coef)}
-                for exp, coef in sorted(self.terms.items())
-            ],
+            "terms": [{"exp": list(exp), "coef": str(coef)} for exp, coef in self.items()],
         }

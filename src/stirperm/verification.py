@@ -9,8 +9,9 @@ with 1 <= n <= cap; a tuple covers fixed orders whatever was requested (for
 pair-rationals and catalan-chains, a truncation order N whose coefficients
 up to x^N are all compared).  A CheckResult records the orders covered: none
 is SKIP, never PASS; a FAIL names the first order, and the first entry of a
-dict or list, where the sides differ.  Brute distributions are memoised;
-each run_checks call starts with an empty memo.
+dict or list, where the sides differ.  Brute distributions and the three
+pattern series are memoised (each series solved once, at the largest order
+a series row covers); each run_checks call starts with empty memos.
 """
 
 from __future__ import annotations
@@ -77,9 +78,14 @@ class Check:
     expected: Callable
     actual: Callable
 
+    def covered(self, ns):
+        """The orders this check compares when ns are requested, ascending."""
+        if isinstance(self.orders, int):
+            return tuple(n for n in ns if 1 <= n <= self.orders)
+        return self.orders
+
     def __call__(self, ns):
-        cap = self.orders if isinstance(self.orders, int) else None
-        orders = self.orders if cap is None else tuple(n for n in ns if 1 <= n <= cap)
+        orders = self.covered(ns)
         for i, n in enumerate(orders):
             want, got = self.expected(n), self.actual(n)
             if want != got:
@@ -88,7 +94,7 @@ class Check:
                                    0.0, f"n={n}{where}", orders[: i + 1])
         if not orders:
             return CheckResult(self.check_id, self.suite, "skip", "", "", 0.0,
-                               f"covers 1..{cap} only; asked for {format_orders(ns)}")
+                               f"covers 1..{self.orders} only; asked for {format_orders(ns)}")
         return CheckResult(self.check_id, self.suite, "pass", "", "", 0.0, None, orders)
 
 
@@ -109,7 +115,7 @@ def _plateaus(dist):
 def _descents(dist, n):
     """Counts by number of descents d = 0..2n-1 of a p,q,r distribution."""
     marginal = dist.specialize({"p": 1, "r": 1}).project(("q",))
-    return [marginal.terms.get((d,), 0) for d in range(2 * n)]
+    return [marginal.coefficient((d,)) for d in range(2 * n)]
 
 
 def _descents_132(n):
@@ -146,7 +152,7 @@ def _stats_213_formula(n):
 
 def _stats_213_brute(n):
     dist = _brute(n, P213)
-    return {(m, d, k): dist.terms.get((k, d, m), 0) for m, d, k in _stats_213_formula(n)}
+    return {(m, d, k): dist.coefficient((k, d, m)) for m, d, k in _stats_213_formula(n)}
 
 
 def _eulerian_row(n):
@@ -159,9 +165,18 @@ def _eulerian_row(n):
     return row
 
 
+# One solve per pattern per run_checks call: pattern name -> series_<name>
+# at the largest order the series rows cover (_solve_order, set by run_checks).
+# Coefficient n of a solve truncated at N >= n is the one truncated at n.
+_SOLVES = {}
+_solve_order = 0
+
+
 def _solved(name, n):
-    """Coefficient n of the series solver for one pattern, truncated at order n."""
-    return getattr(series, f"series_{name}")(n).coefficient(n)
+    """Coefficient n of the series solver for one pattern."""
+    if name not in _SOLVES or _SOLVES[name].order < n:
+        _SOLVES[name] = getattr(series, f"series_{name}")(max(n, _solve_order))
+    return _SOLVES[name].coefficient(n)
 
 
 def _solved_marginals(n):
@@ -354,7 +369,10 @@ def run_checks(suite="all", ns=range(1, 6), jobs=1):
     """Run a suite of checks; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    global _solve_order
     _brute.cache_clear()
+    _SOLVES.clear()
+    _solve_order = max((n for c in TABLE if c.suite == "series" for n in c.covered(ns)), default=0)
     work = [(name, list(ns)) for name in SUITES[suite]]
     if jobs > 1:
         import multiprocessing

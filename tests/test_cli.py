@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import stirperm
+from stirperm import polynomials
 from stirperm.cli import main
 from stirperm.generation import generate_all
 from stirperm.words import avoids, stats
@@ -147,6 +148,14 @@ def test_series_unknown(capsys):
     code, _, err = run_cli(capsys, "series", "--eq", "999")
     assert code == 2
     assert "unknown equation" in err
+
+
+def test_an_exponent_past_the_range_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(polynomials, "MAX_EXPONENT", 6)
+    assert main(["series", "--eq", "213", "--order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent out of range")
 
 
 def test_series_chain_head_mismatch(capsys):

@@ -63,7 +63,7 @@ def test_count_213_by_stats_matches_enumeration():
         for m in range(2 * n):
             for d in range(2 * n - m):
                 k = 2 * n - 1 - m - d
-                assert count_213_by_stats(n, m, d, k) == dist.terms.get((k, d, m), 0)
+                assert count_213_by_stats(n, m, d, k) == dist.coefficient((k, d, m))
         total = sum(
             count_213_by_stats(n, m, d, 2 * n - 1 - m - d)
             for m in range(2 * n)
@@ -104,8 +104,8 @@ def test_plateau_polys():
         assert plateau_poly_213(n).specialize({"p": 1}).constant_term() == count_avoid_213(n)
         assert plateau_poly_123(n).specialize({"p": 1}).constant_term() == count_avoid_123(n)
         for k in range(n + 1):
-            assert plateau_count_213(n, k) == marginal213.terms.get((k,), 0)
-            assert plateau_count_123(n, k) == marginal123.terms.get((k,), 0)
+            assert plateau_count_213(n, k) == marginal213.coefficient((k,))
+            assert plateau_count_123(n, k) == marginal123.coefficient((k,))
 
 
 def test_descents_132():

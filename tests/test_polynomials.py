@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirperm.errors import DivisibilityError
-from stirperm.polynomials import Polynomial
+from stirperm.polynomials import MAX_EXPONENT, Polynomial
 
 PQR = ("p", "q", "r")
 PQRV = ("p", "q", "r", "v")
@@ -127,7 +127,7 @@ def value(poly, point):
     """The polynomial at a point with nonzero coordinates, term by term."""
     return sum(
         coef * prod(Fraction(x) ** e for x, e in zip(point, exp))
-        for exp, coef in poly.terms.items()
+        for exp, coef in poly.items()
     )
 
 
@@ -176,3 +176,187 @@ def test_div_one_minus_refuses_one_bad_group(a, exp, coef):
     broken = a * (1 - v) + Polynomial(PQRV, {exp: coef})
     with pytest.raises(DivisibilityError):
         broken.div_one_minus_exact("v")
+
+
+# -- the packed layout against a plain tuple-key reference ------------------
+
+NAMES = ("a", "b", "c", "d")
+
+
+def laurent_terms(n, low=-3):
+    """Dicts of up to six exponent tuples in low..3 with small coefficients, zeros included."""
+    return st.dictionaries(st.tuples(*[st.integers(low, 3)] * n), st.integers(-3, 3), max_size=6)
+
+
+def ref(terms):
+    """A tuple-key reference polynomial: the dict without its zero coefficients."""
+    return {exp: c for exp, c in terms.items() if c}
+
+
+def ref_sum(pairs):
+    out = {}
+    for exp, c in pairs:
+        out[exp] = out.get(exp, 0) + c
+    return ref(out)
+
+
+def ref_mul(a, b):
+    return ref_sum((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                   for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def same(poly, terms):
+    """poly holds exactly the reference terms, and its bound covers them."""
+    assert dict(poly.items()) == terms
+    assert poly == Polynomial(poly.vars, terms)
+    assert all(abs(e) <= poly.bound for exp in terms for e in exp)
+
+
+@st.composite
+def rings(draw, low=-3):
+    """(vars, reference a, reference b) over 1 to 4 variables."""
+    vars = NAMES[: draw(st.integers(1, 4))]
+    return vars, ref(draw(laurent_terms(len(vars), low))), ref(draw(laurent_terms(len(vars), low)))
+
+
+@PROPERTY
+@given(rings())
+def test_products_and_sums_match_the_reference(ring):
+    vars, a, b = ring
+    pa, pb = Polynomial(vars, a), Polynomial(vars, b)
+    same(pa * pb, ref_mul(a, b))
+    same(pa + pb, ref_sum([*a.items(), *b.items()]))
+    same(pa - pa, {})
+    same(Polynomial.sum_products(vars, [(pa, pb), (pb, pa)]), ref_sum(
+        (exp, 2 * c) for exp, c in ref_mul(a, b).items()))
+
+
+@PROPERTY
+@given(rings(), st.data())
+def test_reshaping_matches_the_reference(ring, data):
+    vars, a, _ = ring
+    poly, n = Polynomial(vars, a), len(vars)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    mult, val = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
+
+    def put(exp, k, e):
+        return exp[:k] + (e,) + exp[k + 1:]
+
+    same(poly.shift_var(vars[i], vars[j], mult),
+         ref_sum((put(exp, j, exp[j] + mult * exp[i]), c) for exp, c in a.items()))
+    if val in (-1, 1) or all(exp[i] >= 0 for exp in a):
+        same(poly.specialize({vars[i]: val}),
+             ref_sum((put(exp, i, 0), c * val ** abs(exp[i])) for exp, c in a.items()))
+    else:
+        with pytest.raises(ValueError):
+            poly.specialize({vars[i]: val})
+    order = data.draw(st.permutations(range(n)))
+    renamed = poly.permute_vars({vars[k]: vars[order[k]] for k in range(n)})
+    same(renamed, ref_sum((tuple(exp[order.index(k)] for k in range(n)), c)
+                          for exp, c in a.items()))
+    keep = data.draw(st.lists(st.sampled_from(range(n)), unique=True))
+    flat = poly.specialize({vars[k]: 1 for k in range(n) if k not in keep})
+    small = ref_sum((tuple(exp[k] for k in keep), c) for exp, c in a.items())
+    projected = flat.project([vars[k] for k in keep])
+    assert projected.vars == tuple(vars[k] for k in keep)
+    same(projected, small)
+    if len(keep) < n and any(exp[k] for exp in a for k in range(n) if k not in keep):
+        with pytest.raises(ValueError):
+            poly.project([vars[k] for k in keep])
+
+
+@PROPERTY
+@given(rings(low=0), st.data())
+def test_div_one_minus_matches_the_reference(ring, data):
+    vars, a, _ = ring
+    i = data.draw(st.integers(0, len(vars) - 1))
+    one_minus = {(0,) * len(vars): 1, tuple(int(k == i) for k in range(len(vars))): -1}
+    same(Polynomial(vars, ref_mul(a, one_minus)).div_one_minus_exact(vars[i]), a)
+    negative = Polynomial(vars, {tuple(-int(k == i) for k in range(len(vars))): 1})
+    with pytest.raises(ValueError):
+        negative.div_one_minus_exact(vars[i])
+
+
+def ref_str(vars, terms):
+    """The printed form, built from the exponent tuples in descending order."""
+    pieces = []
+    for exp, c in sorted(terms.items(), reverse=True):
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, exp) if e)
+        mag = str(abs(c)) if not body else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        pieces.append(("-" if c < 0 else "+") + " " + mag)
+    text = " ".join(pieces) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@PROPERTY
+@given(rings())
+def test_printed_forms_order_terms_as_exponent_tuples(ring):
+    vars, a, _ = ring
+    poly = Polynomial(vars, a)
+    assert str(poly) == ref_str(vars, a)
+    obj = poly.to_json_obj()
+    assert [tuple(t["exp"]) for t in obj["terms"]] == sorted(a)
+    assert [int(t["coef"]) for t in obj["terms"]] == [a[exp] for exp in sorted(a)]
+
+
+def test_negative_exponents_print_in_tuple_order():
+    poly = Polynomial(("p", "q"), {(-1, 2): 1, (0, -3): -2, (-1, -1): 4, (1, 0): 1})
+    assert str(poly) == "p - 2*q^-3 + p^-1*q^2 + 4*p^-1*q^-1"
+    assert [t["exp"] for t in poly.to_json_obj()["terms"]] == [[-1, -1], [-1, 2], [0, -3], [1, 0]]
+
+
+# -- the field range --------------------------------------------------------
+
+EDGE = st.integers(MAX_EXPONENT - 3, MAX_EXPONENT) | st.integers(-3, 3)
+
+
+@pytest.mark.parametrize("e", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 10**6])
+def test_constructor_refuses_an_exponent_past_the_range(e):
+    with pytest.raises(ValueError, match="out of range"):
+        Polynomial(PQR, {(0, e, 0): 1})
+    assert Polynomial(PQR, {(0, MAX_EXPONENT, -MAX_EXPONENT): 1}).bound == MAX_EXPONENT
+
+
+@PROPERTY
+@given(st.tuples(EDGE, EDGE), st.tuples(EDGE, EDGE), st.booleans())
+def test_a_product_past_the_range_raises_and_never_carries(e1, e2, flip):
+    sign = -1 if flip else 1
+    e1 = tuple(sign * e for e in e1)
+    a, b = Polynomial(("p", "q"), {e1: 2}), Polynomial(("p", "q"), {e2: 3})
+    want = tuple(x + y for x, y in zip(e1, e2))
+    if max(map(abs, want)) > MAX_EXPONENT:
+        with pytest.raises(ValueError, match="out of range"):
+            a * b
+        return
+    try:
+        product = a * b
+    except ValueError:  # the bounds may refuse what the exponents would allow
+        return
+    assert dict(product.items()) == {want: 6}
+
+
+def test_shift_past_the_range_raises():
+    p, z = Polynomial.gens(("p", "z"))
+    big = p ** (MAX_EXPONENT // 2)
+    assert big.shift_var("p", "z", 2).coefficient((MAX_EXPONENT // 2, MAX_EXPONENT - 1)) == 1
+    with pytest.raises(ValueError, match="out of range"):
+        (big * p).shift_var("p", "z", 2)
+
+
+def test_power_reaches_the_largest_exponent_and_no_further():
+    p, q, _ = gens()
+    assert (p ** MAX_EXPONENT).coefficient((MAX_EXPONENT, 0, 0)) == 1
+    assert ((p + q) ** 5) == (p + q) * (p + q) ** 4
+    with pytest.raises(ValueError, match="out of range"):
+        p ** (MAX_EXPONENT + 1)
+
+
+def test_coefficient_reads_exponent_tuples():
+    p, q, r = gens()
+    poly = 3 * p * q ** 2 - r + 7
+    assert poly.coefficient((1, 2, 0)) == 3
+    assert poly.coefficient((0, 0, 1)) == -1
+    assert poly.coefficient((0, 0, 0)) == poly.constant_term() == 7
+    assert poly.coefficient((5, 0, 0)) == poly.coefficient((0, MAX_EXPONENT + 9, 0)) == 0
+    with pytest.raises(ValueError):
+        poly.coefficient((1, 2))

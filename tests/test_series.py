@@ -325,7 +325,7 @@ def test_series_q_division_shapes():
     q = PQR.index("q")
     for n in range(1, 5):
         for poly in (f.coefficient(n), g.coefficient(n)):
-            assert min((exp[q] for exp in poly.terms), default=0) >= 1
+            assert min((exp[q] for exp, _ in poly.items()), default=0) >= 1
 
 
 def test_series_json():

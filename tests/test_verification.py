@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from benchmarks import jobs, tracing
-from stirperm import verification
+from stirperm import series, verification
 from stirperm.cli import main
 from stirperm.verification import Check
 
@@ -82,6 +84,19 @@ def test_recorded_orders_at_1_to_6_are_pinned():
     assert [r.check_id for r in results] == list(COVERED_AT_1_TO_6)
     assert {r.check_id: r.orders for r in results} == COVERED_AT_1_TO_6
     assert all(r.ok for r in results)
+
+
+def test_series_rows_solve_each_pattern_once(monkeypatch):
+    calls = Counter()
+    for name in verification.PATTERNS:
+        def counted(order, name=name, solve=getattr(series, f"series_{name}")):
+            calls[name] += 1
+            return solve(order)
+
+        monkeypatch.setattr(series, f"series_{name}", counted)
+    results = verification.run_checks("series", range(1, 7))
+    assert all(r.ok for r in results)
+    assert calls == {"213": 1, "123": 1, "132": 1}
 
 
 def test_order_7_passes_count_all_and_count_avoiders_and_skips_eulerian_rows():
