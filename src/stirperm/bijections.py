@@ -4,6 +4,19 @@ Maps implemented here, each with its inverse:
 
 * phi: 213-avoiding Stirling permutations of order n  <->  ternary trees
   with n-1 edges, transporting the augmented statistics onto edge types.
+  phi tests 213-avoidance on the splits it makes anyway: a Stirling
+  permutation avoids 213 if and only if, at every split A m B m C around
+  the two copies of a block's smallest letter m, every letter of A is above
+  every letter of B and C, and every letter of B is above every letter of
+  C.  Only if: x in A below y in B or C, or x in B below y in C, gives the
+  occurrence x m y, as m < x < y.  If: let b a c be an occurrence
+  (a < b < c) and split the smallest block holding all three; the
+  condition makes every letter of an earlier one of its blocks A, B, C
+  above every letter of a later one.  If a is the split letter, b and c
+  lie on either side of one of its copies, so b's block is earlier than
+  c's.  Otherwise b, a and c are not all in one block, and c > a puts c in
+  a's block, so again b's block is earlier.  Either way b > c, a
+  contradiction.
 * psi: a Stirling permutation maps to (p, s) where p is its permutation of
   first occurrences and s records, for each left-to-right minimum of p, how
   many distinct letters sit between (and including) its two copies.
@@ -12,9 +25,13 @@ Maps implemented here, each with its inverse:
 * rho: 123-avoiding permutations of [n]  <->  n-edge ordered trees, via
   segments attaching to the vertex one below their leading minimum.  The
   inverse reads the tree through its leftmost-path labels, in which the
-  first child of a parent labelled i is labelled i + 1.
+  first child of a parent labelled i is labelled i + 1; left_path_order
+  lists the tree's preorder indices in label order.
 * The favorite-child composite: pairs (p, s) map onto ordered trees whose
   parents each mark a favorite child.
+
+The trees are flat preorder tuples (see trees), which every map here reads
+or builds in a loop with an explicit stack, so no input is too deep.
 """
 
 from __future__ import annotations
@@ -35,40 +52,50 @@ FAMILIES = {"123": P123, "132": P132}  # the classes psi is a bijection on
 def phi(word):
     """Ternary tree of a 213-avoiding Stirling permutation of order n >= 1.
 
-    The word splits uniquely as A 1 B 1 C around the two copies of its
-    smallest letter, with every letter of A above every letter of B above
-    every letter of C; the three blocks hang as the left, vertical and
-    right subtrees.
+    The word splits uniquely as A m B m C around the two copies of its
+    smallest letter m; the blocks A, B and C hang as the left, vertical and
+    right subtrees, each split the same way.  Each block holds both copies
+    of its letters, since a letter with one copy on each side of an m would
+    enclose a smaller letter.  A split out of the order that the module
+    docstring states raises NotAvoider.
     """
     if not word:
         raise ValueError("phi is defined for order >= 1")
     if not is_stirling(word):
         raise ValueError(f"not a Stirling permutation: {format_word(word)}")
-    if contains(word, P213):
-        raise NotAvoider(f"{format_word(word)} contains 213")
-    return _phi(word)
-
-
-def _phi(word):
-    if len(word) == 2:
-        return TernaryTree()
-    low = min(word)
-    i = word.index(low)
-    j = word.index(low, i + 1)
-    blocks = (word[:i], word[i + 1 : j], word[j + 1 :])
-    left, vertical, right = (_phi(b) if b else None for b in blocks)
-    return TernaryTree(left, vertical, right)
+    shape = []
+    stack = [(0, len(word))]  # the blocks still to split, as index ranges
+    while stack:
+        lo, hi = stack.pop()
+        low = min(word[lo:hi])
+        i = word.index(low, lo, hi)
+        j = word.index(low, i + 1, hi)
+        left, vertical, right = word[lo:i], word[i + 1 : j], word[j + 1 : hi]
+        top_right = max(right, default=0)
+        below = max(max(vertical, default=0), top_right)
+        if (left and min(left) <= below) or (vertical and min(vertical) <= top_right):
+            raise NotAvoider(f"{format_word(word)} contains 213")
+        shape.append(4 * bool(left) | 2 * bool(vertical) | bool(right))
+        stack += [block for block in ((j + 1, hi), (i + 1, j), (lo, i)) if block[0] < block[1]]
+    return TernaryTree(tuple(shape))
 
 
 def phi_inverse(tree):
-    """Inverse of phi; a tree with m edges yields a word of order m + 1."""
-    blocks = [(phi_inverse(c) if c is not None else ()) for c in tree.slots()]
-    sizes = [len(b) // 2 for b in blocks]
-    offsets = (1 + sizes[1] + sizes[2], 1 + sizes[2], 1)
-    shifted = [
-        tuple(x + off for x in block) for block, off in zip(blocks, offsets)
-    ]
-    return shifted[0] + (1,) + shifted[1] + (1,) + shifted[2]
+    """Inverse of phi; a tree with m edges yields a word of order m + 1.
+
+    The word is read off the serialization: each vertex writes its letter
+    at its two commas, and the letter is n minus the vertex's postorder
+    index, n being the number of vertices.
+    """
+    n = len(tree.shape)
+    closed, postorder, commas = 0, [0] * n, []
+    for token, vertex in tree.tokens():
+        if token == ",":
+            commas.append(vertex)
+        elif token == ")":
+            postorder[vertex] = closed
+            closed += 1
+    return tuple(n - postorder[vertex] for vertex in commas)
 
 
 # -- compositions and the psi pairing ---------------------------------------
@@ -198,17 +225,20 @@ def apairs(n, pattern=P123):
 # -- rho: 123-avoiding permutations and ordered trees ------------------------
 
 
-def _grow(perm, node):
+def _grow(perm):
     """The tree on 0..n with each segment of perm hanging below its minimum - 1.
 
-    Children are ordered increasingly; node(v, kids) builds vertex v.
+    Children are ordered increasingly.  Returns the vertices in preorder
+    and their child counts, the tree's shape.
     """
-    children = {segment[0] - 1: sorted(segment) for segment in _segments(perm)}
-
-    def build(v):
-        return node(v, tuple(build(c) for c in children.get(v, ())))
-
-    return build(0)
+    # each family decreasing, so that the stack pops the smallest child first
+    children = {segment[0] - 1: sorted(segment, reverse=True) for segment in _segments(perm)}
+    preorder, stack = [], [0]
+    while stack:
+        vertex = stack.pop()
+        preorder.append(vertex)
+        stack += children.get(vertex, ())
+    return preorder, tuple(len(children.get(v, ())) for v in preorder)
 
 
 def rho(perm):
@@ -223,25 +253,36 @@ def rho(perm):
         raise NotAvoider(f"{format_word(perm)} contains 123")
     # Each entry hangs below a vertex smaller than itself, so a permutation
     # of 1..n always gives a tree on 0..n.
-    return _grow(perm, lambda v, kids: OrderedTree(kids))
+    return OrderedTree(_grow(perm)[1])
 
 
 def left_path_order(tree):
-    """The vertices of tree in leftmost-path label order, the root (0) first.
+    """The preorder indices of tree in leftmost-path label order, the root (0) first.
 
     Walking the list as it grows, each vertex labels the leftmost path down
     from each of its unlabelled children, left to right, with the next
     labels: all children of the root, and children[1:] of any other vertex,
     whose first child was labelled on its own path.  So the first child of
-    the parent labelled i is labelled i + 1.
+    the parent labelled i is labelled i + 1.  In preorder a leftmost path
+    is a run of consecutive indices, ending at the first leaf.
     """
-    order = [tree]
-    for i, node in enumerate(order):
-        for child in node.children[1 if i else 0 :]:
-            order.append(child)
-            while child.children:
-                child = child.children[0]
-                order.append(child)
+    shape = tree.shape
+    children, open_ = [[] for _ in shape], []  # open_: parents still missing children
+    for vertex, count in enumerate(shape):
+        if open_:
+            parent = open_[-1]
+            children[parent].append(vertex)
+            if len(children[parent]) == shape[parent]:
+                open_.pop()
+        if count:
+            open_.append(vertex)
+    order = [0]
+    for i, vertex in enumerate(order):
+        for child in children[vertex][1 if i else 0 :]:
+            leaf = child
+            while shape[leaf]:
+                leaf += 1
+            order += range(child, leaf + 1)
     return order
 
 
@@ -252,13 +293,14 @@ def _rho_inverse(tree):
     and the family of the minimum m is order[m - 1].
     """
     order = left_path_order(tree)
+    family = [tree.shape[vertex] for vertex in order]
     labels = range(len(order) - 1, 0, -1)
-    fillers = iter([m for m in labels if not order[m - 1].children])
+    fillers = iter([m for m in labels if not family[m - 1]])
     out = []
     for m in labels:
-        if order[m - 1].children:
+        if family[m - 1]:
             out.append(m)
-            out.extend(islice(fillers, len(order[m - 1].children) - 1))
+            out.extend(islice(fillers, family[m - 1] - 1))
     return tuple(out), order
 
 
@@ -284,20 +326,22 @@ def to_fc_tree(pair):
     perm, s = pair
     _check_pair(perm, s, "123")
     favorite = {m - 1: si for m, si in zip(lr_minima(perm), s)}
-    return _grow(perm, lambda v, kids: FCOrderedTree(kids, favorite[v] if kids else None))
+    preorder, shape = _grow(perm)
+    return FCOrderedTree(shape, tuple(map(favorite.get, preorder)))
 
 
 def from_fc_tree(tree):
     """Inverse of to_fc_tree."""
     perm, order = _rho_inverse(tree)
-    return perm, tuple(order[m - 1].favorite for m in lr_minima(perm))
+    return perm, tuple(tree.favorites[order[m - 1]] for m in lr_minima(perm))
 
 
 def fc_involution(tree):
     """Reverse the age ranking of every favorite child (an involution)."""
-    kids = tuple(fc_involution(c) for c in tree.children)
-    fav = len(kids) + 1 - tree.favorite if kids else None
-    return FCOrderedTree(kids, fav)
+    return FCOrderedTree(tree.shape, tuple(
+        None if favorite is None else count + 1 - favorite
+        for count, favorite in zip(tree.shape, tree.favorites)
+    ))
 
 
 # -- exhaustive verification helpers -----------------------------------------
@@ -362,12 +406,13 @@ def verify_rho(n):
     checked = failures = transport_failures = 0
     for perm in avoiding_permutations(n, P123):
         checked += 1
-        back, order = _rho_inverse(rho(perm))
+        tree = rho(perm)
+        back, order = _rho_inverse(tree)
         if back != perm:
             failures += 1
             continue
         # segment lengths right to left == family sizes in label order
-        if composition_of(perm)[::-1] != tuple(len(v.children) for v in order if v.children):
+        if composition_of(perm)[::-1] != tuple(tree.shape[v] for v in order if tree.shape[v]):
             transport_failures += 1
     for tree in ordered_trees(n):
         checked += 1

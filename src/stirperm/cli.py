@@ -6,11 +6,15 @@ strings for all numbers, and no timings unless asked for.
 
 Input rules, the same for every verb.  Orders and counts are checked while
 the command line is parsed: enumerate --n, series --order and formula --n
-must be integers >= 0, biject --n and verify --jobs integers >= 1.  Series
+must be integers >= 0, biject verify --n and verify --jobs integers >= 1.  Series
 --spec and formula --param are read by one name=integer parser: blank pieces
 are skipped, all=N assigns every name, and a bad integer, an unknown name
 or a name assigned twice is refused.  Bad input prints one line naming it
 on stderr and nothing on stdout.
+
+Each biject map is its own subcommand and takes only what it uses: phi,
+rho and fc take --direction and a required --input, psi also --family, and
+verify a required --map and --n.  Any other option is a usage error.
 
 Each handler imports the modules it runs, so a call loads only those.
 
@@ -42,6 +46,15 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
         return value
     return parse
+
+
+# biject maps: name, help, and an --input example for each direction
+BIJECT_MAPS = (
+    ("phi", "213-avoiding word <-> ternary tree", "1221, or with inv (-,(-,-,-),-)"),
+    ("psi", "123- or 132-avoiding word <-> perm|s pair", "1221, or with inv 12|2"),
+    ("rho", "123-avoiding permutation <-> ordered tree", "1,2, or with inv (()())"),
+    ("fc", "perm|s pair <-> favorite-child tree", "1,2|2, or with inv (()()):2"),
+)
 
 
 def build_parser():
@@ -88,15 +101,18 @@ def build_parser():
 
     p_biject = sub.add_parser("biject", help="run a bijection or verify one")
     p_biject.set_defaults(handler=cmd_biject)
-    p_biject.add_argument("map", choices=("phi", "psi", "rho", "fc", "verify"))
-    p_biject.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
-    p_biject.add_argument("--input", default=None,
-                          help="word, tree string, or perm|s pair, e.g. 4,6,5,2,1,3|3,1,1")
-    p_biject.add_argument("--family", choices=("123", "132"), default="123",
-                          help="avoidance class for psi")
-    p_biject.add_argument("--map", dest="verify_map", default=None,
-                          help="map name for the verify verb: phi, psi-123, psi-132, rho, fc")
-    p_biject.add_argument("--n", type=positive, help="order for the verify verb")
+    maps = p_biject.add_subparsers(dest="map", required=True)
+    for name, what, example in BIJECT_MAPS:
+        p_map = maps.add_parser(name, help=what)
+        p_map.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
+        p_map.add_argument("--input", required=True, help=f"e.g. {example}")
+        if name == "psi":
+            p_map.add_argument("--family", choices=("123", "132"), default="123",
+                               help="avoidance class for the inverse")
+    p_check = maps.add_parser("verify", help="check one map exhaustively at one order")
+    p_check.add_argument("--map", dest="verify_map", required=True, metavar="MAP",
+                         help="phi, psi-123, psi-132, rho or fc")
+    p_check.add_argument("--n", type=positive, required=True, help="order")
 
     p_verify = sub.add_parser(
         "verify", help="run cross-validation suites",
@@ -309,8 +325,6 @@ def cmd_biject(args):
 
     if args.map == "verify":
         name = args.verify_map
-        if name is None or args.n is None:
-            raise BadPattern("biject verify needs --map and --n")
         if name not in bijections.VERIFIERS:
             known = ", ".join(sorted(bijections.VERIFIERS))
             raise BadPattern(f"unknown map {name!r}; known: {known}")
@@ -318,8 +332,6 @@ def cmd_biject(args):
         print(json.dumps(report))
         return 0 if report["failures"] == 0 and report["statistic_transport"]["failures"] == 0 else 1
 
-    if args.input is None:
-        raise BadPattern("biject needs --input")
     from .trees import FCOrderedTree, OrderedTree, TernaryTree
 
     b = bijections
@@ -409,9 +421,6 @@ def main(argv=None):
         return args.handler(args)
     except (StirpermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: the input nests too deeply", file=sys.stderr)
         return 2
 
 

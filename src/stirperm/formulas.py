@@ -74,10 +74,21 @@ def plateau_count_213(n, k):
 
 
 def plateau_poly_213(n):
-    """Plateau marginal over the 213-avoiders of order n, as a polynomial in p."""
+    """Plateau marginal over the 213-avoiders of order n, as a polynomial in p.
+
+    The coefficients are plateau_count_213(n, k) for k = n down to 1, with
+    both binomials stepped down by exact ratios instead of computed afresh:
+    binom(n, k-1) = binom(n, k) k / (n-k+1) and
+    binom(2n, k-2) = binom(2n, k-1) (k-1) / (2n-k+2).
+    """
     if n < 1:
         raise ValueError("order must be positive")
-    return Polynomial(P_ONLY, {(k,): plateau_count_213(n, k) for k in range(n, 0, -1)})
+    terms = {}
+    a, b = 1, binomial(2 * n, n - 1)  # binom(n, k) and binom(2n, k-1) at k = n
+    for k in range(n, 0, -1):
+        terms[(k,)] = exact_div(a * b, n)
+        a, b = a * k // (n - k + 1), b * (k - 1) // (2 * n - k + 2)
+    return Polynomial(P_ONLY, terms)
 
 
 def plateau_count_123(n, k):
@@ -86,10 +97,25 @@ def plateau_count_123(n, k):
 
 
 def plateau_poly_123(n):
-    """Plateau marginal over the 123-avoiders of order n (1 at n = 0)."""
+    """Plateau marginal over the 123-avoiders of order n (1 at n = 0).
+
+    The coefficients are plateau_count_123(n, k) for k = n down to 0, with
+    both binomials stepped down by exact ratios: binom(n+1, k) =
+    binom(n+1, k+1) (k+1) / (n+1-k) and, writing N = n+k and K = 2n-k,
+    binom(N-1, K+1) = binom(N, K) (N-K) (N-K-1) / (N (K+1)), which reaches
+    0 where K passes N and stays there.
+    """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return Polynomial(P_ONLY, {(k,): plateau_count_123(n, k) for k in range(n, -1, -1)})
+    terms = {}
+    a, b = 1, binomial(2 * n, n)  # binom(n+1, k+1) and binom(n+k, 2n-k) at k = n
+    for k in range(n, -1, -1):
+        terms[(k,)] = exact_div(a * b, n + 1)
+        if k:
+            big, small = n + k, 2 * n - k
+            a = a * (k + 1) // (n + 1 - k)
+            b = b * (big - small) * (big - small - 1) // (big * (small + 1))
+    return Polynomial(P_ONLY, terms)
 
 
 def descents_132(n, d):

@@ -66,45 +66,62 @@ def occurrence_split(pattern):
 def _walk(n, patterns):
     """Yield (word, des, asc, plat, adj122) for each order-n avoider.
 
-    The one insertion loop of this module.  The root's statistics are
-    tallied over the (empty) word; every child updates its parent's in
-    O(1).  Inserting n,n at pos replaces the pair (prev[pos-1], prev[pos])
-    with an ascent, a plateau and a descent; at an end, where the missing
-    neighbour acts as a letter below every other, only two of these are
-    added.  adj122 (count_adjacent_122) gains pos, the letters left of the
-    new plateau, and loses the share of the plateau that the insertion
-    splits, if any.  The gaps where some split test of occurrence_split
-    finds an occurrence using the new pair come from one split_gaps call
-    per split and parent.
+    A depth-first walk down the generating tree, with _children as the one
+    insertion loop of this module.  The root's statistics are tallied over
+    the (empty) word; every child updates its parent's in O(1).  Inserting
+    n,n at pos replaces the pair (prev[pos-1], prev[pos]) with an ascent, a
+    plateau and a descent; at an end, where the missing neighbour acts as a
+    letter below every other, only two of these are added.  adj122
+    (count_adjacent_122) gains pos, the letters left of the new plateau,
+    and loses the share of the plateau that the insertion splits, if any.
+    The gaps where some split test of occurrence_split finds an occurrence
+    using the new pair come from one split_gaps call per split and parent.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n == 0:
-        if avoids((), patterns):
-            s = stats(())
-            yield (), s.des, s.asc, s.plat, count_adjacent_122(())
+    if not avoids((), patterns):
         return
-    splits = [s for s in map(occurrence_split, patterns) if s is not None]
-    new = (n, n)
-    for prev, des, asc, plat, adj in _walk(n - 1, patterns):
-        bad = 0
-        for rest, cut in splits:
-            bad |= split_gaps(prev, rest, cut)
-        padded = (0,) + prev + (0,)
-        for pos in range(len(prev), -1, -1):
-            if bad >> pos & 1:
-                continue
-            word = prev[:pos] + new + prev[pos:]
-            a, b = padded[pos], padded[pos + 1]
-            if a < b:  # an ascent, or the left end
-                yield word, des + 1, asc, plat + 1, adj + pos
-            elif a > b:  # a descent, or the right end
-                yield word, des, asc + 1, plat + 1, adj + pos
-            elif prev:  # a plateau b,b split by n,n
-                share = sum(1 for x in prev[:pos - 1] if x < b)
-                yield word, des + 1, asc + 1, plat, adj + pos - share
-            else:
-                yield word, 0, 0, 1, 0
+    s = stats(())
+    root = ((), s.des, s.asc, s.plat, count_adjacent_122(()))
+    if n == 0:
+        yield root
+        return
+    splits = [split for split in map(occurrence_split, patterns) if split is not None]
+    # Depth first with an explicit stack of child streams, one per order
+    # below n - 1, so that no order is too deep.
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) == n:  # an order n - 1 node: its children are order n
+            yield from _children(node, splits)
+        else:
+            stack.append(_children(node, splits))
+
+
+def _children(node, splits):
+    """The children of one walk node, with their carried statistics."""
+    prev, des, asc, plat, adj = node
+    bad = 0
+    for rest, cut in splits:
+        bad |= split_gaps(prev, rest, cut)
+    new = (len(prev) // 2 + 1,) * 2
+    padded = (0,) + prev + (0,)
+    for pos in range(len(prev), -1, -1):
+        if bad >> pos & 1:
+            continue
+        word = prev[:pos] + new + prev[pos:]
+        a, b = padded[pos], padded[pos + 1]
+        if a < b:  # an ascent, or the left end
+            yield word, des + 1, asc, plat + 1, adj + pos
+        elif a > b:  # a descent, or the right end
+            yield word, des, asc + 1, plat + 1, adj + pos
+        elif prev:  # a plateau b,b split by n,n
+            share = sum(1 for x in prev[:pos - 1] if x < b)
+            yield word, des + 1, asc + 1, plat, adj + pos - share
+        else:
+            yield word, 0, 0, 1, 0
 
 
 def generate_avoiders(n, patterns=(), with_stats=False):

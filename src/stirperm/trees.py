@@ -2,11 +2,22 @@
 
 Ternary trees have three ordered optional child slots (left, vertical,
 right); ordered trees have an arbitrary ordered child list; favorite-child
-trees additionally mark one child per parent.  All are frozen dataclass
-values compared structurally, so a favorite-child tree never equals a plain
-ordered tree.  Each is written as a parenthesis string by ``serialize``,
-and ``parse`` accepts exactly what ``serialize`` writes (blanks around the
-whole string aside): any other text raises ValueError.
+trees additionally mark one child per parent.
+
+Each tree is stored flat, as its vertices in preorder: the Lukasiewicz word
+of the tree (Knuth, TAOCP Vol. 4A, section 7.2.1.6).  ``OrderedTree.shape``
+holds each vertex's number of children, ``FCOrderedTree.favorites`` each
+vertex's favorite child (1-based, None at a leaf), and ``TernaryTree.shape``
+each vertex's slot mask: 4 for a left child, 2 for a vertical one and 1 for
+a right one.  A vertex's first child, if any, is the next vertex, so a
+leftmost path is a run of consecutive indices.  The trees are frozen
+dataclass values, so equality and hashing are tuple operations at any
+depth, and a favorite-child tree never equals a plain ordered tree.
+
+Every tree is written as a parenthesis string by ``serialize``, from one
+iterative walk (``tokens``), and ``parse`` accepts exactly what
+``serialize`` writes (blanks around the whole string aside): any other text
+raises ValueError.  No function here recurses.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ _TOKEN = re.compile(r"[(,-]|\)(?::(\d+))?")
 
 
 class _Tree:
-    """parse and repr for the tree classes, both by way of serialize."""
+    """parse, tokens, serialize and repr, shared by the tree classes."""
 
     __slots__ = ()
 
@@ -31,154 +42,188 @@ class _Tree:
     def parse(cls, text):
         """The tree whose serialize() is text.
 
-        cls._node builds each vertex from the children read and the k of
-        its "):k".  Whatever it drops or fills in makes the round trip
-        differ, so any text that serialize would not write raises ValueError.
+        Each "(" opens the next vertex in preorder, a child of the innermost
+        open one in the slot that the commas read so far name.  cls._tree
+        builds the tree from each vertex's child count, slot mask and k of
+        its "):k".  Whatever it drops makes the round trip differ, so any
+        text that serialize would not write raises ValueError.
         """
         text = text.strip()
-        stack = [[]]  # the children read so far of each open vertex
+        counts, masks, favorites = [], [], []
+        stack = []  # [vertex, slot] of each open vertex
         for token in _TOKEN.finditer(text):
             kind = token.group()[0]
             if kind == "(":
-                stack.append([])
-            elif kind == "-":
-                stack[-1].append(None)
-            elif kind == ")" and len(stack) > 1:
+                if stack:
+                    parent, slot = stack[-1]
+                    counts[parent] += 1
+                    masks[parent] |= 4 >> slot
+                stack.append([len(counts), 0])
+                counts.append(0)
+                masks.append(0)
+                favorites.append(None)
+            elif kind == "," and stack:
+                stack[-1][1] += 1
+            elif kind == ")" and stack:
                 favorite = token.group(1)
-                kids = stack.pop()
-                stack[-1].append(cls._node(kids, favorite and int(favorite)))
-        tree = stack[0][0] if len(stack) == 1 and len(stack[0]) == 1 else None
+                favorites[stack.pop()[0]] = favorite and int(favorite)
+        tree = cls._tree(counts, masks, favorites) if counts and not stack else None
         if tree is None or tree.serialize() != text:
             raise ValueError(f"not a serialized {cls.__name__}: {text!r}")
         return tree
+
+    def tokens(self):
+        """Yield (token, vertex) in the order serialize writes the tokens.
+
+        The vertex is a preorder index: a vertex writes its own "(" and
+        ")", the "," between its slots and the "-" of an empty slot.  One
+        explicit stack holds the tokens each open vertex has still to write,
+        "(" standing for its next child.
+        """
+        following = 0  # the next vertex to open
+        stack = []
+        token = "("
+        while True:
+            if token == "(":
+                vertex, following = following, following + 1
+                yield "(", vertex
+                stack.append((vertex, iter(self._inside(vertex))))
+            elif token is None:
+                stack.pop()
+                yield self._close(vertex), vertex
+                if not stack:
+                    return
+            else:
+                yield token, vertex
+            vertex, inside = stack[-1]
+            token = next(inside, None)
+
+    def serialize(self):
+        return "".join([token for token, _ in self.tokens()])
+
+    def _close(self, vertex):
+        return ")"
 
     def __repr__(self):
         return self.serialize()
 
 
+# Between "(" and ")" of a ternary vertex, by slot mask: "(" is a child.
+_TERNARY_INSIDE = tuple(
+    ("(" if mask & 4 else "-", ",", "(" if mask & 2 else "-", ",", "(" if mask & 1 else "-")
+    for mask in range(8)
+)
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class TernaryTree(_Tree):
-    """Vertex with three optional subtrees.  A single vertex has none."""
+    """Slot masks in preorder: 4 left, 2 vertical, 1 right.  (0,) is one vertex.
 
-    left: TernaryTree | None = None
-    vertical: TernaryTree | None = None
-    right: TernaryTree | None = None
+    Written in 3-slot form with '-' marking an empty slot, e.g. "(-,(-,-,-),-)".
+    """
+
+    shape: tuple = (0,)
 
     @classmethod
-    def _node(cls, kids, favorite):
-        return cls(*kids[:3])
+    def _tree(cls, counts, masks, favorites):
+        return cls(tuple(masks))
 
-    def slots(self):
-        return (self.left, self.vertical, self.right)
-
-    def edges(self):
-        return sum(child.edges() + 1 for child in self.slots() if child is not None)
+    def _inside(self, vertex):
+        return _TERNARY_INSIDE[self.shape[vertex]]
 
     def edge_counts(self):
         """Total numbers of (left, vertical, right) edges in the whole tree."""
-        counts = [0, 0, 0]
-        for i, child in enumerate(self.slots()):
-            if child is None:
-                continue
-            counts[i] += 1
-            sub = child.edge_counts()
-            for j in range(3):
-                counts[j] += sub[j]
-        return tuple(counts)
-
-    def serialize(self):
-        """3-slot form with '-' marking an empty slot, e.g. "(-,(-,-,-),-)"."""
-        # A list, not a generator: a level then costs two frames of the
-        # recursion limit, as in edges(), so parse reaches as deep as the maps.
-        parts = ["-" if c is None else c.serialize() for c in self.slots()]
-        return "(" + ",".join(parts) + ")"
+        return tuple(sum(1 for mask in self.shape if mask & bit) for bit in (4, 2, 1))
 
 
 @lru_cache(maxsize=None)
 def ternary_trees(m):
-    """All ternary trees with m edges, as a tuple (cached)."""
-    out = []
-    for wl in range(m + 1):
-        for wv in range(m + 1 - wl):
-            wr = m - wl - wv
-            for left in _slot_options(wl):
-                for vert in _slot_options(wv):
-                    for right in _slot_options(wr):
-                        out.append(TernaryTree(left, vert, right))
-    return tuple(out)
+    """All ternary trees with m edges, as a tuple (cached).
 
-
-def _slot_options(weight):
-    if weight == 0:
-        return (None,)
-    return ternary_trees(weight - 1)
+    Ordered by the edge counts below the left, then the vertical slot, then
+    by the left, vertical and right subtrees in that order.
+    """
+    slots = [((),)]  # slots[w]: the preorder slot contents of weight w; 0 is empty
+    for k in range(m + 1):
+        slots.append(tuple(
+            (4 * (wl > 0) | 2 * (wv > 0) | (wl + wv < k),) + left + vertical + right
+            for wl in range(k + 1)
+            for wv in range(k + 1 - wl)
+            for left in slots[wl]
+            for vertical in slots[wv]
+            for right in slots[k - wl - wv]
+        ))
+    return tuple(map(TernaryTree, slots[m + 1]))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class OrderedTree(_Tree):
-    """Vertex with an ordered tuple of subtrees."""
+    """Child counts in preorder.  (0,) is one vertex; written e.g. "(()())"."""
 
-    children: tuple = ()
+    shape: tuple = (0,)
 
     @classmethod
-    def _node(cls, kids, favorite):
-        return cls(tuple(k for k in kids if k is not None))
+    def _tree(cls, counts, masks, favorites):
+        return cls(tuple(counts))
 
-    def edges(self):
-        return sum(child.edges() + 1 for child in self.children)
+    def _inside(self, vertex):
+        return ("(",) * self.shape[vertex]
 
-    def serialize(self):
-        return "(" + "".join([c.serialize() for c in self.children]) + ")"
+
+@lru_cache(maxsize=None)
+def _ordered_shapes(n):
+    """The preorder child counts of every n-edge ordered tree.
+
+    The first subtree of the root has k edges, k = 0..n-1, and the rest of
+    the root's children with n-1-k edges hang after it.
+    """
+    shapes = [((0,),)]
+    for size in range(1, n + 1):
+        shapes.append(tuple(
+            (1 + rest[0],) + first + rest[1:]
+            for k in range(size)
+            for first in shapes[k]
+            for rest in shapes[size - 1 - k]
+        ))
+    return shapes[n]
 
 
 @lru_cache(maxsize=None)
 def ordered_trees(n):
     """All ordered trees with n edges (Catalan many), as a tuple (cached)."""
-    if n == 0:
-        return (OrderedTree(),)
-    out = []
-    for k in range(n):
-        for first in ordered_trees(k):
-            for rest in ordered_trees(n - 1 - k):
-                out.append(OrderedTree((first,) + rest.children))
-    return tuple(out)
+    return tuple(map(OrderedTree, _ordered_shapes(n)))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class FCOrderedTree(OrderedTree):
-    """Ordered tree in which every parent marks a favorite child (1-based)."""
+    """Ordered tree whose parents each mark a favorite child (1-based).
 
-    favorite: int | None = None
+    favorites is None at a leaf; written with ':k' after every parent,
+    e.g. "(()()):2".
+    """
+
+    favorites: tuple = (None,)
 
     def __post_init__(self):
-        if self.children and not 1 <= (self.favorite or 0) <= len(self.children):
-            raise ValueError("parent needs a favorite child index in range")
-        if not self.children and self.favorite is not None:
-            raise ValueError("leaf cannot have a favorite child")
+        for count, favorite in zip(self.shape, self.favorites, strict=True):
+            if count and not 1 <= (favorite or 0) <= count:
+                raise ValueError("parent needs a favorite child index in range")
+            if not count and favorite is not None:
+                raise ValueError("leaf cannot have a favorite child")
 
     @classmethod
-    def _node(cls, kids, favorite):
-        return cls(tuple(k for k in kids if k is not None), favorite)
+    def _tree(cls, counts, masks, favorites):
+        return cls(tuple(counts), tuple(favorites))
 
-    def serialize(self):
-        """Parenthesis string with ':k' after every parent, e.g. "(()()):2"."""
-        body = "(" + "".join([c.serialize() for c in self.children]) + ")"
-        if self.children:
-            body += f":{self.favorite}"
-        return body
+    def _close(self, vertex):
+        favorite = self.favorites[vertex]
+        return ")" if favorite is None else f"):{favorite}"
 
 
 def fc_trees(n):
-    """All favorite-child trees with n edges."""
-    return tuple(tree for shape in ordered_trees(n) for tree in _decorate(shape))
-
-
-def _decorate(shape):
-    """Every favorite-child marking of one ordered tree."""
-    if not shape.children:
-        return (FCOrderedTree(),)
-    return tuple(
-        FCOrderedTree(kids, fav)
-        for kids in product(*map(_decorate, shape.children))
-        for fav in range(1, len(kids) + 1)
-    )
+    """All favorite-child trees with n edges: each shape with each choice of favorites."""
+    out = []
+    for shape in _ordered_shapes(n):
+        choices = [range(1, c + 1) if c else (None,) for c in shape]
+        out += (FCOrderedTree(shape, favorites) for favorites in product(*choices))
+    return tuple(out)

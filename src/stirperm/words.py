@@ -111,11 +111,22 @@ def stats(word):
     return StatVector(des, asc, plat)
 
 
+# The containment searches recurse once per pattern letter.
+MAX_PATTERN_LETTERS = 500
+
+
 def validate_pattern(word):
-    """Check that the value set is exactly {1..m}; returns the tuple."""
+    """Check that the value set is exactly {1..m}; returns the tuple.
+
+    At most MAX_PATTERN_LETTERS letters are accepted.
+    """
     letters = tuple(word)
     if not letters:
         raise BadPattern("empty pattern")
+    if len(letters) > MAX_PATTERN_LETTERS:
+        raise BadPattern(
+            f"pattern of {len(letters)} letters; at most {MAX_PATTERN_LETTERS} are supported"
+        )
     values = set(letters)
     if values != set(range(1, max(values) + 1)):
         raise BadPattern(

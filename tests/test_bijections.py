@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from stirperm.bijections import (
 from stirperm.cli import _format_pair, _parse_pair
 from stirperm.errors import InvalidPair, NotAvoider
 from stirperm.formulas import count_avoid_123, count_avoid_213, plateau_poly_123
-from stirperm.generation import generate_avoiders
+from stirperm.generation import generate_all, generate_avoiders
 from stirperm.polynomials import Polynomial
 from stirperm.trees import (
     FCOrderedTree,
@@ -36,7 +38,7 @@ from stirperm.trees import (
     ordered_trees,
     ternary_trees,
 )
-from stirperm.words import contains, first_occurrences, stats
+from stirperm.words import contains, first_occurrences, format_word, stats
 
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
 
@@ -45,9 +47,9 @@ EXAMPLE_PERM = (15, 16, 12, 9, 14, 13, 8, 7, 11, 4, 3, 1, 10, 6, 5, 2)
 
 def test_phi_base_cases():
     assert phi((1, 1)) == TernaryTree()
-    assert phi((1, 2, 2, 1)) == TernaryTree(None, TernaryTree(), None)
-    assert phi((2, 2, 1, 1)) == TernaryTree(TernaryTree(), None, None)
-    assert phi((1, 1, 2, 2)) == TernaryTree(None, None, TernaryTree())
+    assert phi((1, 2, 2, 1)) == TernaryTree((2, 0))
+    assert phi((2, 2, 1, 1)) == TernaryTree((4, 0))
+    assert phi((1, 1, 2, 2)) == TernaryTree((1, 0))
     assert phi_inverse(TernaryTree()) == (1, 1)
 
 
@@ -58,6 +60,19 @@ def test_phi_rejects():
         phi((1, 2, 1, 2))
     with pytest.raises(ValueError):
         phi(())
+
+
+def test_phi_avoidance_check_agrees_with_contains():
+    # every Stirling permutation of order 1..6: 11,464 words, 10,395 at order 6
+    for n in range(1, 7):
+        for word in generate_all(n):
+            try:
+                phi(word)
+            except NotAvoider as exc:
+                assert contains(word, P213), format_word(word)
+                assert str(exc) == f"{format_word(word)} contains 213"
+            else:
+                assert not contains(word, P213), format_word(word)
 
 
 def test_phi_round_trip_and_count():
@@ -209,48 +224,36 @@ def test_rho_single():
 
 def test_rho_worked_example():
     tree = rho(EXAMPLE_PERM)
-    assert tree.edges() == 16
+    assert len(tree.shape) == 17
     assert rho_inverse(tree) == EXAMPLE_PERM
     order = left_path_order(tree)
-    assert len(order) == 17
+    assert sorted(order) == list(range(17))
     # family sizes by left-path label: parents 0,2,3,6,7,8,11,14
-    parents = {lab: len(v.children) for lab, v in enumerate(order) if v.children}
+    parents = {lab: tree.shape[v] for lab, v in enumerate(order) if tree.shape[v]}
     assert parents == {0: 5, 2: 1, 3: 1, 6: 2, 7: 1, 8: 3, 11: 1, 14: 2}
     # segment lengths right to left equal family sizes in label order
     assert [parents[k] for k in sorted(parents)] == [5, 1, 1, 2, 1, 3, 1, 2]
 
 
-def assert_order(tree, expected):
-    order = left_path_order(tree)
-    assert len(order) == len(expected)
-    assert all(v is w for v, w in zip(order, expected))
-
-
 def test_left_path_order_simple_shapes():
-    mid = OrderedTree((OrderedTree(),))
-    chain = OrderedTree((mid,))
-    assert_order(chain, [chain, mid, mid.children[0]])
-    star = OrderedTree((OrderedTree(), OrderedTree(), OrderedTree()))
-    assert_order(star, [star, *star.children])
-    # the root's second child is labelled before the first child's second child
-    fork = OrderedTree((OrderedTree(), OrderedTree()))
-    tree = OrderedTree((fork, OrderedTree()))
-    assert_order(tree, [tree, fork, fork.children[0], tree.children[1], fork.children[1]])
+    # preorder indices: a chain is 0, 1, 2 and a star 0, 1, 2, 3
+    assert left_path_order(OrderedTree.parse("((()))")) == [0, 1, 2]
+    assert left_path_order(OrderedTree.parse("(()()())")) == [0, 1, 2, 3]
+    # the root's second child (4) is labelled before the first child's second child (3)
+    assert left_path_order(OrderedTree.parse("((()())())")) == [0, 1, 2, 4, 3]
 
 
 def comb(m):
     """A path of m + 1 vertices, each but the last with a leaf after its path child."""
-    tree = OrderedTree()
-    for _ in range(m):
-        tree = OrderedTree((tree, OrderedTree()))
-    return tree
+    return OrderedTree((2,) * m + (0,) * (m + 1))
 
 
 def test_rho_inverse_round_trips_a_600_edge_comb():
     tree = comb(300)
+    assert tree.serialize() == "(" * 301 + ")()" * 300 + ")"
     perm = rho_inverse(tree)
     assert sorted(perm) == list(range(1, 601))
-    assert rho(perm).serialize() == tree.serialize()  # == would recurse too deeply
+    assert rho(perm) == tree
 
 
 def test_rho_round_trips():
@@ -337,11 +340,11 @@ def test_psi_round_trip_and_transport_at_large_orders(family, pattern, data):
 def test_rho_round_trip_and_transport_at_large_orders(word):
     perm = first_occurrences(word)
     tree = rho(perm)
-    assert tree.edges() == len(perm)
+    assert len(tree.shape) == len(perm) + 1
     assert rho_inverse(tree) == perm
     assert rho(rho_inverse(tree)) == tree
     # segment lengths right to left are the family sizes in leftmost-path label order
-    families = [len(v.children) for v in left_path_order(tree) if v.children]
+    families = [tree.shape[v] for v in left_path_order(tree) if tree.shape[v]]
     assert list(reversed(composition_of(perm))) == families
 
 
@@ -378,3 +381,53 @@ def test_pair_form_round_trips(word):
     perm, s = psi(word)
     text = ",".join(map(str, perm)) + "|" + ",".join(map(str, s))
     assert_round_trip((perm, s), text, _parse_pair, _format_pair)
+
+
+# -- flat trees: byte identity with the nested encoding, and any depth --------
+
+# SHA-256 of the lines below as written by the nested-dataclass trees that
+# the flat preorder tuples replaced.
+TREE_DIGEST = "d82d25303d46869732c55432a39248697606f50507c0e092477f3a016ce50354"
+
+
+def test_tree_generators_and_map_images_are_byte_identical():
+    lines = []
+    for m in range(5):
+        lines += [t.serialize() for t in ternary_trees(m)]
+    for n in range(7):
+        lines += [t.serialize() for t in ordered_trees(n)]
+    for n in range(5):
+        lines += sorted(t.serialize() for t in fc_trees(n))
+    for n in range(1, 6):
+        lines += [phi(w).serialize() for w in generate_avoiders(n, (P213,))]
+    for n in range(1, 7):
+        lines += [rho(p).serialize() for p in avoiding_permutations(n, P123)]
+    for n in range(1, 5):
+        for pair in apairs(n, P123):
+            tree = to_fc_tree(pair)
+            lines += [tree.serialize(), fc_involution(tree).serialize()]
+    assert len(lines) == 1235
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TREE_DIGEST
+
+
+def vertical_chain(depth):
+    """phi's preimage of a chain of depth vertical edges: 1..d+1 d+1..1."""
+    up = tuple(range(1, depth + 2))
+    return up + up[::-1]
+
+
+@pytest.mark.parametrize("depth", [2_000, 10_000])
+def test_deep_trees_round_trip_without_recursion(recursion_room, depth):
+    decreasing = tuple(range(depth, 0, -1))
+    path = OrderedTree((1,) * depth + (0,))
+    with recursion_room():
+        tree = TernaryTree.parse("(-," * depth + "(-,-,-)" + ",-)" * depth)
+        assert phi_inverse(tree) == vertical_chain(depth)
+        assert rho_inverse(path) == decreasing
+        fc = FCOrderedTree(path.shape, (1,) * depth + (None,))
+        assert from_fc_tree(fc) == (decreasing, (1,) * depth)
+        assert fc_involution(fc) == fc
+        if depth <= 2_000:  # the forward maps test 123-containment in quadratic time
+            assert phi(vertical_chain(depth)) == tree
+            assert rho(decreasing) == path
+            assert to_fc_tree((decreasing, (1,) * depth)) == fc

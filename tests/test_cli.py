@@ -106,6 +106,24 @@ def test_enumerate_bad_pattern(capsys):
     assert "range" in err
 
 
+def test_enumerate_walks_1200_orders_without_recursion(capsys, recursion_room):
+    # the one 21-avoider of each order is 1,1,2,2,...; no word avoids 1
+    with recursion_room():
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "1200", "--force", "--avoid", "21")
+        assert code == 0
+        assert out == ",".join(str(k) for k in range(1, 1201) for _ in "ab") + "\n"
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "1200", "--avoid", "1")
+        assert code == 0 and out == ""
+
+
+def test_enumerate_refuses_a_pattern_the_searches_cannot_take(capsys):
+    # 1,1,2,2,...,600,600: the split search would recurse 1,198 letters deep
+    pattern = ",".join(str(k) for k in range(1, 601) for _ in "ab")
+    code, out, err = run_cli(capsys, "enumerate", "--n", "600", "--force", "--avoid", pattern)
+    assert code == 2 and out == ""
+    assert "pattern of 1200 letters; at most 500 are supported" in err
+
+
 def test_enumerate_deterministic(capsys):
     first = run_cli(capsys, "enumerate", "--n", "4", "--avoid", "213", "--stats")
     second = run_cli(capsys, "enumerate", "--n", "4", "--avoid", "213", "--stats")
@@ -347,7 +365,29 @@ def test_biject_verify(capsys):
 
 def test_biject_verify_needs_args(capsys):
     code, _, err = run_cli(capsys, "biject", "verify")
-    assert code == 2 and "needs --map" in err
+    assert code == 2 and "the following arguments are required: --map, --n" in err
+
+
+# one option each map cannot use, and the mix that every map took before
+@pytest.mark.parametrize("argv", [
+    ("phi", "--input", "1221", "--family", "132"),
+    ("psi", "--input", "1221", "--n", "3"),
+    ("rho", "--input", "1,2", "--map", "rho"),
+    ("fc", "--input", "1,2|2", "--family", "123"),
+    ("verify", "--map", "phi", "--n", "3", "--input", "1221"),
+    ("phi", "--input", "1221", "--n", "3", "--family", "132", "--map", "rho"),
+], ids=["phi", "psi", "rho", "fc", "verify", "phi-mix"])
+def test_biject_option_a_map_cannot_use_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "biject", *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("name", ["phi", "psi", "rho", "fc"])
+def test_biject_map_needs_input(capsys, name):
+    code, out, err = run_cli(capsys, "biject", name, "--direction", "inv")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --input" in err
 
 
 @pytest.mark.parametrize("n", ["-1", "0"])
@@ -358,15 +398,38 @@ def test_biject_verify_rejects_an_order_below_one(capsys, name, n):
     assert f"argument --n: must be an integer >= 1, got '{n}'" in err
 
 
-# 1,200 levels: a chain of first children, and of vertical slots
-@pytest.mark.parametrize("name, tree", [
-    ("rho", "(" * 1200 + ")" * 1200),
-    ("phi", "(-," * 1200 + "(-,-,-)" + ",-)" * 1200),
-], ids=["rho", "phi"])
-def test_biject_inverse_of_a_too_deep_tree_is_a_usage_error(capsys, name, tree):
-    code, out, err = run_cli(capsys, "biject", name, "--direction", "inv", "--input", tree)
-    assert code == 2 and out == ""
-    assert "nests too deeply" in err and "Traceback" not in err
+# A path of first children, a chain of vertical slots, a path of favorites
+def deep_trees(depth):
+    return {
+        "rho": "(" * (depth + 1) + ")" * (depth + 1),
+        "phi": "(-," * depth + "(-,-,-)" + ",-)" * depth,
+        "fc": "(" * (depth + 1) + ")" + "):1" * depth,
+    }
+
+
+@pytest.mark.parametrize("name", ["rho", "phi", "fc"])
+def test_biject_inverse_of_a_10000_level_tree(capsys, recursion_room, name):
+    with recursion_room():
+        code, out, err = run_cli(
+            capsys, "biject", name, "--direction", "inv", "--input", deep_trees(10_000)[name]
+        )
+    decreasing = ",".join(map(str, range(10_000, 0, -1)))
+    assert code == 0 and err == ""
+    assert out == {
+        "rho": decreasing,
+        "phi": ",".join(map(str, [*range(1, 10_002), *range(10_001, 0, -1)])),
+        "fc": decreasing + "|" + ",".join(["1"] * 10_000),
+    }[name] + "\n"
+
+
+@pytest.mark.parametrize("name", ["rho", "phi", "fc"])
+def test_biject_2000_level_trees_round_trip(capsys, recursion_room, name):
+    tree = deep_trees(2_000)[name]
+    with recursion_room():
+        code, word, _ = run_cli(capsys, "biject", name, "--direction", "inv", "--input", tree)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "biject", name, "--input", word.strip())
+    assert code == 0 and out == tree + "\n"
 
 
 def test_biject_not_avoider(capsys):

@@ -141,6 +141,18 @@ def test_ascent_poly_132_plain_convention_is_not_polynomial():
         ascent_poly_132(2, convention="bogus")
 
 
+def test_plateau_polys_equal_the_per_k_counts():
+    # the polynomials step their binomials by ratios; the counts compute them afresh
+    for n in range(151):
+        poly = plateau_poly_123(n)
+        assert dict(poly.items()) == {
+            (k,): c for k in range(n + 1) if (c := plateau_count_123(n, k))
+        }
+        if n:
+            poly = plateau_poly_213(n)
+            assert dict(poly.items()) == {(k,): plateau_count_213(n, k) for k in range(1, n + 1)}
+
+
 def test_plateau_poly_123_rejects_negative_order():
     with pytest.raises(ValueError):
         plateau_poly_123(-3)

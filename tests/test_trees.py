@@ -22,15 +22,18 @@ def test_ternary_tree_counts():
 
 
 def test_ternary_edges_and_counts():
-    t = TernaryTree(TernaryTree(), None, TernaryTree(None, TernaryTree(), None))
-    assert t.edges() == 3
+    # a left leaf, and a right child with a vertical leaf
+    t = TernaryTree((5, 0, 2, 0))
+    assert TernaryTree.parse("((-,-,-),-,(-,(-,-,-),-))") == t
+    assert len(t.shape) - 1 == 3
     assert t.edge_counts() == (1, 1, 1)
-    assert TernaryTree().edges() == 0
+    assert TernaryTree() == TernaryTree((0,))
+    assert TernaryTree().edge_counts() == (0, 0, 0)
 
 
 def test_ternary_serialization():
     assert TernaryTree().serialize() == "(-,-,-)"
-    t = TernaryTree(None, TernaryTree(), None)
+    t = TernaryTree((2, 0))
     assert t.serialize() == "(-,(-,-,-),-)"
     for tree in ternary_trees(3):
         assert TernaryTree.parse(tree.serialize()) == tree
@@ -48,13 +51,13 @@ def test_ordered_tree_counts():
 def test_ordered_tree_edges_vertices():
     for n in range(5):
         for t in ordered_trees(n):
-            assert t.edges() == n
+            assert len(t.shape) == n + 1
             assert len(left_path_order(t)) == n + 1
 
 
 def test_ordered_serialization():
     assert OrderedTree().serialize() == "()"
-    two_leaves = OrderedTree((OrderedTree(), OrderedTree()))
+    two_leaves = OrderedTree((2, 0, 0))
     assert two_leaves.serialize() == "(()())"
     for t in ordered_trees(5):
         assert OrderedTree.parse(t.serialize()) == t
@@ -74,21 +77,51 @@ def test_fc_tree_counts():
 def test_fc_tree_validation_and_serialization():
     leaf = FCOrderedTree()
     assert leaf.serialize() == "()"
-    parent = FCOrderedTree((leaf, leaf), 2)
+    parent = FCOrderedTree((2, 0, 0), (2, None, None))
     assert parent.serialize() == "(()()):2"
     assert FCOrderedTree.parse("(()()):2") == parent
-    nested = FCOrderedTree((parent, leaf), 1)
+    nested = FCOrderedTree((2, 2, 0, 0, 0), (1, 2, None, None, None))
+    assert nested.serialize() == "((()()):2()):1"
     assert FCOrderedTree.parse(nested.serialize()) == nested
     with pytest.raises(ValueError):
-        FCOrderedTree((leaf,), 2)
+        FCOrderedTree((1, 0), (2, None))
     with pytest.raises(ValueError):
-        FCOrderedTree((leaf,), None)
+        FCOrderedTree((1, 0), (None, None))
     with pytest.raises(ValueError):
-        FCOrderedTree((), 1)
+        FCOrderedTree((0,), (1,))
+    with pytest.raises(ValueError):
+        FCOrderedTree((1, 0), (1,))  # one favorite entry per vertex
     for text in ("(()())", "(()):01", "(()):0", "(()()):3", "():1", "(():1)"):
         with pytest.raises(ValueError):
             FCOrderedTree.parse(text)
     # an FC tree never equals the plain ordered tree of its shape
-    assert parent != OrderedTree((OrderedTree(), OrderedTree()))
+    assert parent != OrderedTree((2, 0, 0))
     assert leaf != OrderedTree()
 
+
+def test_tokens_name_the_vertex_that_writes_each_token():
+    tree = FCOrderedTree((2, 1, 0, 0), (2, 1, None, None))
+    assert list(tree.tokens()) == [
+        ("(", 0), ("(", 1), ("(", 2), (")", 2), ("):1", 1), ("(", 3), (")", 3), ("):2", 0),
+    ]
+    assert list(TernaryTree((4, 0)).tokens()) == [
+        ("(", 0), ("(", 1), ("-", 1), (",", 1), ("-", 1), (",", 1), ("-", 1), (")", 1),
+        (",", 0), ("-", 0), (",", 0), ("-", 0), (")", 0),
+    ]
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("cls, text", [
+    (TernaryTree, "(-," * DEEP + "(-,-,-)" + ",-)" * DEEP),
+    (OrderedTree, "(" * (DEEP + 1) + ")" * (DEEP + 1)),
+    (FCOrderedTree, "(" * (DEEP + 1) + ")" + "):1" * DEEP),
+], ids=["ternary", "ordered", "fc"])
+def test_equal_deep_trees_compare_and_hash_equal(recursion_room, cls, text):
+    with recursion_room():
+        one, other = cls.parse(text), cls.parse(text)
+        assert one is not other and one.shape is not other.shape
+        assert one == other and hash(one) == hash(other)
+        assert len(one.shape) == DEEP + 1
+        assert one.serialize() == text

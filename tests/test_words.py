@@ -193,3 +193,6 @@ def test_validate_pattern():
         validate_pattern((1, 3))
     with pytest.raises(BadPattern):
         validate_pattern(())
+    assert len(validate_pattern(range(1, 501))) == 500
+    with pytest.raises(BadPattern):
+        validate_pattern(range(1, 502))
