@@ -41,7 +41,9 @@ from itertools import islice, permutations, product
 from .errors import InvalidPair, NotAvoider
 from .generation import generate_avoiders
 from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees
-from .words import P123, P132, P213, contains, first_occurrences, format_word, is_stirling, stats
+from .words import (
+    P123, P132, P213, contains, contains_123, first_occurrences, format_word, is_stirling, stats,
+)
 
 FAMILIES = {"123": P123, "132": P132}  # the classes psi is a bijection on
 
@@ -151,7 +153,7 @@ def _check_permutation(perm, error=ValueError):
 def _check_pair(perm, s, family=None):
     """perm's segment lengths; InvalidPair unless (perm, s) is a pair (of the family, if given)."""
     _check_permutation(perm, InvalidPair)
-    if family and contains(perm, _family_pattern(family)):
+    if family and _contains_family(perm, family):
         raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
     comp = composition_of(perm)
     if len(s) != len(comp):
@@ -196,6 +198,12 @@ def _family_pattern(family):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return FAMILIES[family]
+
+
+def _contains_family(perm, family):
+    """True iff perm contains the family's pattern; one scan for 123."""
+    pattern = _family_pattern(family)
+    return contains_123(perm) if pattern == P123 else contains(perm, pattern)
 
 
 def involution_pair(pair):
@@ -249,7 +257,7 @@ def rho(perm):
     then labels are erased.
     """
     _check_permutation(perm)
-    if contains(perm, P123):
+    if contains_123(perm):
         raise NotAvoider(f"{format_word(perm)} contains 123")
     # Each entry hangs below a vertex smaller than itself, so a permutation
     # of 1..n always gives a tree on 0..n.

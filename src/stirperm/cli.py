@@ -16,7 +16,8 @@ Each biject map is its own subcommand and takes only what it uses: phi,
 rho and fc take --direction and a required --input, psi also --family, and
 verify a required --map and --n.  Any other option is a usage error.
 
-Each handler imports the modules it runs, so a call loads only those.
+Each handler imports the modules it runs, json included, so a call loads
+only those.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -24,13 +25,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 
 from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
 # stats is unused here but traced as cli.stats by the benchmark
-from .words import format_word, parse_word, stats, validate_pattern  # noqa: F401
+from .words import DIGITS, format_word, parse_word, stats, validate_pattern  # noqa: F401
 
 DEFAULT_LIMIT = 8
 
@@ -141,15 +141,31 @@ def build_parser():
 # -- enumerate ---------------------------------------------------------------
 
 
-# Per format: header and row ({0} word, {1} des, {2} asc, {3} plat), each
-# without and with --stats, then the row separator and the trailer.
+# Per format: header and row template ({0} word, {1} des, {2} asc, {3} plat),
+# each without and with --stats, then the row separator and the trailer.
+# cmd_enumerate splits a row template at {0}: the part before it is a
+# constant (its braces unescaped), the part after it is formatted once per
+# distinct (des, asc, plat), and a row is the word's text between the two.
+# Without --stats that part holds no field, so every triple gives one text.
 ENUMERATE_LAYOUTS = {
     "lines": (("", ""), ("{0}\n", "{0} {1} {2} {3}\n"), "", ""),
     "csv": (("word\n", "word,des,asc,plat\n"), ("{0}\n", "{0},{1},{2},{3}\n"), "", ""),
     "json": (("[", "["), ('"{0}"', '{{"word": "{0}", "des": {1}, "asc": {2}, "plat": {3}}}'),
              ", ", "]\n"),
 }
-ENUMERATE_BUFFER = 64  # rows per write
+ENUMERATE_BUFFER = 64  # rows per write; larger chunks write faster but raise peak RSS
+
+
+class _StatsText(dict):
+    """(des, asc, plat) -> a row's text after the word, formatted on first use."""
+
+    def __init__(self, template):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, key):
+        text = self[key] = self.template.format(None, *key)
+        return text
 
 
 def _row_limit(n, patterns):
@@ -186,9 +202,17 @@ def cmd_enumerate(args):
         _row_limit(args.n, patterns)
     fmt = args.format or ("csv" if args.stats else "lines")
     heads, rows, sep, tail = ENUMERATE_LAYOUTS[fmt]
-    row = rows[args.stats].format
+    before, _, after = rows[args.stats].partition("{0}")
+    before, after = before.format(), _StatsText(after)
     nodes = generation.generate_avoiders(args.n, patterns, with_stats=True)
-    lines = (row(format_word(word), des, asc, plat) for word, des, asc, plat, _ in nodes)
+    # A word of order n has exactly the letters 1..n, so the digit form
+    # that format_word would choose holds for every row iff n <= 9.
+    if args.n <= 9:
+        lines = (before + bytes(word).translate(DIGITS).decode("ascii") + after[des, asc, plat]
+                 for word, des, asc, plat, _ in nodes)
+    else:
+        lines = (before + ",".join(map(str, word)) + after[des, asc, plat]
+                 for word, des, asc, plat, _ in nodes)
     write = sys.stdout.write
     write(heads[args.stats])
     lead = ""
@@ -257,17 +281,19 @@ def cmd_series(args):
     if args.spec:
         spec = _assignments(args.spec.split(","), ser.vars, "variable", f"equation {args.eq}")
         ser = ser.specialize(spec)
-    print(json.dumps(ser.to_json_obj()) if args.format == "json"
-          else ", ".join(str(ser.coefficient(k)) for k in range(ser.order + 1)))
+    if args.format == "json":
+        import json
+
+        print(json.dumps(ser.to_json_obj()))
+    else:
+        print(", ".join(str(ser.coefficient(k)) for k in range(ser.order + 1)))
     return 0
 
 
 def _formula_params(func):
     """A formula's parameters: its positional names after n without a default."""
-    import inspect
-
-    params = list(inspect.signature(func).parameters.values())[1:]
-    return tuple(p.name for p in params if p.default is p.empty)
+    code = func.__code__
+    return code.co_varnames[1:code.co_argcount - len(func.__defaults__ or ())]
 
 
 def cmd_formula(args):
@@ -293,6 +319,8 @@ def cmd_formula(args):
         raise BadPattern(f"formula {args.formula_id} needs --param {','.join(missing)}")
     value = func(args.n, *[params[p] for p in names])
     if args.format == "json":
+        import json
+
         obj = value.to_json_obj() if isinstance(value, Polynomial) else {"value": str(value)}
         value = json.dumps(obj)
     print(value)
@@ -321,6 +349,8 @@ def _format_pair(pair):
 
 
 def cmd_biject(args):
+    import json
+
     from . import bijections
 
     if args.map == "verify":
@@ -380,6 +410,8 @@ def cmd_verify(args):
     skipped = sum(1 for r in results if r.status == "skip")
     code = 0 if passed and passed + skipped == len(results) else 1
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "checks": [_check_json(r, args.timings) for r in results],
             "summary": {"passed": passed, "skipped": skipped, "total": len(results)},

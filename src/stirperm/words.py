@@ -56,7 +56,8 @@ def parse_word(text):
     return letters
 
 
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# letter byte -> its ASCII digit, for the digit form of a word
+DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def format_word(word):
@@ -68,7 +69,7 @@ def format_word(word):
     """
     if max(word, default=0) > 9:
         return ",".join(map(str, word))
-    return bytes(word).translate(_DIGITS).decode("ascii")
+    return bytes(word).translate(DIGITS).decode("ascii")
 
 
 def is_stirling(word):
@@ -302,6 +303,24 @@ def split_gaps(word, pattern, cut):
 
     prefix(0, 0, -1)
     return bad
+
+
+def contains_123(word):
+    """contains(word, (1, 2, 3)) in one left-to-right pass.
+
+    The word holds 123 iff some letter exceeds a letter that already has a
+    smaller one before it; low is the least letter so far, and mid the
+    least letter so far with a smaller one before it.
+    """
+    low = mid = float("inf")
+    for x in word:
+        if x > mid:
+            return True
+        if x > low:  # and x <= mid
+            mid = x
+        else:
+            low = x
+    return False
 
 
 def avoids(word, patterns):

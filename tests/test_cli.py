@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,51 @@ def test_enumerate_output_is_byte_identical_to_whole_word_tallies(capsys, fmt, w
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == _expected_enumerate(n, fmt, with_stats, patterns), (n, argv)
+
+
+# The one (21)-avoider and the one (12)-avoider of orders 9 and 10 with their
+# des, asc and plat: the last order in digit form, the first in comma form.
+ONE_AVOIDER = {
+    (9, "21"): ("112233445566778899", 0, 8, 9),
+    (9, "12"): ("998877665544332211", 8, 0, 9),
+    (10, "21"): ("1,1,2,2,3,3,4,4,5,5,6,6,7,7,8,8,9,9,10,10", 0, 9, 10),
+    (10, "12"): ("10,10,9,9,8,8,7,7,6,6,5,5,4,4,3,3,2,2,1,1", 9, 0, 10),
+}
+
+
+@pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_enumerate_digit_and_comma_forms_at_orders_9_and_10(capsys, fmt, with_stats):
+    for (n, avoid), (w, d, a, p) in ONE_AVOIDER.items():
+        argv = ["enumerate", "--n", str(n), "--force", "--avoid", avoid, "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv + ["--stats"] * with_stats)
+        assert code == 0
+        assert out == {
+            ("lines", False): f"{w}\n",
+            ("lines", True): f"{w} {d} {a} {p}\n",
+            ("csv", False): f"word\n{w}\n",
+            ("csv", True): f"word,des,asc,plat\n{w},{d},{a},{p}\n",
+            ("json", False): f'["{w}"]\n',
+            ("json", True): f'[{{"word": "{w}", "des": {d}, "asc": {a}, "plat": {p}}}]\n',
+        }[fmt, with_stats], argv
+    for n in (9, 10):
+        argv = ["enumerate", "--n", str(n), "--force", "--avoid", "1", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv + ["--stats"] * with_stats)
+        assert code == 0
+        assert out == {"lines": "", "csv": "word,des,asc,plat\n" if with_stats else "word\n",
+                       "json": "[]\n"}[fmt], argv
+
+
+def test_enumerate_reproduces_the_benchmark_reference_digests(capsys):
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text()
+    )["sha256"]
+    for pattern in ("213", "123", "132", "1233", None):
+        argv = ["enumerate", "--n", "7", "--stats"] + (["--avoid", pattern] if pattern else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == reference[f"enum-{pattern or 'all'}"], argv
 
 
 def test_enumerate_bad_pattern(capsys):
@@ -430,6 +476,16 @@ def test_biject_2000_level_trees_round_trip(capsys, recursion_room, name):
         assert code == 0
         code, out, _ = run_cli(capsys, "biject", name, "--input", word.strip())
     assert code == 0 and out == tree + "\n"
+
+
+@pytest.mark.parametrize("name", ["rho", "fc"])
+def test_biject_forward_on_a_10000_entry_123_avoider(capsys, name):
+    # n..1 avoids 123; the check is one scan, not a quadratic search
+    decreasing = ",".join(map(str, range(10_000, 0, -1)))
+    word = {"rho": decreasing, "fc": decreasing + "|" + ",".join(["1"] * 10_000)}[name]
+    code, out, err = run_cli(capsys, "biject", name, "--input", word)
+    assert code == 0 and err == ""
+    assert out == deep_trees(10_000)[name] + "\n"
 
 
 def test_biject_not_avoider(capsys):

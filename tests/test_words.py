@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from stirperm.errors import BadPattern
 from stirperm.generation import double_factorial_odd, generate_all
 from stirperm.words import (
     contains,
+    contains_123,
     count_adjacent_122,
     count_occurrences,
     first_occurrences,
@@ -87,6 +90,16 @@ def test_contains_examples():
     assert not contains((2, 2, 1, 1), (1, 1, 2, 2))
     assert contains((1, 2, 2, 1), (1, 2, 2))
     assert contains((2, 1, 3, 3, 1, 2), (2, 1, 3))
+
+
+def test_contains_123_scan_agrees_with_contains():
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert contains_123(perm) == contains(perm, (1, 2, 3)), perm
+    # repeated letters: equal letters never make an increase
+    for n in range(5):
+        for word in generate_all(n):
+            assert contains_123(word) == contains(word, (1, 2, 3)), word
 
 
 def test_contains_with_a_split():
