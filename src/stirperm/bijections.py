@@ -42,10 +42,12 @@ from .errors import InvalidPair, NotAvoider
 from .generation import generate_avoiders
 from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees
 from .words import (
-    P123, P132, P213, contains, contains_123, first_occurrences, format_word, is_stirling, stats,
+    P123, P132, P213, contains, contains_123, contains_132, first_occurrences, format_word,
+    is_stirling, stats,
 )
 
-FAMILIES = {"123": P123, "132": P132}  # the classes psi is a bijection on
+# the classes psi is a bijection on: each one's pattern and its one-pass scan
+FAMILIES = {"123": (P123, contains_123), "132": (P132, contains_132)}
 
 
 # -- phi: 213-avoiders and ternary trees ------------------------------------
@@ -153,7 +155,7 @@ def _check_permutation(perm, error=ValueError):
 def _check_pair(perm, s, family=None):
     """perm's segment lengths; InvalidPair unless (perm, s) is a pair (of the family, if given)."""
     _check_permutation(perm, InvalidPair)
-    if family and _contains_family(perm, family):
+    if family and _family(family)[1](perm):
         raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
     comp = composition_of(perm)
     if len(s) != len(comp):
@@ -194,16 +196,10 @@ def psi_inverse(pair, family):
     return _rebuild_word(perm, s)
 
 
-def _family_pattern(family):
+def _family(family):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return FAMILIES[family]
-
-
-def _contains_family(perm, family):
-    """True iff perm contains the family's pattern; one scan for 123."""
-    pattern = _family_pattern(family)
-    return contains_123(perm) if pattern == P123 else contains(perm, pattern)
 
 
 def involution_pair(pair):
@@ -384,7 +380,7 @@ def verify_phi(n):
 
 def verify_psi(n, family="123"):
     """Round-trip of psi and its plateau/descent bookkeeping on one class."""
-    pattern = _family_pattern(family)
+    pattern, _ = _family(family)
     checked = failures = transport_failures = 0
     images = set()
     for word in generate_avoiders(n, (pattern,)):

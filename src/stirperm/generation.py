@@ -51,10 +51,11 @@ def occurrence_split(pattern):
     or more times, or twice but not adjacently, no insertion creates an
     occurrence and the result is None.  Otherwise it is (rest, cut): rest
     is the pattern with m deleted and cut the index of m's first copy, and
-    inserting n,n at position pos of a word creates an occurrence iff
-    contains(word, rest, (cut, pos)), i.e. iff bit pos of
-    split_gaps(word, rest, cut) is set.  When the pattern is only m or m,m,
-    rest is empty and every insertion creates one.
+    inserting n,n at position pos of a word creates an occurrence iff some
+    occurrence of rest in the word has its first cut letters before pos and
+    the others at or after it, i.e. iff bit pos of split_gaps(word, rest,
+    cut) is set.  When the pattern is only m or m,m, rest is empty and every
+    insertion creates one.
     """
     m = max(pattern)
     where = [i for i, x in enumerate(pattern) if x == m]
@@ -74,8 +75,10 @@ def _walk(n, patterns):
     letter below every other, only two of these are added.  adj122
     (count_adjacent_122) gains pos, the letters left of the new plateau,
     and loses the share of the plateau that the insertion splits, if any.
-    The gaps where some split test of occurrence_split finds an occurrence
-    using the new pair come from one split_gaps call per split and parent.
+    A gap is bad when, for some split (rest, cut) of occurrence_split, an
+    occurrence of rest in the parent has its first cut letters before the
+    gap and the others after it; the bad gaps come from one split_gaps call
+    per split and parent, and no child is built there.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")

@@ -112,7 +112,9 @@ def stats(word):
     return StatVector(des, asc, plat)
 
 
-# The containment searches recurse once per pattern letter.
+# _fit, the one containment search, recurses once per pattern letter, and so
+# does split_gaps's prefix search before it hands the rest to _fit; this cap
+# keeps both well inside Python's default recursion limit.
 MAX_PATTERN_LETTERS = 500
 
 
@@ -150,84 +152,55 @@ def _fits(assigned, value, letter):
     return True
 
 
-def _occurrences(word, pattern, limit, split=None):
-    """Count tuples of positions realizing the pattern, up to limit.
+def _fit(word, pattern, pi, start, assigned):
+    """True iff pattern[pi:] can take positions of the word from start on.
+
+    assigned maps the pattern values already placed to their word letters:
+    a value placed already must reappear as the same letter, a new one must
+    fit beside them (_fits).  assigned is restored before returning.
+    """
+    k = len(pattern)
+    if pi == k:
+        return True
+    t = pattern[pi]
+    bound = assigned.get(t)
+    for wj in range(start, len(word) - (k - pi) + 1):
+        w = word[wj]
+        if bound is not None:
+            if w == bound and _fit(word, pattern, pi + 1, wj + 1, assigned):
+                return True
+        elif not assigned or _fits(assigned, t, w):
+            assigned[t] = w
+            found = _fit(word, pattern, pi + 1, wj + 1, assigned)
+            del assigned[t]
+            if found:
+                return True
+    return False
+
+
+def contains(word, pattern):
+    """True iff some subsequence of the word realizes the pattern.
 
     Equal pattern letters demand equal word letters; distinct pattern
     letters demand the same strict order between the chosen word letters.
-    With split = (cut, at), only tuples whose first cut positions lie
-    before position at and whose others lie at or after it are counted.
     """
-    k = len(pattern)
-    n = len(word)
-    if k == 0:
-        return 1
-    if k > n:
-        return 0
-    cut, at = split or (0, 0)
-    found = 0
-    assigned = {}  # pattern value -> word letter committed to it
-
-    def rec(pi, start):
-        nonlocal found
-        t = pattern[pi]
-        bound = assigned.get(t)
-        last = pi == k - 1
-        stop = n - (k - pi) + 1
-        if pi < cut:
-            stop = min(stop, at - (cut - pi) + 1)
-        elif start < at:
-            start = at
-        for wj in range(start, stop):
-            w = word[wj]
-            if bound is not None:
-                if w != bound:
-                    continue
-                if last:
-                    found += 1
-                    if found >= limit:
-                        return True
-                elif rec(pi + 1, wj + 1):
-                    return True
-            else:
-                if not _fits(assigned, t, w):
-                    continue
-                assigned[t] = w
-                if last:
-                    found += 1
-                    if found >= limit:
-                        del assigned[t]
-                        return True
-                elif rec(pi + 1, wj + 1):
-                    del assigned[t]
-                    return True
-                del assigned[t]
-        return False
-
-    rec(0, 0)
-    return found
-
-
-def contains(word, pattern, split=None):
-    """True iff some subsequence of the word realizes the pattern.
-
-    An optional split = (cut, at) keeps only the occurrences whose first
-    cut letters lie before position at and whose others lie at or after it.
-    """
-    return _occurrences(word, pattern, 1, split) > 0
+    return _fit(word, pattern, 0, 0, {})
 
 
 def split_gaps(word, pattern, cut):
     """Bitmask of the gaps at which the word holds the pattern split at cut.
 
-    Bit at, for 0 <= at <= len(word), is set iff contains(word, pattern,
-    (cut, at)): iff some occurrence o has o[cut-1] < at <= o[cut], the
-    bound being open at the left when cut is 0 and at the right when cut
-    is len(pattern).  For one placement of the first cut letters these
+    An occurrence is a tuple o of positions whose letters realize the
+    pattern (see contains).  Bit at, for 0 <= at <= len(word), is set iff
+    some occurrence o has o[cut-1] < at <= o[cut], the bound being open at
+    the left when cut is 0 and at the right when cut is len(pattern): iff
+    the first cut letters of o lie before position at and the others at or
+    after it.  For one placement of the first cut letters these
     gaps form an interval that ends at the largest position o[cut] can
     take, so one search finds all of them: it tries o[cut] from the right
     and stops at the first gap the mask already holds, and it drops every
-    placement whose interval the mask already covers.
+    placement whose interval the mask already covers.  The letters after
+    the cut are placed by _fit.
     """
     k, n = len(pattern), len(word)
     if k == 0:
@@ -244,25 +217,6 @@ def split_gaps(word, pattern, cut):
         bad |= (1 << (end + 1)) - (1 << (last + 1))
         covered = (~bad & ((1 << (top + 1)) - 1)).bit_length() - 1
 
-    def suffix(pi, start):
-        """True iff pattern[pi:] can take positions from start on."""
-        if pi == k:
-            return True
-        t = pattern[pi]
-        bound = assigned.get(t)
-        for wj in range(start, n - (k - pi) + 1):
-            w = word[wj]
-            if bound is not None:
-                if w == bound and suffix(pi + 1, wj + 1):
-                    return True
-            elif not assigned or _fits(assigned, t, w):
-                assigned[t] = w
-                found = suffix(pi + 1, wj + 1)
-                del assigned[t]
-                if found:
-                    return True
-        return False
-
     def prefix(pi, start, last):
         """Place pattern[pi:cut] from start on, then mark each interval."""
         if pi == cut:
@@ -276,10 +230,10 @@ def split_gaps(word, pattern, cut):
             for wj in range(top, first - 1, -1):
                 w = word[wj]
                 if bound is not None:
-                    found = w == bound and suffix(cut + 1, wj + 1)
+                    found = w == bound and _fit(word, pattern, cut + 1, wj + 1, assigned)
                 elif not assigned or _fits(assigned, t, w):
                     assigned[t] = w
-                    found = suffix(cut + 1, wj + 1)
+                    found = _fit(word, pattern, cut + 1, wj + 1, assigned)
                     del assigned[t]
                 else:
                     found = False
@@ -323,13 +277,29 @@ def contains_123(word):
     return False
 
 
+def contains_132(word):
+    """contains(word, (1, 3, 2)) in one right-to-left pass.
+
+    The stack holds, in increasing order from the top, the letters seen so
+    far that no larger letter has followed in the scan; a letter pops those
+    below it, and two is the largest letter popped so far, a "2" with a
+    larger "3" to its left.  The word holds 132 iff some letter further left
+    is below two.  The comparisons are strict, so equal letters never stand
+    for distinct pattern values.
+    """
+    two = float("-inf")
+    stack = []
+    for x in reversed(word):
+        if x < two:
+            return True
+        while stack and stack[-1] < x:
+            two = stack.pop()
+        stack.append(x)
+    return False
+
+
 def avoids(word, patterns):
     return all(not contains(word, pat) for pat in patterns)
-
-
-def count_occurrences(word, pattern):
-    """Number of position tuples realizing the pattern in the word."""
-    return _occurrences(word, pattern, float("inf"))
 
 
 def count_adjacent_122(word):

@@ -162,6 +162,18 @@ def test_enumerate_walks_1200_orders_without_recursion(capsys, recursion_room):
         assert code == 0 and out == ""
 
 
+def test_enumerate_takes_a_pattern_at_the_letter_cap(capsys):
+    # 1,1,...,250,250: the split search places 498 letters before the cut
+    pattern = ",".join(str(k) for k in range(1, 251) for _ in "ab")
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "249", "--force", "--avoid", "21",
+                           "--avoid", pattern)
+    assert code == 0
+    assert out == ",".join(str(k) for k in range(1, 250) for _ in "ab") + "\n"
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "250", "--force", "--avoid", "21",
+                           "--avoid", pattern)
+    assert code == 0 and out == ""
+
+
 def test_enumerate_refuses_a_pattern_the_searches_cannot_take(capsys):
     # 1,1,2,2,...,600,600: the split search would recurse 1,198 letters deep
     pattern = ",".join(str(k) for k in range(1, 601) for _ in "ab")
@@ -486,6 +498,16 @@ def test_biject_forward_on_a_10000_entry_123_avoider(capsys, name):
     code, out, err = run_cli(capsys, "biject", name, "--input", word)
     assert code == 0 and err == ""
     assert out == deep_trees(10_000)[name] + "\n"
+
+
+def test_biject_psi_inverse_of_a_10000_entry_132_avoider(capsys):
+    # n..1 avoids 132; the check is one scan, not a quadratic search
+    pair = ",".join(map(str, range(10_000, 0, -1))) + "|" + ",".join(["1"] * 10_000)
+    code, out, err = run_cli(
+        capsys, "biject", "psi", "--direction", "inv", "--family", "132", "--input", pair
+    )
+    assert code == 0 and err == ""
+    assert out == ",".join(str(k) for k in range(10_000, 0, -1) for _ in "ab") + "\n"
 
 
 def test_biject_not_avoider(capsys):

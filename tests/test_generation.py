@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +15,8 @@ from stirperm.generation import (
     second_order_eulerian,
 )
 from stirperm.polynomials import Polynomial
-from stirperm.words import (
-    avoids,
-    contains,
-    count_adjacent_122,
-    count_occurrences,
-    is_stirling,
-    parse_word,
-    split_gaps,
-    stats,
-)
+from stirperm.words import avoids, count_adjacent_122, is_stirling, split_gaps, stats
+from tests.occurrences import PATTERNS, realizes, split_mask
 
 PQR = ("p", "q", "r")
 PZ = ("p", "z")
@@ -117,12 +109,6 @@ def test_negative_order_rejected():
         list(generate_all(-1))
 
 
-PATTERNS = [(p,) for p in permutations((1, 2, 3))] + [
-    (parse_word(p),)
-    for p in ("1", "11", "111", "12", "21", "1122", "1212", "1221", "1233", "2133", "3312", "1234")
-] + [(P213, (1, 2, 3, 3)), (P123, P132)]
-
-
 def test_avoiders_are_the_naive_filter_in_the_same_order():
     for n in range(7):
         words = list(generate_all(n))
@@ -182,13 +168,16 @@ def test_split_test_detects_exactly_the_new_occurrences(case):
     prev, pattern, pos = case
     n = len(prev) // 2 + 1
     child = prev[:pos] + (n, n) + prev[pos:]
+    # a new occurrence is one that uses a letter of the inserted pair
+    new = any(
+        (pos in o or pos + 1 in o) and realizes(child, o, pattern)
+        for o in combinations(range(len(child)), len(pattern))
+    )
     split = occurrence_split(pattern)
-    new = split is not None and contains(prev, split[0], (split[1], pos))
-    assert new == (count_occurrences(child, pattern) > count_occurrences(prev, pattern))
-    if split is not None:
-        rest, cut = split
-        gaps = split_gaps(prev, rest, cut)
-        assert {at for at in range(len(prev) + 1) if gaps >> at & 1} == {
-            at for at in range(len(prev) + 1) if contains(prev, rest, (cut, at))
-        }
-        assert gaps >> (len(prev) + 1) == 0
+    if split is None:
+        assert not new
+        return
+    rest, cut = split
+    gaps = split_gaps(prev, rest, cut)
+    assert gaps == split_mask(prev, rest, cut)
+    assert new == bool(gaps >> pos & 1)

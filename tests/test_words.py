@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from stirperm.errors import BadPattern
 from stirperm.generation import double_factorial_odd, generate_all
 from stirperm.words import (
+    MAX_PATTERN_LETTERS,
     contains,
     contains_123,
+    contains_132,
     count_adjacent_122,
-    count_occurrences,
     first_occurrences,
     format_word,
     is_stirling,
@@ -19,6 +20,7 @@ from stirperm.words import (
     stats,
     validate_pattern,
 )
+from tests.occurrences import PATTERNS, count, split_mask
 
 
 def multiset_words(n):
@@ -102,15 +104,21 @@ def test_contains_123_scan_agrees_with_contains():
             assert contains_123(word) == contains(word, (1, 2, 3)), word
 
 
-def test_contains_with_a_split():
-    # occurrences of 21 in 2112: positions (0, 1) and (0, 2)
-    word, pattern = (2, 1, 1, 2), (2, 1)
-    assert contains(word, pattern, (2, 2))
-    assert not contains(word, pattern, (2, 1))
-    assert contains(word, pattern, (1, 1))
-    assert not contains(word, pattern, (1, 3))
-    assert not contains(word, pattern, (0, 3))
-    assert contains(word, (), (0, 4))
+def test_contains_132_scan_agrees_with_contains():
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert contains_132(perm) == contains(perm, (1, 3, 2)), perm
+    # repeated letters: equal letters never stand for distinct values
+    for n in range(5):
+        for word in generate_all(n):
+            assert contains_132(word) == contains(word, (1, 3, 2)), word
+
+
+def test_contains_a_pattern_at_the_letter_cap():
+    # one recursion per pattern letter stays inside the default limit
+    word = tuple(k for k in range(1, MAX_PATTERN_LETTERS // 2 + 1) for _ in "ab")
+    assert contains(word, word)
+    assert not contains(word[:-1], word)
 
 
 def test_split_gaps_are_the_gaps_of_the_split_occurrences():
@@ -126,19 +134,24 @@ def test_split_gaps_are_the_gaps_of_the_split_occurrences():
     assert gaps(2) == {2, 3, 4}
     assert split_gaps(word, (), 0) == 0b11111
     assert split_gaps(word, (1, 2, 3), 1) == 0
+    assert all(split_gaps(word, pattern, cut) == split_mask(word, pattern, cut) for cut in range(3))
 
 
 def test_count_occurrences_examples():
-    assert count_occurrences((1, 1, 2, 2), (1, 2, 2)) == 2
-    assert count_occurrences((1, 2, 2, 1), (1, 2, 2)) == 1
-    assert count_occurrences((2, 2, 1, 1), (1, 2, 2)) == 0
+    # the brute reference itself
+    assert count((1, 1, 2, 2), (1, 2, 2)) == 2
+    assert count((1, 2, 2, 1), (1, 2, 2)) == 1
+    assert count((2, 2, 1, 1), (1, 2, 2)) == 0
+    assert count((2, 1, 1, 2), (2, 1)) == 2
+    assert count((1, 2), ()) == 1
 
 
 def test_contains_iff_positive_count():
-    patterns = [(2, 1, 3), (1, 2, 3), (1, 2, 2), (1, 1, 2, 2)]
-    for w in generate_all(4):
-        for pat in patterns:
-            assert contains(w, pat) == (count_occurrences(w, pat) > 0)
+    for n in range(5):
+        for w in generate_all(n):
+            for patterns in PATTERNS:
+                for pat in patterns:
+                    assert contains(w, pat) == (count(w, pat) > 0), (w, pat)
 
 
 def test_count_adjacent_122():
@@ -147,7 +160,7 @@ def test_count_adjacent_122():
     assert count_adjacent_122((2, 2, 1, 1)) == 0
     # the split pair of 2s is not adjacent, so only the 3-plateau counts
     assert count_adjacent_122((1, 2, 3, 3, 2, 1)) == 2
-    assert count_occurrences((1, 2, 3, 3, 2, 1), (1, 2, 2)) == 3
+    assert count((1, 2, 3, 3, 2, 1), (1, 2, 2)) == 3
 
 
 def test_first_occurrences():
