@@ -62,26 +62,52 @@ def phi(word):
     of its letters, since a letter with one copy on each side of an m would
     enclose a smaller letter.  A split out of the order that the module
     docstring states raises NotAvoider.
+
+    The block of a letter x, the one x is smallest in, is the longest run
+    of letters >= x around its copies, so it ends at the nearest smaller
+    letters l before and r after them (0 past an end).  The larger of the
+    two is x's parent p: x hangs in p's vertical block when l = r = p, else
+    in its left block when p = r, its right block when p = l.  So two
+    nearest-smaller-letter passes give every block in O(n), and each
+    block's largest letter, taken child before parent, gives the checks.
     """
     if not word:
         raise ValueError("phi is defined for order >= 1")
     if not is_stirling(word):
         raise ValueError(f"not a Stirling permutation: {format_word(word)}")
-    shape = []
-    stack = [(0, len(word))]  # the blocks still to split, as index ranges
+    n = len(word) // 2
+    lefts, rights = _nearest_smaller(word, n), _nearest_smaller(reversed(word), n)
+    kids = [[0, 0, 0] for _ in range(n + 1)]  # per letter: left, vertical, right child
+    top = list(range(n + 1))  # per letter: the largest letter of its block
+    for x in range(n, 1, -1):
+        l, r = lefts[x], rights[x]
+        parent = max(l, r)
+        kids[parent][(l >= r) + (l > r)] = x  # left if l < r, vertical if l = r, else right
+        top[parent] = max(top[parent], top[x])
+    shape, stack = [], [1]
     while stack:
-        lo, hi = stack.pop()
-        low = min(word[lo:hi])
-        i = word.index(low, lo, hi)
-        j = word.index(low, i + 1, hi)
-        left, vertical, right = word[lo:i], word[i + 1 : j], word[j + 1 : hi]
-        top_right = max(right, default=0)
-        below = max(max(vertical, default=0), top_right)
-        if (left and min(left) <= below) or (vertical and min(vertical) <= top_right):
+        left, vertical, right = kids[stack.pop()]
+        below = max(top[vertical], top[right])
+        if (left and left <= below) or (vertical and vertical <= top[right]):
             raise NotAvoider(f"{format_word(word)} contains 213")
         shape.append(4 * bool(left) | 2 * bool(vertical) | bool(right))
-        stack += [block for block in ((j + 1, hi), (i + 1, j), (lo, i)) if block[0] < block[1]]
+        stack += [child for child in (right, vertical, left) if child]
     return TernaryTree(tuple(shape))
+
+
+def _nearest_smaller(word, n):
+    """The nearest smaller letter before each letter's first copy, or 0.
+
+    Indexed by letter; word is a Stirling permutation of order n.
+    """
+    out, stack = [0] * (n + 1), [0]
+    for x in word:
+        while stack[-1] > x:
+            stack.pop()
+        if stack[-1] < x:  # a first copy; at a second, x is on top
+            out[x] = stack[-1]
+            stack.append(x)
+    return out
 
 
 def phi_inverse(tree):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
+from functools import cache
+from itertools import accumulate, islice
 
 from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
 # stats is unused here but traced as cli.stats by the benchmark
@@ -144,9 +145,9 @@ def build_parser():
 # Per format: header and row template ({0} word, {1} des, {2} asc, {3} plat),
 # each without and with --stats, then the row separator and the trailer.
 # cmd_enumerate splits a row template at {0}: the part before it is a
-# constant (its braces unescaped), the part after it is formatted once per
-# distinct (des, asc, plat), and a row is the word's text between the two.
-# Without --stats that part holds no field, so every triple gives one text.
+# constant (its braces unescaped), the part after it is formatted for each
+# gap kind once per distinct (des, asc, plat) of a parent, and the word's
+# text between the two is cut from its parent's text.
 ENUMERATE_LAYOUTS = {
     "lines": (("", ""), ("{0}\n", "{0} {1} {2} {3}\n"), "", ""),
     "csv": (("word\n", "word,des,asc,plat\n"), ("{0}\n", "{0},{1},{2},{3}\n"), "", ""),
@@ -154,18 +155,6 @@ ENUMERATE_LAYOUTS = {
              ", ", "]\n"),
 }
 ENUMERATE_BUFFER = 64  # rows per write; larger chunks write faster but raise peak RSS
-
-
-class _StatsText(dict):
-    """(des, asc, plat) -> a row's text after the word, formatted on first use."""
-
-    def __init__(self, template):
-        super().__init__()
-        self.template = template
-
-    def __missing__(self, key):
-        text = self[key] = self.template.format(None, *key)
-        return text
 
 
 def _row_limit(n, patterns):
@@ -181,7 +170,7 @@ def _row_limit(n, patterns):
         bound = generation.double_factorial_odd(n)
         what = f"{bound} permutations"
     else:
-        avoiders = generation.generate_avoiders(n - 1, patterns)
+        avoiders = generation.generate_avoiders(n - 1, patterns, form="leaves")
         parents = sum(1 for _ in islice(avoiders, cap // (2 * n - 1) + 1))
         bound = (2 * n - 1) * parents
         what = (f"a bound of {bound} rows: {2 * n - 1} per order-{n - 1} avoider, "
@@ -197,30 +186,41 @@ def _row_limit(n, patterns):
 def cmd_enumerate(args):
     from . import generation
 
-    patterns = tuple(validate_pattern(parse_word(p)) for p in args.avoid)
-    if args.n > DEFAULT_LIMIT and not args.force:
-        _row_limit(args.n, patterns)
+    n, patterns = args.n, tuple(validate_pattern(parse_word(p)) for p in args.avoid)
+    if n > DEFAULT_LIMIT and not args.force:
+        _row_limit(n, patterns)
     fmt = args.format or ("csv" if args.stats else "lines")
     heads, rows, sep, tail = ENUMERATE_LAYOUTS[fmt]
     before, _, after = rows[args.stats].partition("{0}")
-    before, after = before.format(), _StatsText(after)
-    nodes = generation.generate_avoiders(args.n, patterns, with_stats=True)
-    # A word of order n has exactly the letters 1..n, so the digit form
-    # that format_word would choose holds for every row iff n <= 9.
-    if args.n <= 9:
-        lines = (before + bytes(word).translate(DIGITS).decode("ascii") + after[des, asc, plat]
-                 for word, des, asc, plat, _ in nodes)
-    else:
-        lines = (before + ",".join(map(str, word)) + after[des, asc, plat]
-                 for word, des, asc, plat, _ in nodes)
+    before = before.format()
+
+    @cache
+    def ends(des, asc, plat):  # a parent's stats texts, one per gap kind
+        return [after.format(None, des + dd, asc + da, plat + dp)
+                for dd, da, dp in generation.STEPS]
+
+    # A row is its parent's text with n,n spliced in at the gap.  A word of
+    # order n has exactly the letters 1..n, so format_word's digit form holds
+    # iff n <= 9, cut at the positions; the comma form cuts ",a,b,..." before
+    # each comma, splices in ",n,n" and drops the leading comma.
+    pair, skip = (str(n) * 2 if n else "", 0) if n <= 9 else (f",{n},{n}", 1)
+    cuts, parent, lead, chunk = list(range(2 * n + 1)), None, heads[args.stats], []
     write = sys.stdout.write
-    write(heads[args.stats])
-    lead = ""
-    for chunk in iter(lambda: list(islice(lines, ENUMERATE_BUFFER)), []):
-        write(lead)
-        write(sep.join(chunk))
-        lead = sep
-    write(tail)
+    for node, pos, kind in generation.generate_avoiders(n, patterns, form="leaves"):
+        if len(chunk) == ENUMERATE_BUFFER:  # flushed before a row, so the last is never empty
+            write(lead + sep.join(chunk))
+            lead, chunk = sep, []
+        if node is not parent:
+            parent, (word, des, asc, plat, _) = node, node
+            tails = ends(des, asc, plat)
+            if not skip:
+                text = bytes(word).translate(DIGITS).decode("ascii")
+            else:
+                parts = [f",{x}" for x in word]
+                text, cuts = "".join(parts), [0, *accumulate(map(len, parts))]
+        o = cuts[pos]
+        chunk.append(before + (text[:o] + pair + text[o:])[skip:] + tails[kind])
+    write(lead + sep.join(chunk) + tail)
     return 0
 
 

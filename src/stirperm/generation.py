@@ -8,17 +8,25 @@ Pinzani): deleting the adjacent pair n,n from an avoider leaves an avoider,
 so the children of the order n-1 avoiders are the only candidates, and a
 child is kept unless some occurrence uses its new pair (see
 occurrence_split).  One walk down that tree (_walk) serves every reader.
-It carries each word's des, asc, plat and count_adjacent_122 from parent
-to child in O(1), the bookkeeping of West's generating trees ("Generating
-trees and the Catalan and Schroeder numbers", Discrete Math. 1995), and it
-finds a parent's bad gaps with one split_gaps pass per split.  The
-whole-word functions words.stats and words.count_adjacent_122 tally only
-the root; the tests check the carried values against them.
+It yields each order-n avoider as a leaf: its parent, the order n-1 node,
+plus the gap that takes the new pair.  The gap's kind alone fixes what the
+pair adds to the parent's des, asc and plat (STEPS), the bookkeeping of
+West's generating trees ("Generating trees and the Catalan and Schroeder
+numbers", Discrete Math. 1995), and one step rule (_child) turns a leaf
+into the child's node, carrying count_adjacent_122 too.  Words are built
+only for the inner orders of the walk and for readers that ask for them:
+distribution and second_order_eulerian tally the leaves, and the CLI cuts
+each row from its parent's text.  The walk finds a parent's bad gaps with
+one split_gaps pass per split.  The whole-word functions words.stats and
+words.count_adjacent_122 tally only the root; the tests check the carried
+values against them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby, starmap
+from operator import itemgetter
 
 from .polynomials import PQR, PZ, Polynomial
 from .words import avoids, count_adjacent_122, split_gaps, stats
@@ -39,8 +47,7 @@ def generate_all(n):
     order n-1 word counting from the right end, so the stream for n=2 is
     1122, 1221, 2211.
     """
-    for node in _walk(n, ()):
-        yield node[0]
+    yield from starmap(_word, _walk(n, ()))
 
 
 def occurrence_split(pattern):
@@ -64,21 +71,36 @@ def occurrence_split(pattern):
     return tuple(x for x in pattern if x != m), where[0]
 
 
-def _walk(n, patterns):
-    """Yield (word, des, asc, plat, adj122) for each order-n avoider.
+# The kinds of gap that the new pair n,n can go into, and the (des, asc,
+# plat) that inserting it there adds to the parent's.  The pair turns the
+# gap's neighbours a, b into a, n, n, b.  An ascent a < b, or the left end
+# (where the missing neighbour acts as a letter below every other), gains a
+# plateau and a descent; a descent a > b, or the right end, a plateau and an
+# ascent; a plateau a = b becomes an ascent and a descent.  The empty word's
+# one gap gains the plateau alone.  ROOT marks the order-0 word itself, the
+# one avoider with no parent, to which nothing is added.
+ASCENT, DESCENT, PLATEAU, EMPTY, ROOT = range(5)
+STEPS = ((1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1), (0, 0, 0))
+FORMS = ("words", "nodes", "leaves")
 
-    A depth-first walk down the generating tree, with _children as the one
-    insertion loop of this module.  The root's statistics are tallied over
-    the (empty) word; every child updates its parent's in O(1).  Inserting
-    n,n at pos replaces the pair (prev[pos-1], prev[pos]) with an ascent, a
-    plateau and a descent; at an end, where the missing neighbour acts as a
-    letter below every other, only two of these are added.  adj122
-    (count_adjacent_122) gains pos, the letters left of the new plateau,
-    and loses the share of the plateau that the insertion splits, if any.
-    A gap is bad when, for some split (rest, cut) of occurrence_split, an
-    occurrence of rest in the parent has its first cut letters before the
-    gap and the others after it; the bad gaps come from one split_gaps call
-    per split and parent, and no child is built there.
+
+def _walk(n, patterns):
+    """Yield a leaf (parent, pos, kind) for each order-n avoider.
+
+    A leaf is a parent plus a gap: the avoider is the order n-1 node parent,
+    a tuple (word, des, asc, plat, adj122), with n,n inserted at position
+    pos, into a gap of the given kind (see STEPS).  _child, the step rule,
+    turns a leaf into the avoider's node, and _word into its word alone.
+    The walk builds nodes only for the inner orders, whose words it must
+    split, and leaves the order-n words to the readers that ask for them.
+    The order-0 avoider is the leaf (root, 0, ROOT).
+
+    A depth-first walk down the generating tree.  The root's statistics are
+    tallied over the (empty) word; every child updates its parent's in O(1)
+    (or O(n) for adj122).  A gap is bad when, for some split (rest, cut) of
+    occurrence_split, an occurrence of rest in the parent has its first cut
+    letters before the gap and the others after it; the bad gaps come from
+    one split_gaps call per split and parent, and yield no leaf.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -87,7 +109,7 @@ def _walk(n, patterns):
     s = stats(())
     root = ((), s.des, s.asc, s.plat, count_adjacent_122(()))
     if n == 0:
-        yield root
+        yield root, 0, ROOT
         return
     splits = [split for split in map(occurrence_split, patterns) if split is not None]
     # Depth first with an explicit stack of child streams, one per order
@@ -97,37 +119,54 @@ def _walk(n, patterns):
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
-        elif len(stack) == n:  # an order n - 1 node: its children are order n
-            yield from _children(node, splits)
+        elif len(stack) == n:  # an order n - 1 node: its leaves are order n
+            yield from _leaves(node, splits)
         else:
-            stack.append(_children(node, splits))
+            stack.append(starmap(_child, _leaves(node, splits)))
 
 
-def _children(node, splits):
-    """The children of one walk node, with their carried statistics."""
-    prev, des, asc, plat, adj = node
+def _leaves(node, splits):
+    """The leaves under one node: (node, pos, kind) for each gap it keeps."""
+    prev = node[0]
     bad = 0
     for rest, cut in splits:
         bad |= split_gaps(prev, rest, cut)
-    new = (len(prev) // 2 + 1,) * 2
-    padded = (0,) + prev + (0,)
-    for pos in range(len(prev), -1, -1):
-        if bad >> pos & 1:
-            continue
-        word = prev[:pos] + new + prev[pos:]
-        a, b = padded[pos], padded[pos + 1]
-        if a < b:  # an ascent, or the left end
-            yield word, des + 1, asc, plat + 1, adj + pos
-        elif a > b:  # a descent, or the right end
-            yield word, des, asc + 1, plat + 1, adj + pos
-        elif prev:  # a plateau b,b split by n,n
-            share = sum(1 for x in prev[:pos - 1] if x < b)
-            yield word, des + 1, asc + 1, plat, adj + pos - share
-        else:
-            yield word, 0, 0, 1, 0
+    # Right to left, in generate_all's order: gap pos lies between left =
+    # prev[pos - 1] and right = prev[pos], a missing neighbour acting as 0.
+    right, pos = 0, len(prev)
+    for left in reversed(prev):
+        if not bad >> pos & 1:
+            yield node, pos, ASCENT if left < right else DESCENT if left > right else PLATEAU
+        right, pos = left, pos - 1
+    if not bad & 1:
+        yield node, 0, ASCENT if prev else EMPTY
 
 
-def generate_avoiders(n, patterns=(), with_stats=False):
+def _word(parent, pos, kind):
+    """The word a leaf stands for: its parent's with n,n inserted at pos."""
+    prev = parent[0]
+    if kind == ROOT:
+        return prev
+    n = len(prev) // 2 + 1
+    return prev[:pos] + (n, n) + prev[pos:]
+
+
+def _child(parent, pos, kind):
+    """The step rule: the node (word, des, asc, plat, adj122) a leaf stands for.
+
+    des, asc and plat gain the kind's STEPS row.  adj122
+    (count_adjacent_122) gains pos, the letters left of the new plateau,
+    and a split plateau b,b loses its share: the letters below b left of it.
+    """
+    prev, des, asc, plat, adj = parent
+    dd, da, dp = STEPS[kind]
+    if kind == PLATEAU:
+        b = prev[pos]
+        adj -= sum(1 for x in prev[:pos - 1] if x < b)
+    return _word(parent, pos, kind), des + dd, asc + da, plat + dp, adj + pos
+
+
+def generate_avoiders(n, patterns=(), form="words"):
     """Yield the order-n Stirling permutations avoiding every given pattern.
 
     With no patterns this is generate_all(n).  Otherwise each order n-1
@@ -138,16 +177,39 @@ def generate_avoiders(n, patterns=(), with_stats=False):
     the generate_all(n) stream: in the same order as filtering it, without
     building the words that contain a pattern.
 
-    With with_stats, yield (word, des, asc, plat, adj122) instead: the
-    statistics carried down the tree, equal to words.stats and
-    words.count_adjacent_122 of the word.
+    form says what is yielded per avoider: "words" the word; "nodes" the
+    node (word, des, asc, plat, adj122), whose statistics are carried down
+    the tree and equal words.stats and words.count_adjacent_122 of the
+    word; "leaves" the leaf (parent, pos, kind) of _walk, which builds no
+    order-n word.
     """
-    nodes = _walk(n, tuple(patterns))
-    if with_stats:
-        yield from nodes
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}; choose from {', '.join(FORMS)}")
+    leaves = _walk(n, tuple(patterns))
+    if form == "leaves":
+        yield from leaves
+    elif form == "nodes":
+        yield from starmap(_child, leaves)
     else:
-        for node in nodes:
-            yield node[0]
+        yield from starmap(_word, leaves)
+
+
+def _tally(n, patterns):
+    """Counter of (plat, des, asc) over the order-n avoiders, from their leaves.
+
+    The leaves of one parent come out together; they are counted by kind,
+    and each kind adds its STEPS row to the parent's statistics once.
+    """
+    tally = Counter()
+    for node, leaves in groupby(generate_avoiders(n, patterns, form="leaves"), itemgetter(0)):
+        counts = [0] * len(STEPS)
+        for leaf in leaves:
+            counts[leaf[2]] += 1
+        _, des, asc, plat, _ = node
+        for (dd, da, dp), count in zip(STEPS, counts):
+            if count:
+                tally[plat + dp, des + dd, asc + da] += count
+    return tally
 
 
 def distribution(n, patterns=()):
@@ -156,8 +218,7 @@ def distribution(n, patterns=()):
     The monomial p**plat * q**des * r**asc is tallied per permutation; with
     no patterns this is the full distribution over all of order n.
     """
-    nodes = generate_avoiders(n, patterns, with_stats=True)
-    return Polynomial(PQR, Counter((plat, des, asc) for _, des, asc, plat, _ in nodes))
+    return Polynomial(PQR, _tally(n, patterns))
 
 
 def second_order_eulerian(n):
@@ -165,8 +226,8 @@ def second_order_eulerian(n):
     if n < 1:
         raise ValueError("order must be positive")
     row = [0] * n
-    for _, des, _, _, _ in generate_avoiders(n, with_stats=True):
-        row[des] += 1
+    for (_, des, _), count in _tally(n, ()).items():
+        row[des] += count
     return row
 
 
@@ -178,5 +239,5 @@ def joint_plat_122(n, patterns=((2, 1, 3),)):
     series.solve_R.  (Counting all position triples instead would differ
     from order 3 on, e.g. on 123321.)
     """
-    nodes = generate_avoiders(n, patterns, with_stats=True)
+    nodes = generate_avoiders(n, patterns, form="nodes")
     return Polynomial(PZ, Counter((plat, adj) for _, _, _, plat, adj in nodes))

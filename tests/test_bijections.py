@@ -427,7 +427,6 @@ def test_deep_trees_round_trip_without_recursion(recursion_room, depth):
         fc = FCOrderedTree(path.shape, (1,) * depth + (None,))
         assert from_fc_tree(fc) == (decreasing, (1,) * depth)
         assert fc_involution(fc) == fc
-        if depth <= 2_000:  # the forward maps test 123-containment in quadratic time
-            assert phi(vertical_chain(depth)) == tree
-            assert rho(decreasing) == path
-            assert to_fc_tree((decreasing, (1,) * depth)) == fc
+        assert phi(vertical_chain(depth)) == tree
+        assert rho(decreasing) == path
+        assert to_fc_tree((decreasing, (1,) * depth)) == fc

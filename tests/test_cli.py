@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import stirperm
 from stirperm import polynomials
 from stirperm.cli import main
-from stirperm.generation import generate_all
+from stirperm.generation import generate_all, generate_avoiders
 from stirperm.words import avoids, stats
 
 
@@ -69,14 +70,13 @@ def test_enumerate_limit_with_avoid_names_its_bound(capsys):
     assert "--force" in err
 
 
-def _expected_enumerate(n, fmt, with_stats, patterns):
+def _expected_enumerate(words, fmt, with_stats):
     """enumerate's output built from whole-word tallies and the digit/comma form."""
     rows = []
-    for word in generate_all(n):
-        if avoids(word, patterns):
-            text = (",".join(str(x) for x in word) if any(x > 9 for x in word)
-                    else "".join(str(x) for x in word))
-            rows.append((text, *stats(word)[:3]))
+    for word in words:
+        text = (",".join(str(x) for x in word) if any(x > 9 for x in word)
+                else "".join(str(x) for x in word))
+        rows.append((text, *stats(word)[:3]))
     if fmt == "json":
         keys = ("word", "des", "asc", "plat")
         items = [dict(zip(keys, row)) if with_stats else row[0] for row in rows]
@@ -98,7 +98,27 @@ def test_enumerate_output_is_byte_identical_to_whole_word_tallies(capsys, fmt, w
         argv += ["--stats"] * with_stats + [arg for p in avoid for arg in ("--avoid", p)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert out == _expected_enumerate(n, fmt, with_stats, patterns), (n, argv)
+        words = [w for w in generate_all(n) if avoids(w, patterns)]
+        assert out == _expected_enumerate(words, fmt, with_stats), (n, argv)
+
+
+@lru_cache(maxsize=None)
+def _avoiders_of_123_and_132(n):
+    return tuple(generate_avoiders(n, ((1, 2, 3), (1, 3, 2))))
+
+
+@pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_enumerate_comma_form_cuts_many_rows_per_parent(capsys, fmt, with_stats):
+    # 3,363 and 8,119 rows: each order-(n-1) parent's text is cut at several gaps
+    for n in (10, 11):
+        argv = ["enumerate", "--n", str(n), "--force", "--avoid", "123", "--avoid", "132",
+                "--format", fmt] + ["--stats"] * with_stats
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        words = _avoiders_of_123_and_132(n)
+        assert len(words) == {10: 3363, 11: 8119}[n]
+        assert out == _expected_enumerate(words, fmt, with_stats), argv
 
 
 # The one (21)-avoider and the one (12)-avoider of orders 9 and 10 with their
@@ -488,6 +508,18 @@ def test_biject_2000_level_trees_round_trip(capsys, recursion_room, name):
         assert code == 0
         code, out, _ = run_cli(capsys, "biject", name, "--input", word.strip())
     assert code == 0 and out == tree + "\n"
+
+
+def test_biject_phi_forward_on_the_10000_level_chain_round_trips(capsys, recursion_room):
+    # each block's bounds come from nearest-smaller-letter passes, not rescans
+    chain = ",".join(map(str, [*range(1, 10_002), *range(10_001, 0, -1)]))
+    with recursion_room():
+        code, tree, err = run_cli(capsys, "biject", "phi", "--input", chain)
+        assert code == 0 and err == ""
+        assert tree == deep_trees(10_000)["phi"] + "\n"
+        code, out, _ = run_cli(capsys, "biject", "phi", "--direction", "inv",
+                               "--input", tree.strip())
+    assert code == 0 and out == chain + "\n"
 
 
 @pytest.mark.parametrize("name", ["rho", "fc"])

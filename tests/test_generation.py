@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirperm.generation import (
+    ROOT,
+    STEPS,
     distribution,
     double_factorial_odd,
     generate_all,
@@ -120,16 +122,37 @@ def test_avoiders_are_the_naive_filter_in_the_same_order():
 def test_carried_stats_equal_the_whole_word_tallies():
     for n in range(8):
         for patterns in [()] + PATTERNS:
-            nodes = list(generate_avoiders(n, patterns, with_stats=True))
+            nodes = list(generate_avoiders(n, patterns, form="nodes"))
             assert [node[0] for node in nodes] == list(generate_avoiders(n, patterns))
             for word, des, asc, plat, _ in nodes:
                 assert (des, asc, plat) == stats(word)[:3], (word, patterns)
 
 
+def test_each_leaf_is_its_word_as_parent_plus_gap():
+    # a leaf (parent, pos, kind) stands for the parent's word with n,n at pos,
+    # and the kind's step added to the parent's stats gives the word's stats
+    for n in range(8):
+        for patterns in [()] + PATTERNS:
+            leaves = list(generate_avoiders(n, patterns, form="leaves"))
+            words = list(generate_avoiders(n, patterns))
+            assert len(leaves) == len(words), (n, patterns)
+            parents = {id(parent): parent for parent, _, _ in leaves}.values()
+            for prev, des, asc, plat, adj in parents:
+                assert (des, asc, plat) == stats(prev)[:3] and adj == count_adjacent_122(prev)
+                assert len(prev) == max(2 * n - 2, 0)
+            for ((prev, des, asc, plat, _), pos, kind), word in zip(leaves, words):
+                assert (kind == ROOT) == (n == 0)
+                assert prev[:pos] + (n, n)[:2 * (kind != ROOT)] + prev[pos:] == word
+                dd, da, dp = STEPS[kind]
+                assert (des + dd, asc + da, plat + dp) == stats(word)[:3], (word, kind)
+    with pytest.raises(ValueError, match="unknown form"):
+        next(generate_avoiders(2, form="tuples"))
+
+
 def test_carried_adjacent_122_equals_the_whole_word_count():
     for n in range(8):
         for patterns in ((), (P213,)):
-            for word, _, _, _, adj in generate_avoiders(n, patterns, with_stats=True):
+            for word, _, _, _, adj in generate_avoiders(n, patterns, form="nodes"):
                 assert adj == count_adjacent_122(word), word
 
 
