@@ -15,11 +15,16 @@ West's generating trees ("Generating trees and the Catalan and Schroeder
 numbers", Discrete Math. 1995), and one step rule (_child) turns a leaf
 into the child's node, carrying count_adjacent_122 too.  Words are built
 only for the inner orders of the walk and for readers that ask for them:
-distribution and second_order_eulerian tally the leaves, and the CLI cuts
-each row from its parent's text.  The walk finds a parent's bad gaps with
-one split_gaps pass per split.  The whole-word functions words.stats and
-words.count_adjacent_122 tally only the root; the tests check the carried
-values against them.
+distribution, second_order_eulerian and joint_plat_122 tally the leaves,
+and the CLI cuts each row from its parent's text.  The walk finds a
+parent's bad gaps with one split_gaps call per split: one scan of the
+parent when the split's rest has one or two letters, as it has for every
+pattern the paper studies, and the interval search for longer rests.  The
+whole-word functions words.stats and words.count_adjacent_122 tally only
+the root; the tests check the carried values against them.
+
+The polynomial layer is imported by the two readers that build a
+Polynomial, so enumerate loads none of it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from collections import Counter
 from itertools import groupby, starmap
 from operator import itemgetter
 
-from .polynomials import PQR, PZ, Polynomial
 from .words import avoids, count_adjacent_122, split_gaps, stats
 
 
@@ -62,7 +66,9 @@ def occurrence_split(pattern):
     occurrence of rest in the word has its first cut letters before pos and
     the others at or after it, i.e. iff bit pos of split_gaps(word, rest,
     cut) is set.  When the pattern is only m or m,m, rest is empty and every
-    insertion creates one.
+    insertion creates one.  Each of 213, 123, 132 and 1233 leaves a rest
+    of two letters (21 or 12, cut 2; 12, cut 1 for 132), which split_gaps
+    answers in one scan of the word.
     """
     m = max(pattern)
     where = [i for i, x in enumerate(pattern) if x == m]
@@ -81,7 +87,7 @@ def occurrence_split(pattern):
 # one avoider with no parent, to which nothing is added.
 ASCENT, DESCENT, PLATEAU, EMPTY, ROOT = range(5)
 STEPS = ((1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1), (0, 0, 0))
-FORMS = ("words", "nodes", "leaves")
+FORMS = ("words", "leaves")
 
 
 def _walk(n, patterns):
@@ -90,7 +96,8 @@ def _walk(n, patterns):
     A leaf is a parent plus a gap: the avoider is the order n-1 node parent,
     a tuple (word, des, asc, plat, adj122), with n,n inserted at position
     pos, into a gap of the given kind (see STEPS).  _child, the step rule,
-    turns a leaf into the avoider's node, and _word into its word alone.
+    turns a leaf into the avoider's node, _word into its word alone and
+    _adj122 into its count_adjacent_122.
     The walk builds nodes only for the inner orders, whose words it must
     split, and leaves the order-n words to the readers that ask for them.
     The order-0 avoider is the leaf (root, 0, ROOT).
@@ -151,19 +158,28 @@ def _word(parent, pos, kind):
     return prev[:pos] + (n, n) + prev[pos:]
 
 
-def _child(parent, pos, kind):
-    """The step rule: the node (word, des, asc, plat, adj122) a leaf stands for.
+def _adj122(parent, pos, kind):
+    """count_adjacent_122 of the word a leaf stands for, from its parent's.
 
-    des, asc and plat gain the kind's STEPS row.  adj122
-    (count_adjacent_122) gains pos, the letters left of the new plateau,
-    and a split plateau b,b loses its share: the letters below b left of it.
+    It gains pos, the letters left of the new plateau, and a split plateau
+    b,b loses its share: the letters below b left of it.
     """
-    prev, des, asc, plat, adj = parent
-    dd, da, dp = STEPS[kind]
+    prev, adj = parent[0], parent[4]
     if kind == PLATEAU:
         b = prev[pos]
         adj -= sum(1 for x in prev[:pos - 1] if x < b)
-    return _word(parent, pos, kind), des + dd, asc + da, plat + dp, adj + pos
+    return adj + pos
+
+
+def _child(parent, pos, kind):
+    """The step rule: the node (word, des, asc, plat, adj122) a leaf stands for.
+
+    des, asc and plat gain the kind's STEPS row, adj122 its _adj122 step.
+    """
+    _, des, asc, plat, _ = parent
+    dd, da, dp = STEPS[kind]
+    return (_word(parent, pos, kind), des + dd, asc + da, plat + dp,
+            _adj122(parent, pos, kind))
 
 
 def generate_avoiders(n, patterns=(), form="words"):
@@ -177,24 +193,21 @@ def generate_avoiders(n, patterns=(), form="words"):
     the generate_all(n) stream: in the same order as filtering it, without
     building the words that contain a pattern.
 
-    form says what is yielded per avoider: "words" the word; "nodes" the
-    node (word, des, asc, plat, adj122), whose statistics are carried down
-    the tree and equal words.stats and words.count_adjacent_122 of the
-    word; "leaves" the leaf (parent, pos, kind) of _walk, which builds no
-    order-n word.
+    form says what is yielded per avoider: "words" the word; "leaves" the
+    leaf (parent, pos, kind) of _walk, which builds no order-n word.  The
+    parent's statistics are carried down the tree and equal words.stats
+    and words.count_adjacent_122 of its word.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; choose from {', '.join(FORMS)}")
     leaves = _walk(n, tuple(patterns))
     if form == "leaves":
         yield from leaves
-    elif form == "nodes":
-        yield from starmap(_child, leaves)
     else:
         yield from starmap(_word, leaves)
 
 
-def _tally(n, patterns):
+def stat_tally(n, patterns=()):
     """Counter of (plat, des, asc) over the order-n avoiders, from their leaves.
 
     The leaves of one parent come out together; they are counted by kind,
@@ -218,7 +231,9 @@ def distribution(n, patterns=()):
     The monomial p**plat * q**des * r**asc is tallied per permutation; with
     no patterns this is the full distribution over all of order n.
     """
-    return Polynomial(PQR, _tally(n, patterns))
+    from .polynomials import PQR, Polynomial
+
+    return Polynomial(PQR, stat_tally(n, patterns))
 
 
 def second_order_eulerian(n):
@@ -226,7 +241,7 @@ def second_order_eulerian(n):
     if n < 1:
         raise ValueError("order must be positive")
     row = [0] * n
-    for (_, des, _), count in _tally(n, ()).items():
+    for (_, des, _), count in stat_tally(n).items():
         row[des] += count
     return row
 
@@ -237,7 +252,12 @@ def joint_plat_122(n, patterns=((2, 1, 3),)):
     The occurrence statistic is count_adjacent_122: the version whose
     generating function satisfies the substitution equation solved by
     series.solve_R.  (Counting all position triples instead would differ
-    from order 3 on, e.g. on 123321.)
+    from order 3 on, e.g. on 123321.)  Tallied from the leaves: plat is
+    the parent's plus the kind's STEPS row, adj122 comes from _adj122.
     """
-    nodes = generate_avoiders(n, patterns, form="nodes")
-    return Polynomial(PZ, Counter((plat, adj) for _, _, _, plat, adj in nodes))
+    from .polynomials import PZ, Polynomial
+
+    leaves = generate_avoiders(n, patterns, form="leaves")
+    tally = Counter((parent[3] + STEPS[kind][2], _adj122(parent, pos, kind))
+                    for parent, pos, kind in leaves)
+    return Polynomial(PZ, tally)

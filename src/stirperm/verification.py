@@ -262,9 +262,13 @@ def _tree_tally(n):
 
 
 def _word_tally(n):
-    """The (aasc, plat, ades) tally of the 213-avoiders, and its images under SWAPS."""
-    words = generation.generate_avoiders(n, (P213,))
-    tally = Counter((s.aasc, s.plat, s.ades) for s in map(stats, words))
+    """The (aasc, plat, ades) tally of the 213-avoiders, and its images under SWAPS.
+
+    It is read off the walk's leaf tally of (plat, des, asc), which builds
+    no order-n word.
+    """
+    tally = Counter({(asc + 1, plat, des + 1): count
+                     for (plat, des, asc), count in generation.stat_tally(n, (P213,)).items()})
     swapped = {swap: Counter({tuple(k[a] for a in swap): v for k, v in tally.items()})
                for swap in SWAPS}
     return {"words": tally, **swapped}

@@ -8,6 +8,8 @@ word is the (unique) Stirling permutation of order 0.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import gt, lt
 from typing import NamedTuple
 
 from .errors import BadPattern
@@ -182,9 +184,64 @@ def contains(word, pattern):
     """True iff some subsequence of the word realizes the pattern.
 
     Equal pattern letters demand equal word letters; distinct pattern
-    letters demand the same strict order between the chosen word letters.
+    letters demand the same strict order between the chosen word letters,
+    so a pattern with more distinct values than the word never fits.
     """
+    if len(set(pattern)) > len(set(word)):
+        return False
     return _fit(word, pattern, 0, 0, {})
+
+
+def _first_end(word, a, b):
+    """The least j such that some i < j makes (i, j) an occurrence of a, b, or None.
+
+    Until its first strict ascent the word does not rise, so the least
+    letter so far is the one just before: the first end of a 12 (21) is
+    the first strict ascent (descent).  A 11 ends where a letter repeats.
+    """
+    if a == b:  # j ends one iff its letter occurs before j
+        first = dict(zip(reversed(word), range(len(word) - 1, -1, -1)))
+        ends = list(map(lt, map(first.get, word[1:]), range(1, len(word))))
+    else:
+        ends = list(map(lt if a < b else gt, word, word[1:]))
+    return ends.index(True) + 1 if True in ends else None
+
+
+def _short_gaps(word, rest, cut):
+    """split_gaps for a rest of one or two letters, in one scan.
+
+    One letter: every gap but the last (cut 0) or the first (cut 1).  Cut
+    2: every gap after the first end of an occurrence; cut 0 is its mirror,
+    the first end of the reversed rest in the reversed word.  Cut 1: gap at
+    is bad iff the prefix and the suffix at it hold the two letters: for 12
+    iff min(prefix) < max(suffix), 21 is 12 in the negated word, and for 11
+    iff some letter of the prefix recurs at or after at.
+    """
+    n = len(word)
+    if len(rest) == 1:
+        return (1 << n) - 1 << cut
+    a, b = rest
+    if cut != 1:
+        j = _first_end(word, a, b) if cut else _first_end(word[::-1], b, a)
+        if j is None:
+            return 0
+        return (1 << n + 1) - (1 << j + 1) if cut else (1 << n - j) - 1
+    if a == b:  # reach: the last position of a letter before at
+        last = dict(zip(word, range(n)))
+        reach = accumulate(map(last.get, word), max)
+        return sum(1 << at for at, r in zip(range(1, n), reach) if r >= at)
+    if a > b:
+        word = [-x for x in word]
+    high = [word[-1]]  # high[n - at] = max(word[at:])
+    for x in reversed(word):
+        high.append(x if x > high[-1] else high[-1])
+    bad, low = 0, word[0]
+    for at in range(1, n):
+        if word[at - 1] < low:
+            low = word[at - 1]
+        if low < high[n - at]:
+            bad |= 1 << at
+    return bad
 
 
 def split_gaps(word, pattern, cut):
@@ -195,10 +252,13 @@ def split_gaps(word, pattern, cut):
     some occurrence o has o[cut-1] < at <= o[cut], the bound being open at
     the left when cut is 0 and at the right when cut is len(pattern): iff
     the first cut letters of o lie before position at and the others at or
-    after it.  For one placement of the first cut letters these
-    gaps form an interval that ends at the largest position o[cut] can
-    take, so one search finds all of them: it tries o[cut] from the right
-    and stops at the first gap the mask already holds, and it drops every
+    after it.
+
+    A rest of one or two letters takes one scan (_short_gaps).  For a
+    longer one, the gaps of one placement of the first cut letters form
+    an interval that ends at the largest position o[cut] can take, so one
+    interval search finds all of them: it tries o[cut] from the right and
+    stops at the first gap the mask already holds, and it drops every
     placement whose interval the mask already covers.  The letters after
     the cut are placed by _fit.
     """
@@ -206,6 +266,10 @@ def split_gaps(word, pattern, cut):
     if k == 0:
         return (1 << (n + 1)) - 1
     if k > n:
+        return 0
+    if k <= 2:
+        return _short_gaps(word, pattern, cut)
+    if len(set(pattern)) > len(set(word)):
         return 0
     top = n if cut == k else n - (k - cut)  # the right end of any interval
     bad = 0

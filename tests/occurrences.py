@@ -1,7 +1,8 @@
 """Brute-force pattern occurrences, the tests' reference for words.contains and split_gaps.
 
-It shares no code with the search in stirperm.words: it tries every tuple
-of positions of the word, in itertools.combinations order.
+It shares no code with stirperm.words, neither the backtracking search
+nor the one-scan answer for rests of one or two letters: it tries every
+tuple of positions of the word, in itertools.combinations order.
 """
 
 from itertools import combinations, permutations
@@ -19,22 +20,35 @@ def _sign(a, b):
     return (a > b) - (a < b)
 
 
+def _pair_signs(pattern):
+    return [(i, j, _sign(pattern[i], pattern[j])) for i, j in combinations(range(len(pattern)), 2)]
+
+
 def realizes(word, positions, pattern):
     """True iff every pair of the letters at positions compares as the pattern's pair does."""
-    letters = [word[i] for i in positions]
-    return all(
-        _sign(letters[i], letters[j]) == _sign(pattern[i], pattern[j])
-        for i, j in combinations(range(len(pattern)), 2)
-    )
+    return all(_sign(word[positions[i]], word[positions[j]]) == s
+               for i, j, s in _pair_signs(pattern))
 
 
 def occurrences(word, pattern):
     """Every tuple of positions realizing the pattern, in lexicographic order."""
-    return [o for o in combinations(range(len(word)), len(pattern)) if realizes(word, o, pattern)]
+    signs = _pair_signs(pattern)
+    return [o for o in combinations(range(len(word)), len(pattern))
+            if all(_sign(word[o[i]], word[o[j]]) == s for i, j, s in signs)]
 
 
 def count(word, pattern):
     return len(occurrences(word, pattern))
+
+
+def split_masks(word, pattern):
+    """split_mask(word, pattern, cut) for every cut 0 .. len(pattern), from one search."""
+    masks = [0] * (len(pattern) + 1)
+    for o in occurrences(word, pattern):
+        bounds = (-1,) + o + (len(word),)
+        for cut in range(len(masks)):
+            masks[cut] |= (1 << (bounds[cut + 1] + 1)) - (1 << (bounds[cut] + 1))
+    return masks
 
 
 def split_mask(word, pattern, cut):
@@ -43,9 +57,4 @@ def split_mask(word, pattern, cut):
     The gaps start at 0 when cut is 0 and end at len(word) when cut is
     len(pattern).
     """
-    mask = 0
-    for o in occurrences(word, pattern):
-        lo = o[cut - 1] + 1 if cut else 0
-        hi = o[cut] if cut < len(pattern) else len(word)
-        mask |= (1 << (hi + 1)) - (1 << lo)
-    return mask
+    return split_masks(word, pattern)[cut]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -192,6 +193,17 @@ def test_enumerate_takes_a_pattern_at_the_letter_cap(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "250", "--force", "--avoid", "21",
                            "--avoid", pattern)
     assert code == 0 and out == ""
+
+
+def test_enumerate_settles_a_pattern_longer_than_any_word_at_once(capsys):
+    # 1,2,...,21 has more values than any word below order 21
+    argv = ["enumerate", "--n", "20", "--force", "--avoid", "21",
+            "--avoid", ",".join(map(str, range(1, 22)))]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == ",".join(str(k) for k in range(1, 21) for _ in "ab") + "\n"
 
 
 def test_enumerate_refuses_a_pattern_the_searches_cannot_take(capsys):
@@ -578,19 +590,49 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
-def test_module_entry_point():
-    # the child finds the package where this process did, however pytest was started
+def _child_env():
+    """os.environ with this process's stirperm first on PYTHONPATH.
+
+    A child interpreter then finds the package where this process did,
+    however pytest was started.
+    """
     src = str(Path(stirperm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stirperm", "enumerate", "--n", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+LIST_LOADED = """
+import sys
+from stirperm.cli import main
+assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "stirperm"))
+"""
+
+
+def loaded_modules(*argv):
+    """The stirperm modules a fresh interpreter holds after running the CLI on argv."""
+    proc = subprocess.run([sys.executable, "-c", LIST_LOADED, *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_verb_loads_only_the_modules_it_runs():
+    # enumerate builds no polynomial, and series walks no generating tree
+    assert loaded_modules("enumerate", "--n", "2", "--stats", "--avoid", "213") == {
+        "stirperm", "stirperm.cli", "stirperm.errors", "stirperm.words", "stirperm.generation"}
+    assert "stirperm.generation" not in loaded_modules("series", "--eq", "213", "--order", "3")
 
 
 def test_verify_jobs_prints_the_same_bytes_as_one_job(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stirperm.generation import (
     ROOT,
     STEPS,
+    _child,
     distribution,
     double_factorial_odd,
     generate_all,
@@ -122,7 +123,8 @@ def test_avoiders_are_the_naive_filter_in_the_same_order():
 def test_carried_stats_equal_the_whole_word_tallies():
     for n in range(8):
         for patterns in [()] + PATTERNS:
-            nodes = list(generate_avoiders(n, patterns, form="nodes"))
+            # the step rule expands each leaf into its node, the root's included
+            nodes = [_child(*leaf) for leaf in generate_avoiders(n, patterns, form="leaves")]
             assert [node[0] for node in nodes] == list(generate_avoiders(n, patterns))
             for word, des, asc, plat, _ in nodes:
                 assert (des, asc, plat) == stats(word)[:3], (word, patterns)
@@ -152,7 +154,8 @@ def test_each_leaf_is_its_word_as_parent_plus_gap():
 def test_carried_adjacent_122_equals_the_whole_word_count():
     for n in range(8):
         for patterns in ((), (P213,)):
-            for word, _, _, _, adj in generate_avoiders(n, patterns, form="nodes"):
+            for leaf in generate_avoiders(n, patterns, form="leaves"):
+                word, _, _, _, adj = _child(*leaf)
                 assert adj == count_adjacent_122(word), word
 
 

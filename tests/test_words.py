@@ -1,5 +1,7 @@
 from itertools import permutations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from stirperm.words import (
     stats,
     validate_pattern,
 )
-from tests.occurrences import PATTERNS, count, split_mask
+from tests.occurrences import PATTERNS, count, split_mask, split_masks
 
 
 def multiset_words(n):
@@ -135,6 +137,35 @@ def test_split_gaps_are_the_gaps_of_the_split_occurrences():
     assert split_gaps(word, (), 0) == 0b11111
     assert split_gaps(word, (1, 2, 3), 1) == 0
     assert all(split_gaps(word, pattern, cut) == split_mask(word, pattern, cut) for cut in range(3))
+
+
+SHORT_RESTS = ((1,), (1, 2), (2, 1), (1, 1))
+
+
+def assert_short_rests_match_the_brute_masks(word):
+    for rest in SHORT_RESTS:
+        got = [split_gaps(word, rest, cut) for cut in range(len(rest) + 1)]
+        assert got == split_masks(word, rest), (word, rest)
+
+
+def test_short_rest_scan_matches_the_brute_reference_on_stirling_words():
+    for n in range(7):
+        for word in generate_all(n):
+            assert_short_rests_match_the_brute_masks(word)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=10).map(tuple))
+def test_short_rest_scan_matches_the_brute_reference_on_words_with_repeats(word):
+    assert_short_rests_match_the_brute_masks(word)
+
+
+def test_a_pattern_with_more_values_than_the_word_is_refused_at_once():
+    word = tuple(k for k in range(1, 17) for _ in "ab")
+    start = time.perf_counter()
+    assert not contains(word, tuple(range(1, 18)))
+    assert split_gaps(word, tuple(range(1, 18)), 17) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_count_occurrences_examples():
