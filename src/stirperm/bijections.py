@@ -30,6 +30,10 @@ Maps implemented here, each with its inverse:
 * The favorite-child composite: pairs (p, s) map onto ordered trees whose
   parents each mark a favorite child.
 
+Each verify_* walks one order and reports the objects "checked" and the
+"round trip" and "transport" failures; `verify` compares that with a
+closed-form count and zero failures.
+
 The trees are flat preorder tuples (see trees), which every map here reads
 or builds in a loop with an explicit stack, so no input is too deep.
 """
@@ -377,14 +381,6 @@ def fc_involution(tree):
 # -- exhaustive verification helpers -----------------------------------------
 
 
-def _report(checked, failures, transport_failures):
-    return {
-        "checked": checked,
-        "failures": failures,
-        "statistic_transport": {"checked": checked, "failures": transport_failures},
-    }
-
-
 def verify_phi(n):
     """Round-trip and statistic transport of phi over all order-n avoiders."""
     checked = failures = transport_failures = 0
@@ -401,7 +397,7 @@ def verify_phi(n):
             transport_failures += 1
     if len(seen) != checked:
         failures += checked - len(seen)
-    return _report(checked, failures, transport_failures)
+    return {"checked": checked, "round trip": failures, "transport": transport_failures}
 
 
 def verify_psi(n, family="123"):
@@ -428,7 +424,7 @@ def verify_psi(n, family="123"):
     expected_pairs = set(apairs(n, pattern))
     if images != expected_pairs:
         failures += len(expected_pairs.symmetric_difference(images))
-    return _report(checked, failures, transport_failures)
+    return {"checked": checked, "round trip": failures, "transport": transport_failures}
 
 
 def verify_rho(n):
@@ -448,7 +444,7 @@ def verify_rho(n):
         checked += 1
         if rho(rho_inverse(tree)) != tree:
             failures += 1
-    return _report(checked, failures, transport_failures)
+    return {"checked": checked, "round trip": failures, "transport": transport_failures}
 
 
 def verify_fc(n):
@@ -469,7 +465,7 @@ def verify_fc(n):
             transport_failures += 1
     if images != set(fc_trees(n)):
         failures += 1
-    return _report(checked, failures, transport_failures)
+    return {"checked": checked, "round trip": failures, "transport": transport_failures}
 
 
 # Each name is looked up when the map is called, so a rebinding of a

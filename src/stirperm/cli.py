@@ -6,15 +6,16 @@ strings for all numbers, and no timings unless asked for.
 
 Input rules, the same for every verb.  Orders and counts are checked while
 the command line is parsed: enumerate --n, series --order and formula --n
-must be integers >= 0, biject verify --n and verify --jobs integers >= 1.  Series
---spec and formula --param are read by one name=integer parser: blank pieces
-are skipped, all=N assigns every name, and a bad integer, an unknown name
-or a name assigned twice is refused.  Bad input prints one line naming it
-on stderr and nothing on stdout.
+must be integers >= 0, verify --jobs an integer >= 1.  Series --spec and
+formula --param are read by one name=integer parser: blank pieces are
+skipped, all=N assigns every name, and a bad integer, an unknown name or a
+name assigned twice is refused.  Bad input prints one line naming it on
+stderr and nothing on stdout.
 
 Each biject map is its own subcommand and takes only what it uses: phi,
-rho and fc take --direction and a required --input, psi also --family, and
-verify a required --map and --n.  Any other option is a usage error.
+rho and fc take --direction and a required --input, and psi also
+--family.  Any other option is a usage error.  The maps are checked
+exhaustively by `verify --suite bijections`.
 
 Each handler imports the modules it runs, json included, so a call loads
 only those.
@@ -100,7 +101,7 @@ def build_parser():
     p_formula.add_argument("--format", choices=("lines", "json"), default="lines")
     p_formula.add_argument("--list", action="store_true", help="list formula ids and exit")
 
-    p_biject = sub.add_parser("biject", help="run a bijection or verify one")
+    p_biject = sub.add_parser("biject", help="run a bijection or its inverse")
     p_biject.set_defaults(handler=cmd_biject)
     maps = p_biject.add_subparsers(dest="map", required=True)
     for name, what, example in BIJECT_MAPS:
@@ -110,10 +111,6 @@ def build_parser():
         if name == "psi":
             p_map.add_argument("--family", choices=("123", "132"), default="123",
                                help="avoidance class for the inverse")
-    p_check = maps.add_parser("verify", help="check one map exhaustively at one order")
-    p_check.add_argument("--map", dest="verify_map", required=True, metavar="MAP",
-                         help="phi, psi-123, psi-132, rho or fc")
-    p_check.add_argument("--n", type=positive, required=True, help="order")
 
     p_verify = sub.add_parser(
         "verify", help="run cross-validation suites",
@@ -351,20 +348,9 @@ def _format_pair(pair):
 def cmd_biject(args):
     import json
 
-    from . import bijections
-
-    if args.map == "verify":
-        name = args.verify_map
-        if name not in bijections.VERIFIERS:
-            known = ", ".join(sorted(bijections.VERIFIERS))
-            raise BadPattern(f"unknown map {name!r}; known: {known}")
-        report = {"map": name, "n": args.n, **bijections.VERIFIERS[name](args.n)}
-        print(json.dumps(report))
-        return 0 if report["failures"] == 0 and report["statistic_transport"]["failures"] == 0 else 1
-
+    from . import bijections as b
     from .trees import FCOrderedTree, OrderedTree, TernaryTree
 
-    b = bijections
     # (read the input, map it, write the image) per map and direction
     read, run, write = {
         ("phi", "fwd"): (parse_word, b.phi, TernaryTree.serialize),

@@ -9,8 +9,6 @@ q = num + (1 - den) q.  All arithmetic is exact; no radicals are expanded.
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import CompositionError, DivisibilityError
 from .polynomials import PQR, PZ, Polynomial
 
@@ -77,18 +75,13 @@ class TruncatedSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    # No caller in the package; kept since benchmarks/tracing.py wraps __mul__, inverse, compose
     def __mul__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
         coeffs = [Polynomial.sum_products(self.vars, [(a[i], b[k - i]) for i in range(k + 1)])
                   for k in range(self.order + 1)]
         return TruncatedSeries(self.vars, coeffs, self.order)
-
-    def shift(self, k=1):
-        """Multiply by x**k, dropping what overflows the truncation order."""
-        return TruncatedSeries(
-            self.vars, [Polynomial.zero(self.vars)] * k + list(self.coeffs), self.order
-        )
 
     def inverse(self):
         """Reciprocal series; the constant coefficient must be exactly 1."""
@@ -99,9 +92,6 @@ class TruncatedSeries:
             pairs = [(a[k], inv[n - k]) for k in range(1, n + 1)]
             inv.append(-Polynomial.sum_products(self.vars, pairs))
         return TruncatedSeries(self.vars, inv, self.order)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def compose(self, inner):
         """Substitute the inner series for x; it must vanish at x = 0."""
@@ -118,11 +108,6 @@ class TruncatedSeries:
 
     def map_coefficients(self, fn):
         return TruncatedSeries(self.vars, [fn(c) for c in self.coeffs], self.order)
-
-    def project_vars(self, new_vars):
-        return TruncatedSeries(
-            tuple(new_vars), [c.project(new_vars) for c in self.coeffs], self.order
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -214,18 +199,6 @@ def _solve(vars, order, start, terms):
     streams.clear()
     compiled.clear()
     return TruncatedSeries(vars, coeffs, order)
-
-
-def rational_series(numer, denom, vars, order):
-    """Series expansion of a rational function given by coefficient lists."""
-    num = TruncatedSeries(vars, list(numer), order)
-    den = TruncatedSeries(vars, list(denom), order)
-    return num / den
-
-
-def catalan_series(order, vars=()):
-    """Catalan generating series from the closed form C_n = binom(2n, n)/(n+1)."""
-    return TruncatedSeries(vars, [comb(2 * n, n) // (n + 1) for n in range(order + 1)], order)
 
 
 # -- the three single-pattern equations ------------------------------------

@@ -445,17 +445,11 @@ def test_biject_pair_with_a_bad_integer_names_the_pair(capsys, argv):
     assert "bad pair '4,6,5,2,1,3|3,x,1'" in err
 
 
-def test_biject_verify(capsys):
-    code, out, _ = run_cli(capsys, "biject", "verify", "--map", "phi", "--n", "3")
-    assert code == 0
-    report = json.loads(out)
-    assert report["checked"] == 12 and report["failures"] == 0
-    assert report["statistic_transport"]["failures"] == 0
-
-
-def test_biject_verify_needs_args(capsys):
-    code, _, err = run_cli(capsys, "biject", "verify")
-    assert code == 2 and "the following arguments are required: --map, --n" in err
+def test_biject_has_no_verify_map(capsys):
+    # the maps are checked by verify --suite bijections
+    code, out, err = run_cli(capsys, "biject", "verify", "--map", "phi", "--n", "3")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'verify'" in err
 
 
 # one option each map cannot use, and the mix that every map took before
@@ -464,9 +458,8 @@ def test_biject_verify_needs_args(capsys):
     ("psi", "--input", "1221", "--n", "3"),
     ("rho", "--input", "1,2", "--map", "rho"),
     ("fc", "--input", "1,2|2", "--family", "123"),
-    ("verify", "--map", "phi", "--n", "3", "--input", "1221"),
     ("phi", "--input", "1221", "--n", "3", "--family", "132", "--map", "rho"),
-], ids=["phi", "psi", "rho", "fc", "verify", "phi-mix"])
+], ids=["phi", "psi", "rho", "fc", "phi-mix"])
 def test_biject_option_a_map_cannot_use_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "biject", *argv)
     assert code == 2 and out == ""
@@ -478,14 +471,6 @@ def test_biject_map_needs_input(capsys, name):
     code, out, err = run_cli(capsys, "biject", name, "--direction", "inv")
     assert code == 2 and out == ""
     assert "the following arguments are required: --input" in err
-
-
-@pytest.mark.parametrize("n", ["-1", "0"])
-@pytest.mark.parametrize("name", ["phi", "psi-123", "psi-132", "rho", "fc"])
-def test_biject_verify_rejects_an_order_below_one(capsys, name, n):
-    code, out, err = run_cli(capsys, "biject", "verify", "--map", name, "--n", n)
-    assert code == 2 and out == ""
-    assert f"argument --n: must be an integer >= 1, got '{n}'" in err
 
 
 # A path of first children, a chain of vertical slots, a path of favorites

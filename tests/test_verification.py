@@ -3,9 +3,12 @@ from collections import Counter
 import pytest
 
 from benchmarks import jobs, tracing
-from stirperm import series, verification
+from stirperm import bijections, series, verification
 from stirperm.cli import main
-from stirperm.verification import Check
+from stirperm.generation import generate_avoiders
+from stirperm.polynomials import Polynomial
+from stirperm.verification import Check, _expand, _nested_catalan
+from stirperm.words import P213
 
 UP_TO_5, UP_TO_6 = (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)
 
@@ -149,3 +152,39 @@ def test_verify_plateaus_at_order_7(capsys):
 def test_verify_with_nothing_covered_is_not_a_pass(capsys):
     assert main(["verify", "--suite", "plateaus", "--n", "10"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "0/3 checks passed, 3 skipped"
+
+
+@pytest.mark.parametrize("key", ["checked", "transport"])
+def test_a_bijection_row_fails_on_a_wrong_report_and_names_the_key(monkeypatch, key):
+    verify = bijections.VERIFIERS["phi"]
+
+    def wrong_at_3(n):
+        report = verify(n)
+        report[key] += n == 3
+        return report
+
+    monkeypatch.setitem(bijections.VERIFIERS, "phi", wrong_at_3)
+    result = verification.CHECKS["bijection-phi"](range(1, 6))
+    assert result.status == "fail" and result.orders == (1, 2, 3)
+    assert result.counterexample == f"n=3 at {key}"
+
+
+def test_chain_sides_share_no_code_with_the_solver(monkeypatch):
+    def broken(*args):
+        raise AssertionError("series arithmetic used")
+
+    monkeypatch.setattr(Polynomial, "sum_products", broken)
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", broken)
+    rationals = verification.CHECKS["pair-rationals"].expected(10)
+    assert rationals[("1", "1", "11")] == [1, 1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765]
+    chains = verification.CHECKS["catalan-chains"].expected(8)
+    assert chains[("11", "11", "11")] == [1, 1, 3, 11, 44, 185, 804, 3579, 16229]
+    assert chains[("11", "11", "11", "11")] == [1, 1, 3, 12, 54, 258, 1277, 6469, 33315]
+    assert _expand([1], [1, -1, -1], 10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+
+
+def test_nested_catalan_chains_count_the_brute_avoiders():
+    for blocks, counts in _nested_catalan(8).items():
+        pattern = series.chain_pattern(blocks)
+        brute = [sum(1 for _ in generate_avoiders(n, (P213, pattern))) for n in range(7)]
+        assert counts[:7] == brute, blocks
