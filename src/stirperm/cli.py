@@ -20,12 +20,15 @@ exhaustively by `verify --suite bijections`.
 Each handler imports the modules it runs, json included, so a call loads
 only those.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when the reader closes standard output early, as
+`enumerate --n 8 | head -1` does; nothing is printed on stderr then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from itertools import accumulate, islice
@@ -288,9 +291,8 @@ def cmd_series(args):
 
 
 def _formula_params(func):
-    """A formula's parameters: its positional names after n without a default."""
-    code = func.__code__
-    return code.co_varnames[1:code.co_argcount - len(func.__defaults__ or ())]
+    """A formula's parameters: its positional names after n."""
+    return func.__code__.co_varnames[1:func.__code__.co_argcount]
 
 
 def cmd_formula(args):
@@ -443,7 +445,15 @@ def main(argv=None):
 
 
 def run():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so that
+        # the interpreter's shutdown flush writes nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -25,10 +25,6 @@ class DivisibilityError(StirpermError):
     """An arithmetic step that must divide exactly left a remainder."""
 
 
-class NonPolynomialResult(StirpermError):
-    """Negative exponents survived an expansion that should be polynomial."""
-
-
 class CompositionError(StirpermError):
     """Series composition requires the inner series to vanish at 0."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DivisibilityError, NonPolynomialResult
+from .errors import DivisibilityError
 from .polynomials import Polynomial
 
 P_ONLY = ("p",)
@@ -126,36 +126,26 @@ def descents_132(n, d):
     return _as_int(Fraction(binomial(n - 1, d) * inner, n + 1))
 
 
-def ascent_poly_132(n, convention="n-j+i"):
+def ascent_poly_132(n):
     """Ascent marginal over the 132-avoiders of order n, as a polynomial in r.
 
-    The double sum is expanded in the Laurent ring so that intermediate
-    negative powers of r may cancel.  Two exponent conventions exist for the
-    summand's power of r; "n-1-j" leaves uncancelled negative powers and
-    raises NonPolynomialResult, while "n-j+i" cancels exactly and reproduces
-    the exhaustive enumeration.
+    Each summand c r^(n-j+i) (1-2r)^(j-i) of the double sum is expanded by
+    the binomial theorem on plain ints, and each coefficient of the total
+    is divided by n+1 exactly.  c is nonzero only where j+i <= n, so every
+    power lies in 0..n.  The power is r^(n-j+i) because the r^(n-1-j)
+    reading of the formula leaves negative powers of r.
     """
-    if convention not in ("n-j+i", "n-1-j"):
-        raise ValueError(f"unknown convention {convention!r}")
     if n < 1:
         raise ValueError("order must be positive")
-    r = Polynomial.variable("r", R_ONLY)
-    one = Polynomial.one(R_ONLY)
-    total = Polynomial.zero(R_ONLY)
+    coeffs = [0] * (n + 1)
     for j in range(n + 2):
         for i in range(j + 1):
             c = binomial(n + 1, j) * binomial(j, i) * binomial(3 * n + 1 - j - i, 2 * n + 1)
             if not c:
                 continue
-            e = n - j + i if convention == "n-j+i" else n - 1 - j
-            monomial = Polynomial(R_ONLY, {(e,): c})
-            total = total + monomial * (one - 2 * r) ** (j - i)
-    result = total.div_exact_const(n + 1)
-    if result.has_negative_exponents():
-        raise NonPolynomialResult(
-            f"ascent expansion (convention {convention!r}) kept negative powers of r"
-        )
-    return result
+            for k in range(j - i + 1):
+                coeffs[n - j + i + k] += c * binomial(j - i, k) * (-2) ** k
+    return Polynomial(R_ONLY, {(e,): exact_div(a, n + 1) for e, a in enumerate(coeffs)})
 
 
 def fibonacci(k):

@@ -4,20 +4,19 @@ A polynomial over an ordered tuple of variable names stores its terms as a
 dict from packed exponent keys to nonzero ints.  A key packs the exponent
 vector into one int by Kronecker substitution (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007): each exponent plus ``BIAS`` = 2**15 fills its own
-``FIELD_BITS`` = 16 bit field, the first variable in the highest field.
-Every field holds a value in 1..2**16-1, so int order of the keys is the
-order of the exponent tuples, and a product's key is ``k1 + k2 - origin``,
-where ``origin`` packs the zero exponent (``BIAS`` in every field).
+vectors", CASC 2007): each exponent fills its own unsigned ``FIELD_BITS`` =
+16 bit field, the first variable in the highest field.  The zero exponent is
+key 0, int order of the keys is the order of the exponent tuples, and a
+product's key is ``k1 + k2``.
 
-Exponents may be negative, so the same class serves as a Laurent ring where
-an expansion has to pass through negative powers before cancellation.  An
-exponent must lie in -MAX_EXPONENT..MAX_EXPONENT (2**15 - 1), so that no
-field carries into its neighbour.  Each polynomial carries ``bound``, an
-upper bound on |exponent| over its terms: exact for what the constructor
-builds, ``a.bound + b.bound`` for a product.  An exponent past the range
-raises ValueError, in the constructor, in ``sum_products`` (checked once per
-pair of polynomials) and in ``shift_var``; it never yields a wrong monomial.
+Exponents are natural numbers: the paper's coefficients count plateaus,
+descents and ascents.  An exponent must lie in 0..MAX_EXPONENT (2**15 - 1),
+so that the sum of two never carries into the neighbouring field.  Each
+polynomial carries ``bound``, an upper bound on the exponents of its terms:
+exact for what the constructor builds, ``a.bound + b.bound`` for a product.
+An exponent outside the range raises ValueError, in the constructor, in
+``sum_products`` (checked once per pair of polynomials) and in
+``shift_var``; it never yields a wrong monomial.
 
 Exponent tuples appear only at the edges: the constructor and
 ``coefficient`` take them, ``items`` and the printed forms give them back.
@@ -33,19 +32,15 @@ PQR = ("p", "q", "r")  # plateaus, descents, ascents
 PZ = ("p", "z")  # plateaus, adjacent 122 occurrences
 
 FIELD_BITS = 16
-BIAS = 1 << (FIELD_BITS - 1)
 MASK = (1 << FIELD_BITS) - 1
-MAX_EXPONENT = BIAS - 1
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
-def _origin(n):
-    """The key of the zero exponent in n variables: BIAS in every field."""
-    return BIAS * (((1 << FIELD_BITS * n) - 1) // MASK)
-
-
-def _check(reach):
+def _check(reach, low=0):
+    if low < 0:
+        raise ValueError(f"exponent out of range: an exponent may reach {low}, below 0")
     if reach > MAX_EXPONENT:
-        raise ValueError(f"exponent out of range: |exponent| may reach {reach}, "
+        raise ValueError(f"exponent out of range: an exponent may reach {reach}, "
                          f"past the limit {MAX_EXPONENT}")
 
 
@@ -57,19 +52,19 @@ def _field(vars, name):
 def _pack(exp):
     key = 0
     for e in exp:
-        key = key << FIELD_BITS | (e + BIAS)
+        key = key << FIELD_BITS | e
     return key
 
 
 def _unpack(key, n):
-    return tuple((key >> s & MASK) - BIAS for s in range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
+    return tuple(key >> s & MASK for s in range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
 
 
 class Polynomial:
     """Polynomial in the variables named by ``vars`` (an ordered tuple).
 
     ``terms`` maps packed exponent keys to nonzero coefficients and
-    ``bound`` bounds |exponent| (see the module docstring).  Instances are
+    ``bound`` bounds the exponents (see the module docstring).  Instances are
     treated as immutable values; all arithmetic returns new objects.  Two
     polynomials compare equal only if they share the same variable tuple;
     ``project`` moves to a smaller ring.
@@ -86,8 +81,8 @@ class Polynomial:
                 exp = tuple(exp)
                 if len(exp) != len(vars):
                     raise ValueError(f"exponent {exp} does not fit the variables {vars}")
-                reach = max(reach, max(map(abs, exp), default=0))
-                _check(reach)
+                reach = max(reach, max(exp, default=0))
+                _check(reach, min(exp, default=0))
                 clean[_pack(exp)] = coef
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
@@ -116,12 +111,12 @@ class Polynomial:
     @classmethod
     def constant(cls, c, vars):
         vars = tuple(vars)
-        return cls._raw(vars, {_origin(len(vars)): c} if c else {}, 0)
+        return cls._raw(vars, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, name, vars):
         vars = tuple(vars)
-        return cls._raw(vars, {_origin(len(vars)) + (1 << _field(vars, name)): 1}, 1)
+        return cls._raw(vars, {1 << _field(vars, name): 1}, 1)
 
     @classmethod
     def gens(cls, vars):
@@ -135,7 +130,7 @@ class Polynomial:
         exp = tuple(exp)
         if len(exp) != len(self.vars):
             raise ValueError(f"exponent {exp} does not fit the variables {self.vars}")
-        if any(abs(e) > self.bound for e in exp):
+        if not all(0 <= e <= self.bound for e in exp):
             return 0
         return self.terms.get(_pack(exp), 0)
 
@@ -150,12 +145,7 @@ class Polynomial:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(_origin(len(self.vars)), 0)
-
-    def has_negative_exponents(self):
-        # a field holds a negative exponent exactly when its top bit, BIAS, is clear
-        origin = _origin(len(self.vars))
-        return any(key & origin != origin for key in self.terms)
+        return self.terms.get(0, 0)
 
     def total_degrees(self):
         """Set of total degrees occurring among the monomials."""
@@ -246,18 +236,15 @@ class Polynomial:
         Raises ValueError, before it forms a pair's products, when the pair's
         bounds may take an exponent past MAX_EXPONENT.
         """
-        vars = tuple(vars)
-        origin = _origin(len(vars))
         out, reach = defaultdict(int), 0
         for a, b in pairs:
             reach = max(reach, a.bound + b.bound)
             _check(reach)
             right = b.terms.items()
             for k1, c1 in a.terms.items():
-                k1 -= origin
                 for k2, c2 in right:
                     out[k1 + k2] += c1 * c2
-        return Polynomial._raw(vars, {k: c for k, c in out.items() if c}, reach)
+        return Polynomial._raw(tuple(vars), {k: c for k, c in out.items() if c}, reach)
 
     # -- substitution and reshaping ---------------------------------------
 
@@ -278,20 +265,15 @@ class Polynomial:
         )
 
     def specialize(self, values):
-        """Substitute integers for some variables; keeps the variable tuple.
-
-        Negative exponents are only substitutable at 1 or -1.
-        """
+        """Substitute integers for some variables; keeps the variable tuple."""
         fields = [(_field(self.vars, v), val) for v, val in values.items()]
 
         def move(key):
             weight = 1
             for s, val in fields:
-                e = (key >> s & MASK) - BIAS
+                e = key >> s & MASK
                 if e:
-                    if e < 0 and val not in (1, -1):
-                        raise ValueError("negative exponent at non-unit value")
-                    weight *= val ** abs(e)
+                    weight *= val ** e
                     key -= e << s
             return key, weight
 
@@ -320,11 +302,11 @@ class Polynomial:
     def shift_var(self, src, dst, mult):
         """Substitute src -> src * dst**mult (an exponent transfer)."""
         i, j = _field(self.vars, src), _field(self.vars, dst)
-        reach = max((abs((k >> j & MASK) - BIAS + mult * ((k >> i & MASK) - BIAS))
-                     for k in self.terms), default=0)
-        _check(reach)
+        moved = [(k >> j & MASK) + mult * (k >> i & MASK) for k in self.terms]
+        reach = max(moved, default=0)
+        _check(reach, min(moved, default=0))
         return self._remap(
-            self.vars, lambda k: (k + (mult * ((k >> i & MASK) - BIAS) << j), 1),
+            self.vars, lambda k: (k + (mult * (k >> i & MASK) << j), 1),
             max(self.bound, reach),
         )
 
@@ -333,28 +315,18 @@ class Polynomial:
         new_vars = tuple(new_vars)
         for v in self.vars:
             s = _field(self.vars, v)
-            if v not in new_vars and any(key >> s & MASK != BIAS for key in self.terms):
+            if v not in new_vars and any(key >> s & MASK for key in self.terms):
                 raise ValueError(f"variable {v} occurs; cannot project")
         return self._move_fields(new_vars, new_vars)
 
     # -- exact division ---------------------------------------------------
-
-    def div_exact_const(self, k):
-        """Divide every coefficient by the integer k, exactly."""
-        out = {}
-        for key, coef in self.terms.items():
-            q, r = divmod(coef, k)
-            if r:
-                raise DivisibilityError(f"coefficient {coef} not divisible by {k}")
-            out[key] = q
-        return Polynomial._raw(self.vars, out, self.bound)
 
     def div_var_exact(self, name):
         """Divide by the variable, exactly (every monomial must contain it)."""
         s = _field(self.vars, name)
 
         def move(key):
-            if key >> s & MASK <= BIAS:
+            if not key >> s & MASK:
                 exp = _unpack(key, len(self.vars))
                 raise DivisibilityError(f"monomial {exp} has no factor {name}")
             return key - (1 << s), 1
@@ -374,9 +346,7 @@ class Polynomial:
         s = _field(self.vars, name)
         groups = {}
         for key, coef in self.terms.items():
-            e = (key >> s & MASK) - BIAS
-            if e < 0:
-                raise ValueError("negative power of divisor variable")
+            e = key >> s & MASK
             groups.setdefault(key - (e << s), {})[e] = coef
         out = {}
         for rest, row in groups.items():

@@ -6,12 +6,13 @@ independent routes (closed form against enumeration, series solver against
 recurrence, bijection walks against closed-form counts and zero failures).
 One runner compares them order by order.  An int cap covers each requested
 order n with 1 <= n <= cap; a tuple covers fixed orders whatever was
-requested (for pair-rationals and catalan-chains, a truncation order N whose
-coefficients up to x^N are all compared).  A CheckResult records the orders covered: none
-is SKIP, never PASS; a FAIL names the first order, and the first entry of a
-dict or list, where the sides differ.  Brute distributions and the three
-pattern series are memoised (each series solved once, at the largest order
-a series row covers); each run_checks call starts with empty memos.
+requested (for pair-rationals and catalan-chains, a truncation order N
+whose coefficients up to x^N are all compared).  A CheckResult records the
+orders covered: none is SKIP, never PASS; a FAIL names the first order, and
+the first entry of a dict or list, where the sides differ.  Brute
+distributions and the three pattern series are memoised (each series solved
+once, at the largest order a series row covers); each run_checks call
+starts with empty memos.
 """
 
 from __future__ import annotations

@@ -597,6 +597,20 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "11"
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly_with_exit_141():
+    proc = subprocess.Popen([sys.executable, "-m", "stirperm", "enumerate", "--n", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    try:
+        assert proc.stdout.readline() == b"1122334455667788\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+    assert proc.returncode == 141
+
+
 LIST_LOADED = """
 import sys
 from stirperm.cli import main

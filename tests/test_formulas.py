@@ -3,7 +3,6 @@ from itertools import permutations
 
 import pytest
 
-from stirperm.errors import NonPolynomialResult
 from stirperm.formulas import (
     ascent_poly_132,
     binomial,
@@ -131,14 +130,10 @@ def test_ascent_poly_132():
         poly = ascent_poly_132(n)
         assert poly == Polynomial(("r",), marginal)
         assert all(c > 0 for c in poly.terms.values())
-
-
-def test_ascent_poly_132_plain_convention_is_not_polynomial():
-    for n in range(1, 5):
-        with pytest.raises(NonPolynomialResult):
-            ascent_poly_132(n, convention="n-1-j")
-    with pytest.raises(ValueError):
-        ascent_poly_132(2, convention="bogus")
+    for n in range(6, 31):
+        poly = ascent_poly_132(n)
+        assert all(c > 0 for c in poly.terms.values())
+        assert sum(poly.terms.values()) == count_avoid_132(n)
 
 
 def test_plateau_polys_equal_the_per_k_counts():

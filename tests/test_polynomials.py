@@ -33,10 +33,6 @@ def test_specialize_and_evaluate():
     poly = p * p * q + 3 * r
     assert poly.specialize({"q": 1, "r": 1}) == p * p + 3
     assert poly.specialize({"p": 2, "q": 3, "r": 5}).constant_term() == 27
-    laurent = Polynomial(PQR, {(-1, 0, 0): 4})
-    assert laurent.specialize({"p": 1}).constant_term() == 4
-    with pytest.raises(ValueError):
-        laurent.specialize({"p": 2})
 
 
 def test_permute_vars():
@@ -54,6 +50,10 @@ def test_shift_var():
     poly = p * p * z + p
     # p -> p z^2 sends p^2 z to p^2 z^5 and p to p z^2
     assert poly.shift_var("p", "z", 2) == p * p * z**5 + p * z * z
+    # p -> p z^-1 sends p^2 z to p^2 z^-1: an exponent below 0
+    assert (p * z**2).shift_var("p", "z", -2) == p
+    with pytest.raises(ValueError, match="out of range"):
+        poly.shift_var("p", "z", -1)
 
 
 def test_project_extend():
@@ -67,9 +67,6 @@ def test_project_extend():
 
 def test_division_helpers():
     p, q, r = gens()
-    assert (2 * p + 4 * q).div_exact_const(2) == p + 2 * q
-    with pytest.raises(DivisibilityError):
-        (2 * p + 3 * q).div_exact_const(2)
     assert (p * q + p * p).div_var_exact("p") == q + p
     with pytest.raises(DivisibilityError):
         (p + q).div_var_exact("p")
@@ -117,10 +114,9 @@ POINTS = st.tuples(*[st.sampled_from([-3, -2, -1, 1, 2, 3])] * 3)
 
 
 @st.composite
-def polys(draw, vars=PQR, low=-1):
-    """Up to six terms with exponents in low..2 and small coefficients, zeros included."""
-    exps = st.tuples(*[st.integers(low, 2)] * len(vars))
-    return Polynomial(vars, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=6)))
+def polys(draw, vars=PQR):
+    """Up to six terms with small coefficients, zeros included."""
+    return Polynomial(vars, draw(terms(len(vars))))
 
 
 def value(poly, point):
@@ -148,18 +144,18 @@ def test_sum_products_matches_evaluation(pairs, c, point):
 @PROPERTY
 @given(polys(), POINTS)
 def test_exponent_map_combines_like_terms(poly, point):
-    x, _, z = point
-    for unit in (1, -1):
-        flat = poly.specialize({"q": unit})
+    x, y, z = point
+    for val in range(-2, 3):
+        flat = poly.specialize({"q": val})
         assert no_zero_stored(flat)
-        assert value(flat, point) == value(poly, (x, unit, z))
-    shifted = poly.shift_var("p", "r", -1)
+        assert value(flat, point) == value(poly, (x, val, z))
+    shifted = poly.shift_var("p", "r", 1)
     assert no_zero_stored(shifted)
-    assert value(shifted, point) == value(poly, (Fraction(x, z), point[1], z))
+    assert value(shifted, point) == value(poly, (x * z, y, z))
 
 
 @PROPERTY
-@given(polys(PQRV, low=0))
+@given(polys(PQRV))
 def test_div_one_minus_inverts_the_product(a):
     v = Polynomial.variable("v", PQRV)
     product = a * (1 - v)
@@ -169,7 +165,7 @@ def test_div_one_minus_inverts_the_product(a):
 
 
 @PROPERTY
-@given(polys(PQRV, low=0), st.tuples(*[st.integers(0, 3)] * 4), st.integers(1, 3))
+@given(polys(PQRV), st.tuples(*[st.integers(0, 3)] * 4), st.integers(1, 3))
 def test_div_one_minus_refuses_one_bad_group(a, exp, coef):
     v = Polynomial.variable("v", PQRV)
     # every group of a * (1 - v) sums to zero at v = 1 but the one the monomial joins
@@ -183,9 +179,9 @@ def test_div_one_minus_refuses_one_bad_group(a, exp, coef):
 NAMES = ("a", "b", "c", "d")
 
 
-def laurent_terms(n, low=-3):
-    """Dicts of up to six exponent tuples in low..3 with small coefficients, zeros included."""
-    return st.dictionaries(st.tuples(*[st.integers(low, 3)] * n), st.integers(-3, 3), max_size=6)
+def terms(n):
+    """Dicts of up to six exponent tuples in 0..3 with small coefficients, zeros included."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), st.integers(-3, 3), max_size=6)
 
 
 def ref(terms):
@@ -209,14 +205,14 @@ def same(poly, terms):
     """poly holds exactly the reference terms, and its bound covers them."""
     assert dict(poly.items()) == terms
     assert poly == Polynomial(poly.vars, terms)
-    assert all(abs(e) <= poly.bound for exp in terms for e in exp)
+    assert all(e <= poly.bound for exp in terms for e in exp)
 
 
 @st.composite
-def rings(draw, low=-3):
+def rings(draw):
     """(vars, reference a, reference b) over 1 to 4 variables."""
     vars = NAMES[: draw(st.integers(1, 4))]
-    return vars, ref(draw(laurent_terms(len(vars), low))), ref(draw(laurent_terms(len(vars), low)))
+    return vars, ref(draw(terms(len(vars)))), ref(draw(terms(len(vars))))
 
 
 @PROPERTY
@@ -237,19 +233,20 @@ def test_reshaping_matches_the_reference(ring, data):
     vars, a, _ = ring
     poly, n = Polynomial(vars, a), len(vars)
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    mult, val = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from([-2, -1, 0, 1, 2]))
+    mult = data.draw(st.integers(-2, 2))
 
     def put(exp, k, e):
         return exp[:k] + (e,) + exp[k + 1:]
 
-    same(poly.shift_var(vars[i], vars[j], mult),
-         ref_sum((put(exp, j, exp[j] + mult * exp[i]), c) for exp, c in a.items()))
-    if val in (-1, 1) or all(exp[i] >= 0 for exp in a):
-        same(poly.specialize({vars[i]: val}),
-             ref_sum((put(exp, i, 0), c * val ** abs(exp[i])) for exp, c in a.items()))
+    shifted = [(put(exp, j, exp[j] + mult * exp[i]), c) for exp, c in a.items()]
+    if all(exp[j] >= 0 for exp, _ in shifted):
+        same(poly.shift_var(vars[i], vars[j], mult), ref_sum(shifted))
     else:
-        with pytest.raises(ValueError):
-            poly.specialize({vars[i]: val})
+        with pytest.raises(ValueError, match="out of range"):
+            poly.shift_var(vars[i], vars[j], mult)
+    for val in range(-2, 3):
+        same(poly.specialize({vars[i]: val}),
+             ref_sum((put(exp, i, 0), c * val ** exp[i]) for exp, c in a.items()))
     order = data.draw(st.permutations(range(n)))
     renamed = poly.permute_vars({vars[k]: vars[order[k]] for k in range(n)})
     same(renamed, ref_sum((tuple(exp[order.index(k)] for k in range(n)), c)
@@ -266,15 +263,12 @@ def test_reshaping_matches_the_reference(ring, data):
 
 
 @PROPERTY
-@given(rings(low=0), st.data())
+@given(rings(), st.data())
 def test_div_one_minus_matches_the_reference(ring, data):
     vars, a, _ = ring
     i = data.draw(st.integers(0, len(vars) - 1))
     one_minus = {(0,) * len(vars): 1, tuple(int(k == i) for k in range(len(vars))): -1}
     same(Polynomial(vars, ref_mul(a, one_minus)).div_one_minus_exact(vars[i]), a)
-    negative = Polynomial(vars, {tuple(-int(k == i) for k in range(len(vars))): 1})
-    with pytest.raises(ValueError):
-        negative.div_one_minus_exact(vars[i])
 
 
 def ref_str(vars, terms):
@@ -299,32 +293,24 @@ def test_printed_forms_order_terms_as_exponent_tuples(ring):
     assert [int(t["coef"]) for t in obj["terms"]] == [a[exp] for exp in sorted(a)]
 
 
-def test_negative_exponents_print_in_tuple_order():
-    poly = Polynomial(("p", "q"), {(-1, 2): 1, (0, -3): -2, (-1, -1): 4, (1, 0): 1})
-    assert str(poly) == "p - 2*q^-3 + p^-1*q^2 + 4*p^-1*q^-1"
-    assert [t["exp"] for t in poly.to_json_obj()["terms"]] == [[-1, -1], [-1, 2], [0, -3], [1, 0]]
-
-
 # -- the field range --------------------------------------------------------
 
-EDGE = st.integers(MAX_EXPONENT - 3, MAX_EXPONENT) | st.integers(-3, 3)
+EDGE = st.integers(MAX_EXPONENT - 3, MAX_EXPONENT) | st.integers(0, 3)
 
 
-@pytest.mark.parametrize("e", [MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 10**6])
+@pytest.mark.parametrize("e", [-1, MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 10**6])
 def test_constructor_refuses_an_exponent_past_the_range(e):
     with pytest.raises(ValueError, match="out of range"):
         Polynomial(PQR, {(0, e, 0): 1})
-    assert Polynomial(PQR, {(0, MAX_EXPONENT, -MAX_EXPONENT): 1}).bound == MAX_EXPONENT
+    assert Polynomial(PQR, {(0, MAX_EXPONENT, 0): 1}).bound == MAX_EXPONENT
 
 
 @PROPERTY
-@given(st.tuples(EDGE, EDGE), st.tuples(EDGE, EDGE), st.booleans())
-def test_a_product_past_the_range_raises_and_never_carries(e1, e2, flip):
-    sign = -1 if flip else 1
-    e1 = tuple(sign * e for e in e1)
+@given(st.tuples(EDGE, EDGE), st.tuples(EDGE, EDGE))
+def test_a_product_past_the_range_raises_and_never_carries(e1, e2):
     a, b = Polynomial(("p", "q"), {e1: 2}), Polynomial(("p", "q"), {e2: 3})
     want = tuple(x + y for x, y in zip(e1, e2))
-    if max(map(abs, want)) > MAX_EXPONENT:
+    if max(want) > MAX_EXPONENT:
         with pytest.raises(ValueError, match="out of range"):
             a * b
         return
@@ -358,5 +344,7 @@ def test_coefficient_reads_exponent_tuples():
     assert poly.coefficient((0, 0, 1)) == -1
     assert poly.coefficient((0, 0, 0)) == poly.constant_term() == 7
     assert poly.coefficient((5, 0, 0)) == poly.coefficient((0, MAX_EXPONENT + 9, 0)) == 0
+    # a negative entry is read as absent, never packed into some other key
+    assert poly.coefficient((1, 3, -1)) == poly.coefficient((-1, 0, 0)) == 0
     with pytest.raises(ValueError):
         poly.coefficient((1, 2))
