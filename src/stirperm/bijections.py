@@ -30,9 +30,13 @@ Maps implemented here, each with its inverse:
 * The favorite-child composite: pairs (p, s) map onto ordered trees whose
   parents each mark a favorite child.
 
-Each verify_* walks one order and reports the objects "checked" and the
-"round trip" and "transport" failures; `verify` compares that with a
-closed-form count and zero failures.
+Each verify_* is one walk, _report, over the objects of one order: it
+counts them ("checked"), and the objects that the inverse does not bring
+back ("round trip") or whose statistics the map does not carry as it
+should ("transport").  The walk also compares the images with the whole
+codomain, so a map that misses a tree or pair, or hits a foreign one,
+fails the round trip too.  `verify` compares the report with a closed-form
+count and zero failures.
 
 The trees are flat preorder tuples (see trees), which every map here reads
 or builds in a loop with an explicit stack, so no input is too deep.
@@ -44,7 +48,7 @@ from itertools import islice, permutations, product
 
 from .errors import InvalidPair, NotAvoider
 from .generation import generate_avoiders
-from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees
+from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees, ternary_trees
 from .words import (
     P123, P132, P213, contains, contains_123, contains_132, first_occurrences, format_word,
     is_stirling, stats,
@@ -381,91 +385,80 @@ def fc_involution(tree):
 # -- exhaustive verification helpers -----------------------------------------
 
 
-def verify_phi(n):
-    """Round-trip and statistic transport of phi over all order-n avoiders."""
-    checked = failures = transport_failures = 0
-    seen = set()
-    for word in generate_avoiders(n, (P213,)):
+def _report(domain, forward, inverse, transported, codomain):
+    """The objects of domain "checked", and the "round trip" and "transport" failures.
+
+    An object x fails the round trip when inverse(forward(x)) is not x, and
+    otherwise fails transport when transported(x, forward(x)) is false.
+    Each image outside codomain, and each member of codomain that is no
+    image, is one more round-trip failure, so a clean report means the map
+    is onto codomain and, with as many objects as members, one to one.
+    """
+    checked = round_trip = transport = 0
+    images = set()
+    for x in domain:
         checked += 1
-        tree = phi(word)
-        seen.add(tree)
-        if phi_inverse(tree) != word:
-            failures += 1
-            continue
+        image = forward(x)
+        images.add(image)
+        if inverse(image) != x:
+            round_trip += 1
+        elif not transported(x, image):
+            transport += 1
+    round_trip += len(images ^ set(codomain))
+    return {"checked": checked, "round trip": round_trip, "transport": transport}
+
+
+def verify_phi(n):
+    """phi over all order-n 213-avoiders, onto the ternary trees with n-1 edges."""
+
+    def transported(word, tree):
         s = stats(word)
-        if tree.edge_counts() != (n - s.aasc, n - s.plat, n - s.ades):
-            transport_failures += 1
-    if len(seen) != checked:
-        failures += checked - len(seen)
-    return {"checked": checked, "round trip": failures, "transport": transport_failures}
+        return tree.edge_counts() == (n - s.aasc, n - s.plat, n - s.ades)
+
+    return _report(generate_avoiders(n, (P213,)), phi, phi_inverse, transported,
+                   ternary_trees(n - 1))
 
 
 def verify_psi(n, family="123"):
-    """Round-trip of psi and its plateau/descent bookkeeping on one class."""
+    """psi over one class, onto its pairs, with its plateau/descent bookkeeping."""
     pattern, _ = _family(family)
-    checked = failures = transport_failures = 0
-    images = set()
-    for word in generate_avoiders(n, (pattern,)):
-        checked += 1
-        pair = psi(word)
-        images.add(pair)
-        if psi_inverse(pair, family) != word:
-            failures += 1
-            continue
+
+    def transported(word, pair):
         perm, s = pair
-        comp = composition_of(perm)
-        st = stats(word)
-        plat_ok = st.plat == n - len(comp) + sum(1 for x in s if x == 1)
-        des_ok = family == "132" or st.ades == n - len(comp) + sum(
-            1 for x, c in zip(s, comp) if x == c
-        )
-        if not (plat_ok and des_ok):
-            transport_failures += 1
-    expected_pairs = set(apairs(n, pattern))
-    if images != expected_pairs:
-        failures += len(expected_pairs.symmetric_difference(images))
-    return {"checked": checked, "round trip": failures, "transport": transport_failures}
+        comp, st = composition_of(perm), stats(word)
+        return st.plat == n - len(comp) + s.count(1) and (
+            family == "132" or st.ades == n - len(comp) + sum(x == c for x, c in zip(s, comp)))
+
+    return _report(generate_avoiders(n, (pattern,)), psi, lambda pair: psi_inverse(pair, family),
+                   transported, apairs(n, pattern))
 
 
 def verify_rho(n):
-    """Round-trip of rho in both directions plus segment-length transport."""
-    checked = failures = transport_failures = 0
-    for perm in avoiding_permutations(n, P123):
-        checked += 1
-        tree = rho(perm)
-        back, order = _rho_inverse(tree)
-        if back != perm:
-            failures += 1
-            continue
-        # segment lengths right to left == family sizes in label order
-        if composition_of(perm)[::-1] != tuple(tree.shape[v] for v in order if tree.shape[v]):
-            transport_failures += 1
-    for tree in ordered_trees(n):
-        checked += 1
-        if rho(rho_inverse(tree)) != tree:
-            failures += 1
-    return {"checked": checked, "round trip": failures, "transport": transport_failures}
+    """rho over the 123-avoiding permutations of [n], onto the n-edge ordered trees.
+
+    Transport: the segment lengths, right to left, are the family sizes in
+    leftmost-path label order.
+    """
+
+    def transported(perm, tree):
+        families = (tree.shape[v] for v in left_path_order(tree))
+        return composition_of(perm)[::-1] == tuple(c for c in families if c)
+
+    return _report(avoiding_permutations(n, P123), rho, rho_inverse, transported,
+                   ordered_trees(n))
 
 
 def verify_fc(n):
-    """Round-trip of the favorite-child composite and involution conjugacy."""
-    checked = failures = transport_failures = 0
-    images = set()
-    for pair in apairs(n, P123):
-        checked += 1
-        tree = to_fc_tree(pair)
-        images.add(tree)
-        if from_fc_tree(tree) != pair:
-            failures += 1
-            continue
-        if fc_involution(fc_involution(tree)) != tree:
-            failures += 1
-            continue
-        if to_fc_tree(involution_pair(pair)) != fc_involution(tree):
-            transport_failures += 1
-    if images != set(fc_trees(n)):
-        failures += 1
-    return {"checked": checked, "round trip": failures, "transport": transport_failures}
+    """The favorite-child composite over the 123 pairs, onto the fc trees.
+
+    Transport: fc_involution is an involution, conjugate to involution_pair.
+    """
+
+    def transported(pair, tree):
+        flipped = fc_involution(tree)
+        return fc_involution(flipped) == tree and to_fc_tree(involution_pair(pair)) == flipped
+
+    return _report(apairs(n, P123), to_fc_tree, from_fc_tree, transported, fc_trees(n))
 
 
 # Each name is looked up when the map is called, so a rebinding of a

@@ -373,9 +373,9 @@ def cmd_biject(args):
 
 
 def _parse_range(text):
-    lo, _, hi = text.strip().partition("..")
+    lo, dots, hi = text.strip().partition("..")
     try:
-        lo, hi = int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError as exc:
         raise BadPattern(f"bad order range {text!r}; e.g. 1..5 or 3") from exc
     if not 1 <= lo <= hi:

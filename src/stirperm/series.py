@@ -263,14 +263,18 @@ def series_132(order):
 #
 # These recompute the same coefficient polynomials through the catalytic
 # L_n(v) recurrences, giving a computation path independent of the series
-# solvers above.  The brackets L_m(v) - v^s L_m(1) are divisible by (1 - v)
-# by construction, and the division is performed exactly.
+# solvers above.  One loop, _catalytic, runs both systems; each system is
+# its table of coefficients.  The brackets L_m(v) - v^s L_m(1) are divisible
+# by (1 - v) by construction, and the division is performed exactly.
+
+# The printed seeds L_1..L_k that each system consumes
+SEEDS = {"123": 3, "132": 2}
 
 
 def printed_seeds():
     """The paper's printed seeds, in p,q,r,v: ({n: L_n(v)}, f(2) = g(2)).
 
-    L_1..L_3 seed the 123 system; L_1 and L_2 also seed the 132 system.
+    SEEDS says how many of L_1..L_3 each system consumes.
     """
     P, Q, R, V = Polynomial.gens(PQRV)
     L = {
@@ -283,63 +287,58 @@ def printed_seeds():
     return L, P * (P * Q + P * R + Q * R)
 
 
-def recurrence_123(order):
-    """Coefficients of C_123 computed via the L_n(v) recurrence system."""
-    P, Q, R, V = Polynomial.gens(PQRV)
-    one = Polynomial.one(PQRV)
-    L, f2 = printed_seeds()
-    f = {0: one, 1: P, 2: f2}
+def _catalytic(order, seeds, lag, head, plain, brackets, close):
+    """Coefficients 0..order, in p,q,r, of the series f of one L_n(v) system.
+
+    The system starts from the printed f_0 = 1, f_1 = L_1 = p, f_2 and
+    L_1..L_seeds.  head_j, plain_j and brackets_j are the j-th entries
+    (j = 1, 2, ...) of their tables; for n > seeds,
+      L_n = sum_j head_j v^(n-lag) f_(n-j) + plain_j L_(n-j) + brackets_j B_j,
+      B_j = (L_(n-j)(v) - v^(n-seeds) L_(n-j)(1)) / (1 - v),
+    and for n >= 3, f_n = close_0 f_(n-1) + L_n(1) + close_1 L_(n-1)(1).
+    """
+    printed, f2 = printed_seeds()
+    L = {m: printed[m] for m in range(1, seeds + 1)}
+    f = [Polynomial.one(PQRV), L[1], f2]
+    V = Polynomial.variable("v", PQRV)
 
     def at_one(poly):
         return poly.specialize({"v": 1})
 
     for n in range(3, order + 1):
-        if n >= 4:
-            head = (
-                P * Q * f[n - 1] * V ** (n - 2) * (one + V)
-                + P * P * (R * Q - 3 * Q * Q) * f[n - 2] * V ** (n - 2)
-                + P * P * Q * Q * f[n - 2] * V ** (n - 2)
-            )
-            b1 = (L[n - 1] - V ** (n - 3) * at_one(L[n - 1])).div_one_minus_exact("v")
-            b2 = (L[n - 2] - V ** (n - 3) * at_one(L[n - 2])).div_one_minus_exact("v")
-            b3 = (L[n - 3] - V ** (n - 3) * at_one(L[n - 3])).div_one_minus_exact("v")
-            L[n] = (
-                2 * P * Q * L[n - 1]
-                - P * P * Q * Q * L[n - 2]
-                + head
-                + b1 * (P * Q * V)
-                + b2 * (P * Q * (Q * R + P * R - 2 * P * Q) * V)
-                + b3 * (P * P * Q * Q * (R - P) * (R - Q) * V)
-            )
-        f[n] = P * Q * f[n - 1] + at_one(L[n]) + Q * (R - P) * at_one(L[n - 1])
+        if n > seeds:
+            shift = V ** (n - seeds)
+            L[n] = Polynomial.sum_products(PQRV, [
+                *((c * V ** (n - lag), f[n - j]) for j, c in enumerate(head, 1)),
+                *((c, L[n - j]) for j, c in enumerate(plain, 1)),
+                *((c, (L[n - j] - shift * at_one(L[n - j])).div_one_minus_exact("v"))
+                  for j, c in enumerate(brackets, 1)),
+            ])
+        f.append(close[0] * f[n - 1] + at_one(L[n]) + close[1] * at_one(L[n - 1]))
+    return [c.project(PQR) for c in f[: order + 1]]
 
-    return [f[k].project(PQR) for k in range(order + 1)]
+
+def recurrence_123(order):
+    """Coefficients of C_123 computed via the L_n(v) recurrence system."""
+    P, Q, R, V = Polynomial.gens(PQRV)
+    PQ = P * Q
+    return _catalytic(
+        order, SEEDS["123"], 2,
+        head=(PQ * (1 + V), PQ * P * (R - 2 * Q)),
+        plain=(2 * PQ, -PQ * PQ),
+        brackets=(PQ * V, PQ * (Q * R + P * R - 2 * PQ) * V, PQ * PQ * (R - P) * (R - Q) * V),
+        close=(PQ, Q * (R - P)))
 
 
 def recurrence_132(order):
     """Coefficients of C_132 computed via the L_n(v) recurrence system."""
     P, Q, R, V = Polynomial.gens(PQRV)
-    one = Polynomial.one(PQRV)
-    seeds, g2 = printed_seeds()
-    L = {1: seeds[1], 2: seeds[2]}
-    g = {0: one, 1: P, 2: g2}
-
-    def at_one(poly):
-        return poly.specialize({"v": 1})
-
-    for n in range(3, order + 1):
-        b1 = (L[n - 1] - V ** (n - 2) * at_one(L[n - 1])).div_one_minus_exact("v")
-        b2 = (L[n - 2] - V ** (n - 2) * at_one(L[n - 2])).div_one_minus_exact("v")
-        L[n] = (
-            P * Q * V ** (n - 1) * g[n - 1]
-            + 2 * P * R * L[n - 1]
-            + b1 * (P * Q * V)
-            + b2 * (P * Q * R * (Q - P) * V)
-            - P * P * R * R * L[n - 2]
-        )
-        g[n] = P * R * g[n - 1] + at_one(L[n]) + R * (Q - P) * at_one(L[n - 1])
-
-    return [g[k].project(PQR) for k in range(order + 1)]
+    return _catalytic(
+        order, SEEDS["132"], 1,
+        head=(P * Q,),
+        plain=(2 * P * R, -P * P * R * R),
+        brackets=(P * Q * V, P * Q * R * (Q - P) * V),
+        close=(P * R, R * (Q - P)))
 
 
 # -- two-pattern families ---------------------------------------------------

@@ -3,16 +3,16 @@
 Each check is one row of TABLE: an id, a suite, its orders, and two
 callables ``expected(n)`` and ``actual(n)`` that reach one object by two
 independent routes (closed form against enumeration, series solver against
-recurrence, bijection walks against closed-form counts and zero failures).
-One runner compares them order by order.  An int cap covers each requested
-order n with 1 <= n <= cap; a tuple covers fixed orders whatever was
-requested (for pair-rationals and catalan-chains, a truncation order N
-whose coefficients up to x^N are all compared).  A CheckResult records the
-orders covered: none is SKIP, never PASS; a FAIL names the first order, and
-the first entry of a dict or list, where the sides differ.  Brute
-distributions and the three pattern series are memoised (each series solved
-once, at the largest order a series row covers); each run_checks call
-starts with empty memos.
+recurrence, each bijection's walk over its domain and onto its codomain
+against a closed-form count and zero failures).  One runner compares them
+order by order.  An int cap covers each requested order n with
+1 <= n <= cap; a tuple covers fixed orders whatever was requested (for
+pair-rationals and catalan-chains, a truncation order N whose coefficients
+up to x^N are all compared).  A CheckResult records the orders covered:
+none is SKIP, never PASS; a FAIL names the first order, and the first entry
+of a dict or list, where the sides differ.  Brute distributions and the
+three pattern series are memoised (each series solved once, at the largest
+order a series row covers); each run_checks call starts with empty memos.
 """
 
 from __future__ import annotations
@@ -197,20 +197,17 @@ def _brute_catalytic(n, pattern):
 
 
 def _printed_seeds(n):
-    """The printed seeds L_n(v) of the 123 and 132 recurrences, and f(2) = g(2)."""
+    """The printed seeds L_n(v) the 123 and 132 recurrences consume, and f(2) = g(2)."""
     seeds, f2 = series.printed_seeds()
-    out = {"L123": seeds[n]}
-    if n <= 2:
-        out["L132"] = seeds[n]
+    out = {f"L{name}": seeds[n] for name, count in series.SEEDS.items() if n <= count}
     if n == 2:
         out["f"] = out["g"] = f2.project(PQR)
     return out
 
 
 def _computed_seeds(n):
-    seeds = {"L123": _brute_catalytic(n, P123)}
-    if n <= 2:
-        seeds["L132"] = _brute_catalytic(n, P132)
+    seeds = {f"L{name}": _brute_catalytic(n, PATTERNS[name])
+             for name, count in series.SEEDS.items() if n <= count}
     if n == 2:
         seeds["f"] = _brute(2, P123)
         seeds["g"] = _brute(2, P132)
@@ -337,7 +334,8 @@ TABLE = (
     Check("series-recurrences", "series", tuple(range(7)),
           lambda n: {k: _solved(k, n) for k in ("123", "132")},
           lambda n: {k: getattr(series, f"recurrence_{k}")(n)[n] for k in ("123", "132")}),
-    Check("series-initials", "series", (1, 2, 3), _printed_seeds, _computed_seeds),
+    Check("series-initials", "series", tuple(range(1, max(series.SEEDS.values()) + 1)),
+          _printed_seeds, _computed_seeds),
     Check("series-specializations", "series", 9,
           lambda n: {"213": formulas.plateau_poly_213(n), "123": formulas.plateau_poly_123(n),
                      "132": formulas.plateau_poly_123(n), "132 descents": _descents_132(n)},
@@ -358,9 +356,7 @@ TABLE = (
     _bijection("bijection-phi", "phi", formulas.count_avoid_213),
     _bijection("bijection-psi-123", "psi-123", formulas.count_avoid_123),
     _bijection("bijection-psi-132", "psi-132", formulas.count_avoid_132),
-    # rho walks the 123-avoiding permutations and the ordered trees: 2 C_n
-    _bijection("bijection-rho", "rho",
-               lambda n: 2 * formulas.binomial(2 * n, n) // (n + 1), cap=6),
+    _bijection("bijection-rho", "rho", lambda n: formulas.binomial(2 * n, n) // (n + 1), cap=6),
     _bijection("bijection-fc", "fc", formulas.count_avoid_123),
     Check("involution-swap", "bijections", 5,
           lambda n: _on_123_avoiders(n, lambda w: w, lambda s: (s.ades, s.plat)),

@@ -1,10 +1,12 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirperm.bijections import (
+    _report,
     apairs,
     avoiding_permutations,
     composition_of,
@@ -254,8 +256,8 @@ def test_rho_inverse_round_trips_a_600_edge_comb():
 
 def test_rho_round_trips():
     for n in range(1, 7):
-        report = verify_rho(n)
-        assert report["round trip"] == report["transport"] == 0
+        catalan = math.comb(2 * n, n) // (n + 1)
+        assert verify_rho(n) == {"checked": catalan, "round trip": 0, "transport": 0}
     assert len(avoiding_permutations(6, P123)) == len(ordered_trees(6))
 
 
@@ -266,9 +268,29 @@ def test_rho_rejects():
 
 def test_fc_composite():
     for n in range(1, 6):
-        report = verify_fc(n)
-        assert report["round trip"] == report["transport"] == 0
+        assert verify_fc(n) == {"checked": count_avoid_123(n), "round trip": 0, "transport": 0}
         assert len(fc_trees(n)) == count_avoid_123(n)
+
+
+# -- the shared walk, on a toy map: x -> x + 10 on 0..4 ----------------------
+
+
+def _toy_report(**changes):
+    parts = {"domain": range(5), "forward": lambda x: x + 10, "inverse": lambda y: y - 10,
+             "transported": lambda x, y: y - x == 10, "codomain": range(10, 15), **changes}
+    return _report(**parts)
+
+
+@pytest.mark.parametrize("changes, round_trip, transport", [
+    pytest.param({}, 0, 0, id="clean"),
+    pytest.param({"inverse": lambda y: 0 if y == 12 else y - 10}, 1, 0, id="not-brought-back"),
+    pytest.param({"transported": lambda x, y: x != 3}, 0, 1, id="broken-transport"),
+    pytest.param({"codomain": range(10, 16)}, 1, 0, id="missing-image"),  # 15 is no image
+    pytest.param({"codomain": range(10, 14)}, 1, 0, id="foreign-image"),  # 14 is outside
+])
+def test_the_walk_files_each_failure_under_its_own_key(changes, round_trip, transport):
+    report = _toy_report(**changes)
+    assert report == {"checked": 5, "round trip": round_trip, "transport": transport}
 
 
 def test_fc_round_trip_and_conjugacy():

@@ -126,7 +126,7 @@ def test_registry_matches_the_benchmark_gate():
     assert verification.SUITES["all"] == tuple(verification.CHECKS)
 
 
-@pytest.mark.parametrize("orders", ["0", "5..1", "0..3", "x"])
+@pytest.mark.parametrize("orders", ["0", "5..1", "0..3", "x", "1..", "2.."])
 def test_verify_rejects_an_empty_or_bad_range(capsys, orders):
     assert main(["verify", "--n", orders]) == 2
     assert "order range" in capsys.readouterr().err
@@ -167,6 +167,18 @@ def test_a_bijection_row_fails_on_a_wrong_report_and_names_the_key(monkeypatch, 
     result = verification.CHECKS["bijection-phi"](range(1, 6))
     assert result.status == "fail" and result.orders == (1, 2, 3)
     assert result.counterexample == f"n=3 at {key}"
+
+
+def test_phi_row_fails_when_a_tree_is_no_image(monkeypatch):
+    trees = bijections.ternary_trees
+
+    def one_tree_more(m):
+        return trees(m) + trees(m + 1)[:1]
+
+    monkeypatch.setattr(bijections, "ternary_trees", one_tree_more)
+    result = verification.CHECKS["bijection-phi"](range(1, 6))
+    assert result.status == "fail" and result.orders == (1,)
+    assert result.counterexample == "n=1 at round trip"
 
 
 def test_chain_sides_share_no_code_with_the_solver(monkeypatch):
