@@ -17,8 +17,13 @@ rho and fc take --direction and a required --input, and psi also
 --family.  Any other option is a usage error.  The maps are checked
 exhaustively by `verify --suite bijections`.
 
-Each handler imports the modules it runs, json included, so a call loads
-only those.
+Each handler imports the modules it runs, so a call loads only those.
+series and formula write their JSON with Polynomial.to_json, one
+coefficient at a time, and load no json module; biject psi and verify
+--format json import it.
+
+series refuses an --order above its equation's limit in SERIES_LIMITS, and
+enumerate output larger than order DEFAULT_LIMIT, unless --force is given.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes standard output early, as
@@ -93,6 +98,7 @@ def build_parser():
         help="specialization, e.g. p=1,q=1 or all=1, applied before printing",
     )
     p_series.add_argument("--format", choices=("lines", "json"), default="lines")
+    p_series.add_argument("--force", action="store_true", help="override the order limit")
 
     p_formula = sub.add_parser("formula", help="evaluate a closed-form count")
     p_formula.set_defaults(handler=cmd_formula)
@@ -255,12 +261,19 @@ def _assignments(pieces, names, noun, owner):
 # --eq ids of the single equations -> solver name in series
 SINGLE_EQUATIONS = {"213": "series_213", "123": "series_123", "132": "series_132", "R": "solve_R"}
 
+# Largest --order per equation without --force: the largest order solved in
+# under 2 s (in-process, best of 2, Python 3.11.7, 2-vCPU Xeon): 213 1.8 s,
+# 123 1.3 s, 132 1.2 s, R 1.6 s.  The chain limits were measured on four-step
+# chains (1.7 and 1.4 s); a chain takes longer the more blocks it has.
+SERIES_LIMITS = {"213": 40, "123": 52, "132": 46, "R": 21, "prepend1": 28, "prepend11": 26}
 
-def _resolve_series(eq, order):
+
+def _series_solver(eq):
+    """(family, solve) for an --eq id: its key in SERIES_LIMITS and solve(order)."""
     from . import series
 
     if eq in SINGLE_EQUATIONS:
-        return getattr(series, SINGLE_EQUATIONS[eq])(order)
+        return eq, getattr(series, SINGLE_EQUATIONS[eq])
     verb, colon, chain = eq.partition(":")
     if colon and verb in ("prepend1", "prepend11"):
         blocks = tuple(b.strip() for b in chain.split(",") if b.strip())
@@ -268,25 +281,31 @@ def _resolve_series(eq, order):
             raise UnknownEquation(f"empty chain in {eq!r}")
         if blocks[0] != verb.removeprefix("prepend"):
             raise UnknownEquation(f"chain head {blocks[0]!r} does not match verb {verb!r}")
-        try:
-            return series.pair_series(blocks, order)
-        except ValueError as exc:
-            raise UnknownEquation(str(exc)) from exc
+        bad = [b for b in blocks if b not in ("1", "11")]
+        if bad:
+            raise UnknownEquation(f"unsupported chain block {bad[0]!r} in {eq!r}; "
+                                  "blocks are 1 and 11")
+        return verb, lambda order: series.pair_series(blocks, order)
     known = "213, 123, 132, R, prepend1:<chain>, prepend11:<chain>"
     raise UnknownEquation(f"unknown equation {eq!r}; known: {known}")
 
 
 def cmd_series(args):
-    ser = _resolve_series(args.eq, args.order)
+    family, solve = _series_solver(args.eq)
+    limit = SERIES_LIMITS[family]
+    if args.order > limit and not args.force:
+        raise LimitExceeded(f"order {args.order} exceeds the limit {limit} for equation "
+                            f"{args.eq}; pass --force to proceed")
+    ser = solve(args.order)
     if args.spec:
         spec = _assignments(args.spec.split(","), ser.vars, "variable", f"equation {args.eq}")
         ser = ser.specialize(spec)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(ser.to_json_obj()))
-    else:
-        print(", ".join(str(ser.coefficient(k)) for k in range(ser.order + 1)))
+    # one coefficient's text per write: the whole output is never held at once
+    as_json, write = args.format == "json", sys.stdout.write
+    write("[" if as_json else "")
+    for k, c in enumerate(ser.coeffs):
+        write((", " if k else "") + (c.to_json() if as_json else str(c)))
+    write("]\n" if as_json else "\n")
     return 0
 
 
@@ -318,10 +337,7 @@ def cmd_formula(args):
         raise BadPattern(f"formula {args.formula_id} needs --param {','.join(missing)}")
     value = func(args.n, *[params[p] for p in names])
     if args.format == "json":
-        import json
-
-        obj = value.to_json_obj() if isinstance(value, Polynomial) else {"value": str(value)}
-        value = json.dumps(obj)
+        value = value.to_json() if isinstance(value, Polynomial) else f'{{"value": "{value}"}}'
     print(value)
     return 0
 

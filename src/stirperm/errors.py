@@ -10,7 +10,7 @@ class BadPattern(StirpermError):
 
 
 class LimitExceeded(StirpermError):
-    """An enumeration request is above the configured size limit."""
+    """A request is above its size limit and --force was not given."""
 
 
 class NotAvoider(StirpermError):

@@ -20,6 +20,8 @@ An exponent outside the range raises ValueError, in the constructor, in
 
 Exponent tuples appear only at the edges: the constructor and
 ``coefficient`` take them, ``items`` and the printed forms give them back.
+The printed forms are ``str`` and ``to_json``, the JSON text that
+``series --format json`` and ``formula --format json`` write.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ def _pack(exp):
 
 def _unpack(key, n):
     return tuple(key >> s & MASK for s in range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
+
+
+def _json_string(name):
+    """A variable name as json.dumps writes it; json is loaded only to escape."""
+    if name.isidentifier() and name.isascii():
+        return f'"{name}"'
+    import json
+
+    return json.dumps(name)
 
 
 class Polynomial:
@@ -388,9 +399,13 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self})"
 
-    def to_json_obj(self):
-        """JSON form: {"vars": [...], "terms": [{"exp": [...], "coef": "..."}]}."""
-        return {
-            "vars": list(self.vars),
-            "terms": [{"exp": list(exp), "coef": str(coef)} for exp, coef in self.items()],
-        }
+    def to_json(self):
+        """JSON text {"vars": [...], "terms": [{"exp": [...], "coef": "..."}, ...]}.
+
+        The terms ascend by exponent tuple and each coefficient is a decimal
+        string; the text is what json.dumps writes for that object.
+        """
+        vars = ", ".join(map(_json_string, self.vars))
+        terms = ", ".join(f'{{"exp": [{", ".join(map(str, exp))}], "coef": "{coef}"}}'
+                          for exp, coef in self.items())
+        return f'{{"vars": [{vars}], "terms": [{terms}]}}'

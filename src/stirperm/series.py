@@ -127,9 +127,6 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries[{self}]"
 
-    def to_json_obj(self):
-        return [c.to_json_obj() for c in self.coeffs]
-
 
 # -- the online solver --------------------------------------------------------
 

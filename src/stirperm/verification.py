@@ -11,13 +11,16 @@ pair-rationals and catalan-chains, a truncation order N whose coefficients
 up to x^N are all compared).  A CheckResult records the orders covered:
 none is SKIP, never PASS; a FAIL names the first order, and the first entry
 of a dict or list, where the sides differ.  Brute distributions and the
-three pattern series are memoised (each series solved once, at the largest
-order a series row covers); each run_checks call starts with empty memos.
+solves named in SOLVERS are memoised (each solved once, at the largest order
+a row that reads it covers); each run_checks call starts with empty memos.
+The requested orders are an ascending range or sequence, never copied: an
+int cap takes its slice of them by bisection.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,13 +53,19 @@ class CheckResult:
 
 
 def format_orders(orders):
-    """Orders as runs, e.g. (1, 2, 3, 5) -> "1..3,5"; "none" when empty."""
-    runs = []
-    for n in orders:
-        if runs and n == runs[-1][1] + 1:
-            runs[-1][1] = n
-        else:
-            runs.append([n, n])
+    """Orders as runs, e.g. (1, 2, 3, 5) -> "1..3,5"; "none" when empty.
+
+    A range of step 1 is one run, read off its ends.
+    """
+    if isinstance(orders, range) and orders.step == 1:
+        runs = [[orders[0], orders[-1]]] if orders else []
+    else:
+        runs = []
+        for n in orders:
+            if runs and n == runs[-1][1] + 1:
+                runs[-1][1] = n
+            else:
+                runs.append([n, n])
     return ",".join(str(a) if a == b else f"{a}..{b}" for a, b in runs) or "none"
 
 
@@ -78,11 +87,12 @@ class Check:
     orders: int | tuple  # cap on the requested orders, or fixed orders
     expected: Callable
     actual: Callable
+    solves: tuple = ()  # the SOLVERS whose memoised coefficients a side reads
 
     def covered(self, ns):
-        """The orders this check compares when ns are requested, ascending."""
+        """The orders this check compares when the ascending orders ns are requested."""
         if isinstance(self.orders, int):
-            return tuple(n for n in ns if 1 <= n <= self.orders)
+            return tuple(ns[bisect_left(ns, 1):bisect_right(ns, self.orders)])
         return self.orders
 
     def __call__(self, ns):
@@ -166,18 +176,29 @@ def _eulerian_row(n):
     return row
 
 
-# One solve per pattern per run_checks call: pattern name -> series_<name>
-# at the largest order the series rows cover (_solve_order, set by run_checks).
-# Coefficient n of a solve truncated at N >= n is the one truncated at n.
+# One solve per solver per run_checks call, at the largest order a row that
+# reads it covers (_solve_orders, set by run_checks).  Coefficient n of a
+# solve truncated at N >= n is the one truncated at n.
+# Each solver gives coefficients 0..N; each looks its series function up when
+# called, so that a wrapper installed on the series module is the one run.
+SOLVERS = {
+    "213": lambda N: series.series_213(N).coeffs,
+    "123": lambda N: series.series_123(N).coeffs,
+    "132": lambda N: series.series_132(N).coeffs,
+    "recurrence-123": lambda N: series.recurrence_123(N),
+    "recurrence-132": lambda N: series.recurrence_132(N),
+    "pair-122": lambda N: series.pair_series(("1", "11"), N).coeffs,
+    "R": lambda N: series.solve_R(N).coeffs,
+}
 _SOLVES = {}
-_solve_order = 0
+_solve_orders = {}
 
 
 def _solved(name, n):
-    """Coefficient n of the series solver for one pattern."""
-    if name not in _SOLVES or _SOLVES[name].order < n:
-        _SOLVES[name] = getattr(series, f"series_{name}")(max(n, _solve_order))
-    return _SOLVES[name].coefficient(n)
+    """Coefficient n of the memoised solve SOLVERS[name]."""
+    if name not in _SOLVES or len(_SOLVES[name]) <= n:
+        _SOLVES[name] = SOLVERS[name](max(n, _solve_orders.get(name, 0)))
+    return _SOLVES[name][n]
 
 
 def _solved_marginals(n):
@@ -330,19 +351,20 @@ TABLE = (
           lambda n: _brute(n, P132).specialize({"p": 1, "q": 1}).project(("r",))),
     Check("series-oracles", "series", 9,
           lambda n: {k: _brute(n, p) for k, p in PATTERNS.items()},
-          lambda n: {k: _solved(k, n) for k in PATTERNS}),
+          lambda n: {k: _solved(k, n) for k in PATTERNS}, tuple(PATTERNS)),
     Check("series-recurrences", "series", tuple(range(7)),
           lambda n: {k: _solved(k, n) for k in ("123", "132")},
-          lambda n: {k: getattr(series, f"recurrence_{k}")(n)[n] for k in ("123", "132")}),
+          lambda n: {k: _solved(f"recurrence-{k}", n) for k in ("123", "132")},
+          ("123", "132", "recurrence-123", "recurrence-132")),
     Check("series-initials", "series", tuple(range(1, max(series.SEEDS.values()) + 1)),
           _printed_seeds, _computed_seeds),
     Check("series-specializations", "series", 9,
           lambda n: {"213": formulas.plateau_poly_213(n), "123": formulas.plateau_poly_123(n),
                      "132": formulas.plateau_poly_123(n), "132 descents": _descents_132(n)},
-          _solved_marginals),
+          _solved_marginals, tuple(PATTERNS)),
     Check("pair-122", "pairs", tuple(range(11)),
           lambda j: _var("p") ** j * _var("q") ** (j - 1) if j else Polynomial.one(PQR),
-          lambda j: series.pair_series(("1", "11"), j).coefficient(j)),
+          lambda j: _solved("pair-122", j), ("pair-122",)),
     Check("pair-rationals", "pairs", (10,),
           lambda N: {b: _expand(num, den, N) for b, (num, den) in RATIONAL_CHAINS.items()},
           lambda N: {b: _chain_at_one(b, N) for b in RATIONAL_CHAINS}),
@@ -352,7 +374,7 @@ TABLE = (
     Check("catalan-chains", "pairs", (8,), _nested_catalan,
           lambda N: {b: _chain_at_one(b, N) for b in CATALAN_CHAINS}),
     Check("joint-plat-122", "joint", 9, lambda n: generation.joint_plat_122(n),
-          lambda n: series.solve_R(n).coefficient(n)),
+          lambda n: _solved("R", n), ("R",)),
     _bijection("bijection-phi", "phi", formulas.count_avoid_213),
     _bijection("bijection-psi-123", "psi-123", formulas.count_avoid_123),
     _bijection("bijection-psi-132", "psi-132", formulas.count_avoid_132),
@@ -385,11 +407,13 @@ def run_checks(suite="all", ns=range(1, 6), jobs=1):
     """Run a suite of checks; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    global _solve_order
     _brute.cache_clear()
     _SOLVES.clear()
-    _solve_order = max((n for c in TABLE if c.suite == "series" for n in c.covered(ns)), default=0)
-    work = [(name, list(ns)) for name in SUITES[suite]]
+    _solve_orders.clear()
+    for c in TABLE:
+        for solver in c.solves:
+            _solve_orders[solver] = max((_solve_orders.get(solver, 0), *c.covered(ns)))
+    work = [(name, ns) for name in SUITES[suite]]
     if jobs > 1:
         import multiprocessing
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import stirperm
-from stirperm import polynomials
-from stirperm.cli import main
+from benchmarks import jobs
+from stirperm import formulas, polynomials, series
+from stirperm.cli import SERIES_LIMITS, main
 from stirperm.generation import generate_all, generate_avoiders
 from stirperm.words import avoids, stats
 
@@ -250,6 +251,83 @@ def test_series_json(capsys):
     coeffs = json.loads(out)
     assert len(coeffs) == 3
     assert coeffs[0]["terms"] == [{"exp": [0, 0, 0], "coef": "1"}]
+
+
+SERIES_JSON_CASES = {
+    ("213", "5", None): series.series_213,
+    ("123", "5", None): series.series_123,
+    ("132", "5", None): series.series_132,
+    ("R", "6", None): series.solve_R,
+    ("prepend11:11,11,11", "5", None): lambda N: series.pair_series(("11", "11", "11"), N),
+    ("prepend1:1,1,11", "5", None): lambda N: series.pair_series(("1", "1", "11"), N),
+    ("213", "4", "p=2,r=-1"): lambda N: series.series_213(N).specialize({"p": 2, "r": -1}),
+    ("123", "3", "all=0"): lambda N: series.series_123(N).specialize(dict.fromkeys("pqr", 0)),
+    ("R", "0", None): series.solve_R,
+}
+
+
+@pytest.mark.parametrize("eq, order, spec", SERIES_JSON_CASES)
+def test_series_json_is_what_json_dumps_writes(capsys, eq, order, spec):
+    argv = ["series", "--eq", eq, "--order", order, "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, *(["--spec", spec] if spec else []))
+    assert code == 0 and err == ""
+    coeffs = json.loads(out)
+    assert out == json.dumps(coeffs) + "\n"
+    assert coeffs == [
+        {"vars": list(c.vars),
+         "terms": [{"exp": list(exp), "coef": str(coef)} for exp, coef in c.items()]}
+        for c in SERIES_JSON_CASES[eq, order, spec](int(order)).coeffs
+    ]
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("plateaus-123", "--n", "4"), formulas.plateau_poly_123(4)),
+    (("descents-132", "--n", "4", "--param", "d=3"), formulas.descents_132(4, 3)),
+])
+def test_formula_json_is_what_json_dumps_writes(capsys, argv, value):
+    code, out, _ = run_cli(capsys, "formula", "--id", *argv, "--format", "json")
+    assert code == 0 and out == json.dumps(json.loads(out)) + "\n"
+    if isinstance(value, int):
+        assert json.loads(out) == {"value": str(value)}
+    else:
+        assert json.loads(out)["terms"] == [
+            {"exp": list(exp), "coef": str(coef)} for exp, coef in value.items()]
+
+
+@pytest.mark.parametrize("eq, solver", [
+    ("213", "series_213"), ("R", "solve_R"), ("prepend11:11,11", "pair_series"),
+    ("prepend1:1,1,11", "pair_series"),
+])
+def test_series_refuses_an_order_past_its_limit_before_solving(capsys, monkeypatch, eq, solver):
+    orders = []
+
+    def tiny(*args):  # stands in for the solver: records the order, solves nothing
+        orders.append(args[-1])
+        return series.TruncatedSeries.constant(1, polynomials.PQR, 0)
+
+    monkeypatch.setattr(series, solver, tiny)
+    limit = SERIES_LIMITS[eq.partition(":")[0]]
+    for order in (limit + 1, 40000):
+        code, out, err = run_cli(capsys, "series", "--eq", eq, "--order", str(order))
+        assert code == 2 and out == ""
+        assert f"order {order} exceeds the limit {limit}" in err and "pass --force" in err
+    assert orders == []
+    assert run_cli(capsys, "series", "--eq", eq, "--order", str(limit)) == (0, "1\n", "")
+    assert run_cli(capsys, "series", "--eq", eq, "--order", "40000", "--force")[0] == 0
+    assert orders == [limit, 40000]
+
+
+def test_series_limits_clear_the_benchmark_orders():
+    for job in jobs.workload("series-solve", reference={}):
+        flags = dict(zip(job.argv[1::2], job.argv[2::2]))
+        assert int(flags["--order"]) <= SERIES_LIMITS[flags["--eq"].partition(":")[0]]
+
+
+def test_series_refuses_a_chain_block_other_than_1_and_11(capsys, monkeypatch):
+    monkeypatch.setattr(series, "pair_series", None)  # never reached
+    code, out, err = run_cli(capsys, "series", "--eq", "prepend1:1,111,11")
+    assert code == 2 and out == ""
+    assert "unsupported chain block '111'" in err
 
 
 def test_series_unknown(capsys):
@@ -615,12 +693,12 @@ LIST_LOADED = """
 import sys
 from stirperm.cli import main
 assert main(sys.argv[1:]) == 0
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "stirperm"))
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("stirperm", "json")))
 """
 
 
 def loaded_modules(*argv):
-    """The stirperm modules a fresh interpreter holds after running the CLI on argv."""
+    """The stirperm and json modules a fresh interpreter holds after running the CLI on argv."""
     proc = subprocess.run([sys.executable, "-c", LIST_LOADED, *argv],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -632,6 +710,11 @@ def test_each_verb_loads_only_the_modules_it_runs():
     assert loaded_modules("enumerate", "--n", "2", "--stats", "--avoid", "213") == {
         "stirperm", "stirperm.cli", "stirperm.errors", "stirperm.words", "stirperm.generation"}
     assert "stirperm.generation" not in loaded_modules("series", "--eq", "213", "--order", "3")
+    # series and formula write their JSON text without the json module
+    assert "json" not in loaded_modules("series", "--eq", "R", "--order", "3", "--format", "json")
+    assert "json" not in loaded_modules("formula", "--id", "plateaus-213", "--n", "3",
+                                        "--format", "json")
+    assert "json" in loaded_modules("verify", "--suite", "pairs", "--n", "1", "--format", "json")
 
 
 def test_verify_jobs_prints_the_same_bytes_as_one_job(capsys):

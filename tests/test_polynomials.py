@@ -95,10 +95,12 @@ def test_string_and_ordering():
 def test_json_round_trip():
     p, q, r = gens()
     poly = 12 * p * p * q + r**3 + 1
-    obj = poly.to_json_obj()
+    obj = json.loads(poly.to_json())
     assert obj["vars"] == ["p", "q", "r"]
     assert all(isinstance(t["coef"], str) for t in obj["terms"])
-    assert json.loads(json.dumps(obj)) == obj
+    assert Polynomial(obj["vars"], {tuple(t["exp"]): int(t["coef"]) for t in obj["terms"]}) == poly
+    assert json.dumps(obj) == poly.to_json()
+    assert Polynomial.zero(PQR).to_json() == '{"vars": ["p", "q", "r"], "terms": []}'
 
 
 def test_immutability():
@@ -288,9 +290,20 @@ def test_printed_forms_order_terms_as_exponent_tuples(ring):
     vars, a, _ = ring
     poly = Polynomial(vars, a)
     assert str(poly) == ref_str(vars, a)
-    obj = poly.to_json_obj()
+    obj = json.loads(poly.to_json())
     assert [tuple(t["exp"]) for t in obj["terms"]] == sorted(a)
     assert [int(t["coef"]) for t in obj["terms"]] == [a[exp] for exp in sorted(a)]
+
+
+@PROPERTY
+@given(rings(), st.data())
+def test_json_text_is_what_json_dumps_writes(ring, data):
+    vars, a, _ = ring
+    # any names, so that the ones json.dumps escapes are written too
+    names = tuple(data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=len(vars),
+                                     max_size=len(vars), unique=True)))
+    terms = [{"exp": list(exp), "coef": str(a[exp])} for exp in sorted(a)]
+    assert Polynomial(names, a).to_json() == json.dumps({"vars": list(names), "terms": terms})
 
 
 # -- the field range --------------------------------------------------------

@@ -292,9 +292,9 @@ def test_series_q_division_shapes():
 
 def test_series_json():
     ser = series_213(3)
-    obj = ser.to_json_obj()
-    assert len(obj) == 4
-    assert obj[1]["terms"] == [{"exp": [1, 0, 0], "coef": "1"}]
+    assert len(ser.coeffs) == 4
+    assert ser.coefficient(1).to_json() == (
+        '{"vars": ["p", "q", "r"], "terms": [{"exp": [1, 0, 0], "coef": "1"}]}')
 
 
 def test_truncation_guard():

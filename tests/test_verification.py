@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -102,6 +104,25 @@ def test_series_rows_solve_each_pattern_once(monkeypatch):
     assert calls == {"213": 1, "123": 1, "132": 1}
 
 
+def test_each_memoised_solve_runs_once_at_the_largest_order_its_rows_cover(monkeypatch):
+    calls = Counter()
+    for name in ("series_213", "series_123", "series_132", "recurrence_123", "recurrence_132",
+                 "pair_series", "solve_R"):
+        def counted(*args, name=name, solve=getattr(series, name)):
+            calls[name, *args] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(series, name, counted)
+    results = verification.run_checks("all", range(1, 7))
+    assert all(r.ok for r in results)
+    # the chain rows solve their own chains; pair-122 reads the memo
+    pair_122 = {key: n for key, n in calls.items() if key[:2] == ("pair_series", ("1", "11"))}
+    assert pair_122 == {("pair_series", ("1", "11"), 10): 1}
+    assert {key: n for key, n in calls.items() if key[0] != "pair_series"} == {
+        ("series_213", 6): 1, ("series_123", 6): 1, ("series_132", 6): 1,
+        ("recurrence_123", 6): 1, ("recurrence_132", 6): 1, ("solve_R", 6): 1}
+
+
 def test_order_7_passes_count_all_and_count_avoiders_and_skips_eulerian_rows():
     results = {r.check_id: r for r in verification.run_checks("counts", [7])}
     for cid in ("count-all", "count-avoiders"):
@@ -139,6 +160,30 @@ def test_verify_prints_covered_orders_and_skips(capsys):
     assert lines[1].split() == ["PASS", "count-avoiders", "orders", "7"]
     assert lines[2].startswith("SKIP  eulerian-rows   orders none")
     assert lines[-1] == "2/3 checks passed, 1 skipped"
+
+
+@pytest.mark.parametrize("suite", ["bijections", "fibonacci"])
+def test_a_wide_range_prints_what_its_covered_part_prints_without_a_copy(capsys, suite):
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--suite", suite, "--n", "1..9"]) == 0
+        narrow, narrow_peak = capsys.readouterr(), tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = time.perf_counter()
+        assert main(["verify", "--suite", suite, "--n", "1..1000000"]) == 0
+        elapsed, wide_peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == narrow
+    assert elapsed < 1
+    assert wide_peak < narrow_peak + 2**20  # a list of the range would take 8 MB
+
+
+def test_a_skip_names_a_wide_range_by_its_ends(capsys):
+    assert main(["verify", "--suite", "fibonacci", "--n", "10..1000000"]) == 1
+    assert capsys.readouterr().out == (
+        "SKIP  fibonacci-pair  orders none  [covers 1..9 only; asked for 10..1000000]\n"
+        "0/1 checks passed, 1 skipped\n")
 
 
 def test_verify_plateaus_at_order_7(capsys):
