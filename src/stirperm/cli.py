@@ -22,8 +22,10 @@ series and formula write their JSON with Polynomial.to_json, one
 coefficient at a time, and load no json module; biject psi and verify
 --format json import it.
 
-series refuses an --order above its equation's limit in SERIES_LIMITS, and
-enumerate output larger than order DEFAULT_LIMIT, unless --force is given.
+series refuses an --order above its equation's limit in SERIES_LIMITS, a
+chain whose blocks times --order pass CHAIN_LIMIT, and a bad --spec, all
+before it solves; enumerate refuses output larger than order DEFAULT_LIMIT.
+--force lifts the limits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes standard output early, as
@@ -267,13 +269,23 @@ SINGLE_EQUATIONS = {"213": "series_213", "123": "series_123", "132": "series_132
 # chains (1.7 and 1.4 s); a chain takes longer the more blocks it has.
 SERIES_LIMITS = {"213": 40, "123": 52, "132": 46, "R": 21, "prepend1": 28, "prepend11": 26}
 
+# Largest blocks x order of a chain without --force, measured the same way:
+# 11,11,11,11 and 1,11,11,11 at order 26 (104) took 1.7-1.9 s, while
+# 1,11,11,11 took 2.2 s at 27 (108) and 2.9 s at 28 (112).
+CHAIN_LIMIT = 104
+
 
 def _series_solver(eq):
-    """(family, solve) for an --eq id: its key in SERIES_LIMITS and solve(order)."""
+    """(family, variables, blocks, solve) for an --eq id.
+
+    family is its key in SERIES_LIMITS, blocks its chain (() for a single
+    equation) and solve(order) its solver.
+    """
     from . import series
 
     if eq in SINGLE_EQUATIONS:
-        return eq, getattr(series, SINGLE_EQUATIONS[eq])
+        names = series.PZ if eq == "R" else series.PQR
+        return eq, names, (), getattr(series, SINGLE_EQUATIONS[eq])
     verb, colon, chain = eq.partition(":")
     if colon and verb in ("prepend1", "prepend11"):
         blocks = tuple(b.strip() for b in chain.split(",") if b.strip())
@@ -285,20 +297,24 @@ def _series_solver(eq):
         if bad:
             raise UnknownEquation(f"unsupported chain block {bad[0]!r} in {eq!r}; "
                                   "blocks are 1 and 11")
-        return verb, lambda order: series.pair_series(blocks, order)
+        return verb, series.PQR, blocks, lambda order: series.pair_series(blocks, order)
     known = "213, 123, 132, R, prepend1:<chain>, prepend11:<chain>"
     raise UnknownEquation(f"unknown equation {eq!r}; known: {known}")
 
 
 def cmd_series(args):
-    family, solve = _series_solver(args.eq)
+    family, names, blocks, solve = _series_solver(args.eq)
     limit = SERIES_LIMITS[family]
     if args.order > limit and not args.force:
         raise LimitExceeded(f"order {args.order} exceeds the limit {limit} for equation "
                             f"{args.eq}; pass --force to proceed")
+    if len(blocks) * args.order > CHAIN_LIMIT and not args.force:
+        raise LimitExceeded(f"{len(blocks)} blocks at order {args.order} exceed the limit "
+                            f"{CHAIN_LIMIT} on blocks x order for a chain; pass --force to proceed")
+    spec = args.spec and _assignments(args.spec.split(","), names, "variable",
+                                      f"equation {args.eq}")
     ser = solve(args.order)
     if args.spec:
-        spec = _assignments(args.spec.split(","), ser.vars, "variable", f"equation {args.eq}")
         ser = ser.specialize(spec)
     # one coefficient's text per write: the whole output is never held at once
     as_json, write = args.format == "json", sys.stdout.write

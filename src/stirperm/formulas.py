@@ -8,7 +8,6 @@ raises DivisibilityError rather than rounding.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DivisibilityError
 from .polynomials import Polynomial
@@ -31,12 +30,6 @@ def exact_div(num, den):
     return q
 
 
-def _as_int(frac):
-    if frac.denominator != 1:
-        raise DivisibilityError(f"sum {frac} is not an integer")
-    return frac.numerator
-
-
 def count_avoid_213(n):
     """Number of 213-avoiding Stirling permutations of order n."""
     return exact_div(binomial(3 * n, n), 2 * n + 1)
@@ -45,14 +38,16 @@ def count_avoid_213(n):
 def count_avoid_123(n):
     """Number of 123-avoiding Stirling permutations of order n.
 
-    The 132-avoiders are equinumerous, see count_avoid_132.
+    The 132-avoiders are equinumerous, see count_avoid_132.  The sum of
+    binom(n, j) binom(n+j-1, n-j) / (n+1-j) is taken over the common
+    denominator lcm(1..n+1), which then divides the total exactly.
     """
     if n == 0:
         return 1
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += Fraction(binomial(n, j) * binomial(n + j - 1, n - j), n + 1 - j)
-    return _as_int(total)
+    den = math.lcm(*range(1, n + 2))
+    total = sum(binomial(n, j) * binomial(n + j - 1, n - j) * (den // (n + 1 - j))
+                for j in range(n + 1))
+    return exact_div(total, den)
 
 
 def count_avoid_132(n):
@@ -123,7 +118,7 @@ def descents_132(n, d):
     if n < 1:
         raise ValueError("order must be positive")
     inner = sum(binomial(n + 1, j) * binomial(j, d + 1 - j) for j in range(n + 2))
-    return _as_int(Fraction(binomial(n - 1, d) * inner, n + 1))
+    return exact_div(binomial(n - 1, d) * inner, n + 1)
 
 
 def ascent_poly_132(n):

@@ -11,8 +11,10 @@ vertex's favorite child (1-based, None at a leaf), and ``TernaryTree.shape``
 each vertex's slot mask: 4 for a left child, 2 for a vertical one and 1 for
 a right one.  A vertex's first child, if any, is the next vertex, so a
 leftmost path is a run of consecutive indices.  The trees are frozen
-dataclass values, so equality and hashing are tuple operations at any
-depth, and a favorite-child tree never equals a plain ordered tree.
+values: slotted, refusing assignment, equal when of the same class with
+equal field tuples and hashed by that tuple, so equality and hashing are
+tuple operations at any depth, and a favorite-child tree never equals a
+plain ordered tree.
 
 Every tree is written as a parenthesis string by ``serialize``, from one
 iterative walk (``tokens``), and ``parse`` accepts exactly what
@@ -23,7 +25,6 @@ raises ValueError.  No function here recurses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -34,9 +35,29 @@ _TOKEN = re.compile(r"[(,-]|\)(?::(\d+))?")
 
 
 class _Tree:
-    """parse, tokens, serialize and repr, shared by the tree classes."""
+    """The shape, value semantics, parse, tokens, serialize and repr of every tree."""
 
-    __slots__ = ()
+    __slots__ = ("shape",)
+
+    def __init__(self, shape=(0,)):
+        object.__setattr__(self, "shape", shape)
+
+    def _fields(self):
+        return (self.shape,)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     @classmethod
     def parse(cls, text):
@@ -115,14 +136,13 @@ _TERNARY_INSIDE = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class TernaryTree(_Tree):
     """Slot masks in preorder: 4 left, 2 vertical, 1 right.  (0,) is one vertex.
 
     Written in 3-slot form with '-' marking an empty slot, e.g. "(-,(-,-,-),-)".
     """
 
-    shape: tuple = (0,)
+    __slots__ = ()
 
     @classmethod
     def _tree(cls, counts, masks, favorites):
@@ -156,11 +176,10 @@ def ternary_trees(m):
     return tuple(map(TernaryTree, slots[m + 1]))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class OrderedTree(_Tree):
     """Child counts in preorder.  (0,) is one vertex; written e.g. "(()())"."""
 
-    shape: tuple = (0,)
+    __slots__ = ()
 
     @classmethod
     def _tree(cls, counts, masks, favorites):
@@ -194,7 +213,6 @@ def ordered_trees(n):
     return tuple(map(OrderedTree, _ordered_shapes(n)))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class FCOrderedTree(OrderedTree):
     """Ordered tree whose parents each mark a favorite child (1-based).
 
@@ -202,14 +220,19 @@ class FCOrderedTree(OrderedTree):
     e.g. "(()()):2".
     """
 
-    favorites: tuple = (None,)
+    __slots__ = ("favorites",)
 
-    def __post_init__(self):
-        for count, favorite in zip(self.shape, self.favorites, strict=True):
+    def __init__(self, shape=(0,), favorites=(None,)):
+        for count, favorite in zip(shape, favorites, strict=True):
             if count and not 1 <= (favorite or 0) <= count:
                 raise ValueError("parent needs a favorite child index in range")
             if not count and favorite is not None:
                 raise ValueError("leaf cannot have a favorite child")
+        super().__init__(shape)
+        object.__setattr__(self, "favorites", favorites)
+
+    def _fields(self):
+        return self.shape, self.favorites
 
     @classmethod
     def _tree(cls, counts, masks, favorites):

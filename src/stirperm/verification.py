@@ -22,10 +22,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable
 
 from . import bijections, formulas, generation, series
 from .polynomials import PQR, Polynomial
@@ -36,16 +34,19 @@ PATTERNS = {"213": P213, "123": P123, "132": P132}
 SWAPS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))  # two of the three statistics exchanged
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    suite: str
-    status: str  # "pass", "fail" or "skip"
-    expected: str
-    actual: str
-    elapsed: float
-    counterexample: str | None = None
-    orders: tuple = ()  # the orders compared, the failing one last
+    """One check's outcome; _run_single sets elapsed once the check has run."""
+
+    __slots__ = ("check_id", "suite", "status", "expected", "actual", "elapsed",
+                 "counterexample", "orders")
+
+    def __init__(self, check_id, suite, status, expected, actual, elapsed,
+                 counterexample=None, orders=()):
+        self.check_id, self.suite = check_id, suite
+        self.status = status  # "pass", "fail" or "skip"
+        self.expected, self.actual, self.elapsed = expected, actual, elapsed
+        self.counterexample = counterexample
+        self.orders = orders  # the orders compared, the failing one last
 
     @property
     def ok(self):
@@ -80,14 +81,16 @@ def _first_difference(want, got, where=""):
     return where, want, got
 
 
-@dataclass(frozen=True)
 class Check:
-    check_id: str
-    suite: str
-    orders: int | tuple  # cap on the requested orders, or fixed orders
-    expected: Callable
-    actual: Callable
-    solves: tuple = ()  # the SOLVERS whose memoised coefficients a side reads
+    """One row of TABLE: two routes to one object, compared order by order."""
+
+    __slots__ = ("check_id", "suite", "orders", "expected", "actual", "solves")
+
+    def __init__(self, check_id, suite, orders, expected, actual, solves=()):
+        self.check_id, self.suite = check_id, suite
+        self.orders = orders  # cap on the requested orders (int), or fixed orders (tuple)
+        self.expected, self.actual = expected, actual
+        self.solves = solves  # the SOLVERS whose memoised coefficients a side reads
 
     def covered(self, ns):
         """The orders this check compares when the ascending orders ns are requested."""

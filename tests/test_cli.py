@@ -12,8 +12,9 @@ import pytest
 import stirperm
 from benchmarks import jobs
 from stirperm import formulas, polynomials, series
-from stirperm.cli import SERIES_LIMITS, main
+from stirperm.cli import CHAIN_LIMIT, SERIES_LIMITS, main
 from stirperm.generation import generate_all, generate_avoiders
+from stirperm.verification import CATALAN_CHAINS, CHECKS, RATIONAL_CHAINS
 from stirperm.words import avoids, stats
 
 
@@ -328,6 +329,67 @@ def test_series_refuses_a_chain_block_other_than_1_and_11(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "series", "--eq", "prepend1:1,111,11")
     assert code == 2 and out == ""
     assert "unsupported chain block '111'" in err
+
+
+def test_series_checks_spec_before_solving(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series", "--eq", "R", "--order", "21", "--spec", "r=1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "equation R has no variable 'r'; takes p,z" in err
+    code, out, err = run_cli(capsys, "series", "--eq", "prepend11:11,11", "--order", "26",
+                             "--spec", "z=1")
+    assert code == 2 and "takes p,q,r" in err
+
+
+@pytest.mark.parametrize("eq, solve, spec", [
+    ("R", lambda N: series.solve_R(N), {"z": 2}),
+    ("132", lambda N: series.series_132(N), {"p": 2, "r": -1}),
+    ("prepend1:1,11", lambda N: series.pair_series(("1", "11"), N), {"p": 1, "q": 1, "r": 1}),
+])
+def test_series_spec_prints_the_specialized_solve(capsys, eq, solve, spec):
+    text = ",".join(f"{name}={value}" for name, value in spec.items())
+    code, out, _ = run_cli(capsys, "series", "--eq", eq, "--order", "6", "--spec", text)
+    assert code == 0
+    assert out == ", ".join(map(str, solve(6).specialize(spec).coeffs)) + "\n"
+
+
+@pytest.mark.parametrize("eq, order", [
+    ("prepend11:11,11,11,11,11", 21), ("prepend1:1,11,11,11", 27),
+    ("prepend11:" + ",".join(["11"] * 12), 9),
+])
+def test_series_refuses_a_chain_past_the_blocks_times_order_limit(capsys, monkeypatch,
+                                                                   eq, order):
+    orders = []
+
+    def tiny(blocks, order):  # stands in for the solver: records the order, solves nothing
+        orders.append(order)
+        return series.TruncatedSeries.constant(1, polynomials.PQR, 0)
+
+    monkeypatch.setattr(series, "pair_series", tiny)
+    blocks = eq.count(",") + 1
+    assert blocks * order > CHAIN_LIMIT >= blocks * (order - 1)
+    code, out, err = run_cli(capsys, "series", "--eq", eq, "--order", str(order))
+    assert code == 2 and out == "" and orders == []
+    assert f"{blocks} blocks at order {order} exceed the limit {CHAIN_LIMIT}" in err
+    assert "pass --force" in err
+    assert run_cli(capsys, "series", "--eq", eq, "--order", str(order - 1))[0] == 0
+    assert run_cli(capsys, "series", "--eq", eq, "--order", str(order), "--force")[0] == 0
+    assert orders == [order - 1, order]
+
+
+def test_the_chain_limit_clears_the_benchmark_and_verify_chains():
+    sizes = [(1, SERIES_LIMITS["prepend1"]), (1, SERIES_LIMITS["prepend11"])]  # (blocks, order)
+    for job in jobs.workload("series-solve", reference={}):
+        flags = dict(zip(job.argv[1::2], job.argv[2::2]))
+        _, colon, chain = flags["--eq"].partition(":")
+        if colon:
+            sizes.append((chain.count(",") + 1, int(flags["--order"])))
+    for check_id, chains in (("pair-rationals", RATIONAL_CHAINS),
+                             ("catalan-chains", CATALAN_CHAINS)):
+        sizes += [(len(blocks), max(CHECKS[check_id].orders)) for blocks in chains]
+    assert len(sizes) == 10
+    assert all(blocks * order <= CHAIN_LIMIT for blocks, order in sizes)
 
 
 def test_series_unknown(capsys):
@@ -689,16 +751,20 @@ def test_a_reader_that_closes_the_pipe_ends_the_run_quietly_with_exit_141():
     assert proc.returncode == 141
 
 
-LIST_LOADED = """
+# stdlib modules no verb needs: dataclasses brings inspect and ast, fractions decimal
+UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "fractions", "decimal"}
+
+LIST_LOADED = f"""
 import sys
 from stirperm.cli import main
 assert main(sys.argv[1:]) == 0
-print(*sorted(m for m in sys.modules if m.split(".")[0] in ("stirperm", "json")))
+shown = {("stirperm", "json", *sorted(UNUSED_STDLIB))!r}
+print(*sorted(m for m in sys.modules if m.split(".")[0] in shown))
 """
 
 
 def loaded_modules(*argv):
-    """The stirperm and json modules a fresh interpreter holds after running the CLI on argv."""
+    """The stirperm, json and UNUSED_STDLIB modules a fresh interpreter holds after argv."""
     proc = subprocess.run([sys.executable, "-c", LIST_LOADED, *argv],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -715,6 +781,11 @@ def test_each_verb_loads_only_the_modules_it_runs():
     assert "json" not in loaded_modules("formula", "--id", "plateaus-213", "--n", "3",
                                         "--format", "json")
     assert "json" in loaded_modules("verify", "--suite", "pairs", "--n", "1", "--format", "json")
+    for argv in [("enumerate", "--n", "2", "--stats", "--avoid", "213"),
+                 ("series", "--eq", "prepend1:1,11", "--order", "3", "--spec", "q=1"),
+                 ("formula", "--id", "count-123", "--n", "5"), ("formula", "--list"),
+                 ("biject", "phi", "--input", "1221"), ("verify", "--n", "1..2")]:
+        assert not loaded_modules(*argv) & UNUSED_STDLIB, argv
 
 
 def test_verify_jobs_prints_the_same_bytes_as_one_job(capsys):

@@ -1,8 +1,11 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from stirperm import formulas
+from stirperm.errors import DivisibilityError
 from stirperm.formulas import (
     ascent_poly_132,
     binomial,
@@ -161,6 +164,28 @@ def test_divisions_exact_up_to_thirty():
         plateau_poly_123(n)
         for d in range(0, 2 * n, max(1, n // 2)):
             descents_132(n, d)
+
+
+def test_integer_sums_equal_their_fraction_sums():
+    # the sums as printed, in exact rational arithmetic, then checked integral
+    for n in range(1, 61):
+        total = sum(Fraction(binomial(n, j) * binomial(n + j - 1, n - j), n + 1 - j)
+                    for j in range(n + 1))
+        assert total.denominator == 1 and count_avoid_123(n) == total.numerator
+    for n in range(1, 31):
+        for d in range(2 * n):
+            inner = sum(binomial(n + 1, j) * binomial(j, d + 1 - j) for j in range(n + 2))
+            value = Fraction(binomial(n - 1, d) * inner, n + 1)
+            assert value.denominator == 1 and descents_132(n, d) == value.numerator
+
+
+@pytest.mark.parametrize("call", [lambda: count_avoid_123(2), lambda: descents_132(2, 1)],
+                         ids=["count-123", "descents-132"])
+def test_a_sum_that_is_not_an_integer_raises(monkeypatch, call):
+    # with every binomial 1 the count-123 sum is 1/3 + 1/2 + 1 and descents 4/3
+    monkeypatch.setattr(formulas, "binomial", lambda a, b: 1)
+    with pytest.raises(DivisibilityError):
+        call()
 
 
 def test_fibonacci_counts():

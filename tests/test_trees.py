@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from stirperm.bijections import left_path_order
@@ -97,6 +99,33 @@ def test_fc_tree_validation_and_serialization():
     # an FC tree never equals the plain ordered tree of its shape
     assert parent != OrderedTree((2, 0, 0))
     assert leaf != OrderedTree()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TernaryTree((5, 0, 2, 0)),
+    lambda: OrderedTree((2, 1, 0, 0)),
+    lambda: FCOrderedTree((2, 1, 0, 0), (2, 1, None, None)),
+], ids=["ternary", "ordered", "fc"])
+def test_trees_are_frozen_values(make):
+    one, other = make(), make()
+    assert one is not other and one == other and hash(one) == hash(other)
+    assert not one != other and len({one, other}) == 1
+    with pytest.raises(AttributeError):
+        one.shape = (0,)
+    with pytest.raises(AttributeError):
+        del one.shape
+    assert one == other
+    assert pickle.loads(pickle.dumps(one)) == one
+
+
+def test_trees_of_different_classes_never_compare_equal():
+    assert TernaryTree((0,)) != OrderedTree((0,))
+    assert OrderedTree((0,)) != TernaryTree((0,))
+    for shape, favorites in [((0,), (None,)), ((2, 0, 0), (1, None, None))]:
+        assert FCOrderedTree(shape, favorites) != OrderedTree(shape)
+        assert OrderedTree(shape) != FCOrderedTree(shape, favorites)
+    # equal shapes with different favorites differ
+    assert FCOrderedTree((2, 0, 0), (1, None, None)) != FCOrderedTree((2, 0, 0), (2, None, None))
 
 
 def test_tokens_name_the_vertex_that_writes_each_token():
