@@ -22,10 +22,10 @@ series and formula write their JSON with Polynomial.to_json, one
 coefficient at a time, and load no json module; biject psi and verify
 --format json import it.
 
-series refuses an --order above its equation's limit in SERIES_LIMITS, a
-chain whose blocks times --order pass CHAIN_LIMIT, and a bad --spec, all
-before it solves; enumerate refuses output larger than order DEFAULT_LIMIT.
---force lifts the limits.
+series refuses an --order above its equation's limit, a chain whose blocks
+times --order pass its chain limit, both in series.EQUATIONS, and a bad
+--spec, all before it solves; enumerate refuses output larger than order
+DEFAULT_LIMIT.  --force lifts the limits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes standard output early, as
@@ -260,58 +260,46 @@ def _assignments(pieces, names, noun, owner):
     return values
 
 
-# --eq ids of the single equations -> solver name in series
-SINGLE_EQUATIONS = {"213": "series_213", "123": "series_123", "132": "series_132", "R": "solve_R"}
-
-# Largest --order per equation without --force: the largest order solved in
-# under 2 s (in-process, best of 2, Python 3.11.7, 2-vCPU Xeon): 213 1.8 s,
-# 123 1.3 s, 132 1.2 s, R 1.6 s.  The chain limits were measured on four-step
-# chains (1.7 and 1.4 s); a chain takes longer the more blocks it has.
-SERIES_LIMITS = {"213": 40, "123": 52, "132": 46, "R": 21, "prepend1": 28, "prepend11": 26}
-
-# Largest blocks x order of a chain without --force, measured the same way:
-# 11,11,11,11 and 1,11,11,11 at order 26 (104) took 1.7-1.9 s, while
-# 1,11,11,11 took 2.2 s at 27 (108) and 2.9 s at 28 (112).
-CHAIN_LIMIT = 104
-
-
 def _series_solver(eq):
-    """(family, variables, blocks, solve) for an --eq id.
+    """(equation, blocks, solve) for an --eq id.
 
-    family is its key in SERIES_LIMITS, blocks its chain (() for a single
-    equation) and solve(order) its solver.
+    equation is its family's entry in series.EQUATIONS, blocks its chain (()
+    for a single equation) and solve(order) its solver.
     """
     from . import series
 
-    if eq in SINGLE_EQUATIONS:
-        names = series.PZ if eq == "R" else series.PQR
-        return eq, names, (), getattr(series, SINGLE_EQUATIONS[eq])
+    # chain family -> the block it prepends, the rest of its name
+    chains = {name: name.removeprefix("prepend") for name, e in series.EQUATIONS.items()
+              if e.chain_limit}
     verb, colon, chain = eq.partition(":")
-    if colon and verb in ("prepend1", "prepend11"):
+    equation = series.EQUATIONS.get(verb)
+    if equation and not colon and verb not in chains:
+        return equation, (), getattr(series, equation.entry)
+    if colon and verb in chains:
         blocks = tuple(b.strip() for b in chain.split(",") if b.strip())
         if not blocks:
             raise UnknownEquation(f"empty chain in {eq!r}")
-        if blocks[0] != verb.removeprefix("prepend"):
+        if blocks[0] != chains[verb]:
             raise UnknownEquation(f"chain head {blocks[0]!r} does not match verb {verb!r}")
-        bad = [b for b in blocks if b not in ("1", "11")]
+        bad = [b for b in blocks if b not in chains.values()]
         if bad:
             raise UnknownEquation(f"unsupported chain block {bad[0]!r} in {eq!r}; "
-                                  "blocks are 1 and 11")
-        return verb, series.PQR, blocks, lambda order: series.pair_series(blocks, order)
-    known = "213, 123, 132, R, prepend1:<chain>, prepend11:<chain>"
+                                  f"blocks are {' and '.join(chains.values())}")
+        return equation, blocks, lambda order: series.pair_series(blocks, order)
+    known = ", ".join(name + ":<chain>" * (name in chains) for name in series.EQUATIONS)
     raise UnknownEquation(f"unknown equation {eq!r}; known: {known}")
 
 
 def cmd_series(args):
-    family, names, blocks, solve = _series_solver(args.eq)
-    limit = SERIES_LIMITS[family]
-    if args.order > limit and not args.force:
-        raise LimitExceeded(f"order {args.order} exceeds the limit {limit} for equation "
-                            f"{args.eq}; pass --force to proceed")
-    if len(blocks) * args.order > CHAIN_LIMIT and not args.force:
+    equation, blocks, solve = _series_solver(args.eq)
+    if args.order > equation.limit and not args.force:
+        raise LimitExceeded(f"order {args.order} exceeds the limit {equation.limit} for "
+                            f"equation {args.eq}; pass --force to proceed")
+    if len(blocks) * args.order > equation.chain_limit and not args.force:
         raise LimitExceeded(f"{len(blocks)} blocks at order {args.order} exceed the limit "
-                            f"{CHAIN_LIMIT} on blocks x order for a chain; pass --force to proceed")
-    spec = args.spec and _assignments(args.spec.split(","), names, "variable",
+                            f"{equation.chain_limit} on blocks x order for a chain; "
+                            "pass --force to proceed")
+    spec = args.spec and _assignments(args.spec.split(","), equation.vars, "variable",
                                       f"equation {args.eq}")
     ser = solve(args.order)
     if args.spec:

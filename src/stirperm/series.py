@@ -1,13 +1,16 @@
 """Truncated formal power series in x with exact polynomial coefficients.
 
-Every functional equation is solved by one online solver, ``_solve`` (lazy
-online evaluation, van der Hoeven, "Relax, but don't be too lazy", 2002):
-the unknown only enters multiplied by x, so coefficient n is computed once
-from coefficients 0..n-1.  A quotient num/den is the equation
-q = num + (1 - den) q.  All arithmetic is exact; no radicals are expanded.
+Every functional equation is an entry of ``EQUATIONS``, solved by one
+online solver, ``_solve`` (lazy online evaluation, van der Hoeven, "Relax,
+but don't be too lazy", 2002): the unknown only enters multiplied by x, so
+coefficient n is computed once from coefficients 0..n-1.  A quotient
+num/den is the equation q = num + (1 - den) q.  All arithmetic is exact;
+no radicals are expanded.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import CompositionError, DivisibilityError
 from .polynomials import PQR, PZ, Polynomial
@@ -62,8 +65,6 @@ class TruncatedSeries:
             self.vars, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries(self.vars, [-c for c in self.coeffs], self.order)
 
@@ -71,9 +72,6 @@ class TruncatedSeries:
         if isinstance(other, (int, Polynomial)):
             other = TruncatedSeries.constant(other, self.vars, self.order)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     # No caller in the package; kept since benchmarks/tracing.py wraps __mul__, inverse, compose
     def __mul__(self, other):
@@ -108,24 +106,6 @@ class TruncatedSeries:
 
     def map_coefficients(self, fn):
         return TruncatedSeries(self.vars, [fn(c) for c in self.coeffs], self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.order, self.coeffs))
-
-    def __str__(self):
-        return "; ".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"TruncatedSeries[{self}]"
 
 
 # -- the online solver --------------------------------------------------------
@@ -198,62 +178,93 @@ def _solve(vars, order, start, terms):
     return TruncatedSeries(vars, coeffs, order)
 
 
-# -- the three single-pattern equations ------------------------------------
+# -- the equations -----------------------------------------------------------
+#
+# One entry per --eq family.  _solve finds the series f = start + sum of the
+# terms over vars, and form says how C is read off f: "C-1" (f = C - 1),
+# "qC-q+1" (f = qC - q + 1) or "C" (f = C).  terms(*gens, G) builds the
+# terms (scalar, s, factors) from the generators of vars and, for a chain
+# step, G = F_t' - 1 of the pattern t' it prepends to; building the table
+# makes no Polynomial.  entry is the function of this module that solves
+# the family; pair_series solves a chain, one step per block b with the
+# family "prepend" + b.
+#
+# limit is the largest --order without --force: the largest order solved in
+# under 2 s (in-process, best of 2, Python 3.11.7, 2-vCPU Xeon): 213 1.8 s,
+# 123 1.3 s, 132 1.2 s, R 1.6 s.  The chain limits were measured on
+# four-step chains (1.7 and 1.4 s); a chain takes longer the more blocks it
+# has.  chain_limit is the largest blocks x order of a chain without
+# --force, 0 for a family that takes no chain.
+Equation = namedtuple("Equation", "vars start form limit chain_limit entry terms")
+
+# The chain limit, measured the same way: 11,11,11,11 and 1,11,11,11 at
+# order 26 (104) took 1.7-1.9 s, while 1,11,11,11 took 2.2 s at 27 (108)
+# and 2.9 s at 28 (112).
+CHAIN_LIMIT = 104
+
+# R(x, p z^k, z) coefficient by coefficient, k = 1, 2: p-degree moves into z-degree
+_R1, _R2 = (lambda c, k=k: c.shift_var("p", "z", k) for k in (1, 2))
+
+EQUATIONS = {
+    # f = xp + x(pr+qr+pq) f + xqr(r+p+q) f^2 + x q^2 r^2 f^3
+    "213": Equation(PQR, 0, "C-1", 40, 0, "series_213", lambda P, Q, R, G: [
+        (P, 1, ()), (P * R + Q * R + P * Q, 1, (F,)),
+        (Q * R * (R + P + Q), 1, (F, F)), (Q * Q * R * R, 1, (F, F, F))]),
+    # f = 1 + pqx(-1 + (2 + x(pr+qr-pq)) f - pqx(1 - x(p-r)(q-r)) f^2) f
+    "123": Equation(PQR, 1, "qC-q+1", 52, 0, "series_123", lambda P, Q, R, G: [
+        (-P * Q, 1, (F,)), (2 * P * Q, 1, (F, F)), (P * Q * (P * R + Q * R - P * Q), 2, (F, F)),
+        (-P * Q * P * Q, 2, (F, F, F)), (P * Q * P * Q * (P - R) * (Q - R), 3, (F, F, F))]),
+    # f = 1 + px(q - 2r + r(2 + (pr-pq+q^2)x) f - p r^2 x f^2) f
+    "132": Equation(PQR, 1, "qC-q+1", 46, 0, "series_132", lambda P, Q, R, G: [
+        (P * (Q - 2 * R), 1, (F,)), (2 * P * R, 1, (F, F)),
+        (P * R * (P * R - P * Q + Q * Q), 2, (F, F)), (-P * P * R * R, 2, (F, F, F))]),
+    # R(x,p,z) over the 213-avoiders marking plateaus and 122 hits:
+    # R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)), solved as
+    # R = 1 + x R(x,pz,z) R(x,pz^2,z) R + x (p - 1) R(x,pz^2,z) R
+    "R": Equation(PZ, 1, "C", 21, 0, "solve_R", lambda P, Z, G: [
+        (1, 1, (_R1, _R2, F)), (P - 1, 1, (_R2, F))]),
+    # 1 (+) t': F = 1 + (xp + xr(p+q) G + x q r^2 G^2)
+    #   / (1 - xpq - xqr(1+p) G - x q^2 r^2 G^2), and u = F - 1 = num/den
+    # is solved as u = num + (1 - den) u
+    "prepend1": Equation(PQR, 0, "C-1", 28, CHAIN_LIMIT, "pair_series", lambda P, Q, R, G: [
+        (P, 1, ()), (R * (P + Q), 1, (G,)), (Q * R * R, 1, (G, G)),
+        (P * Q, 1, (F,)), (Q * R * (1 + P), 1, (G, F)), (Q * Q * R * R, 1, (G, G, F))]),
+    # 11 (+) t': F = 1 + xp + x(p+r)q (F-1) + xpr G + xqr (F-1)^2
+    #   + xqr(p+r) (F-1) G + x q^2 r^2 G (F-1)^2, solved for u = F - 1,
+    # the unique series branch with constant term 1
+    "prepend11": Equation(PQR, 0, "C-1", 26, CHAIN_LIMIT, "pair_series", lambda P, Q, R, G: [
+        (P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
+        (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]),
+}
 
 
-def solve_213(order):
-    """Series f = C_213 - 1 from its cubic equation.
-
-    The equation is f = xp + x(pr+qr+pq) f + xqr(r+p+q) f^2 + x q^2 r^2 f^3.
-    """
-    P, Q, R = Polynomial.gens(PQR)
-    terms = [(P, 1, ()), (P * R + Q * R + P * Q, 1, (F,)),
-             (Q * R * (R + P + Q), 1, (F, F)), (Q * Q * R * R, 1, (F, F, F))]
-    return _solve(PQR, order, 0, terms)
+def solve(family, order, G=None):
+    """C of an EQUATIONS family to order; G is a chain step's F_t' - 1."""
+    eq = EQUATIONS[family]
+    f = _solve(eq.vars, order, eq.start, eq.terms(*Polynomial.gens(eq.vars), G))
+    if eq.form == "qC-q+1":  # C - 1 = (f - 1)/q, checking that q divides f - 1
+        f = (f - 1).map_coefficients(lambda c: c.div_var_exact("q"))
+    return f if eq.form == "C" else f + 1
 
 
 def series_213(order):
     """Full distribution series C_213(x,p,q,r)."""
-    return solve_213(order) + 1
-
-
-def solve_123(order):
-    """Auxiliary series f = q C_123 - q + 1 from its functional equation.
-
-    f = 1 + pqx(-1 + (2 + x(pr+qr-pq)) f - pqx(1 - x(p-r)(q-r)) f^2) f.
-    """
-    P, Q, R = Polynomial.gens(PQR)
-    PQ = P * Q
-    terms = [(-PQ, 1, (F,)), (2 * PQ, 1, (F, F)), (PQ * (P * R + Q * R - PQ), 2, (F, F)),
-             (-PQ * PQ, 2, (F, F, F)), (PQ * PQ * (P - R) * (Q - R), 3, (F, F, F))]
-    return _solve(PQR, order, 1, terms)
-
-
-def _recover_from_q_form(f):
-    """C = (f - 1 + q)/q, checking exact divisibility of f - 1 by q."""
-    shifted = (f - 1).map_coefficients(lambda c: c.div_var_exact("q"))
-    return shifted + 1
+    return solve("213", order)
 
 
 def series_123(order):
     """Full distribution series C_123(x,p,q,r)."""
-    return _recover_from_q_form(solve_123(order))
-
-
-def solve_132(order):
-    """Auxiliary series f = q C_132 - q + 1 from its functional equation.
-
-    f = 1 + px(q - 2r + r(2 + (pr-pq+q^2)x) f - p r^2 x f^2) f.
-    """
-    P, Q, R = Polynomial.gens(PQR)
-    terms = [(P * (Q - 2 * R), 1, (F,)), (2 * P * R, 1, (F, F)),
-             (P * R * (P * R - P * Q + Q * Q), 2, (F, F)), (-P * P * R * R, 2, (F, F, F))]
-    return _solve(PQR, order, 1, terms)
+    return solve("123", order)
 
 
 def series_132(order):
     """Full distribution series C_132(x,p,q,r)."""
-    return _recover_from_q_form(solve_132(order))
+    return solve("132", order)
+
+
+def solve_R(order):
+    """Series R(x,p,z) over the 213-avoiders marking plateaus and 122 hits."""
+    return solve("R", order)
 
 
 # -- recurrence route for the 123 and 132 coefficients ----------------------
@@ -341,52 +352,18 @@ def recurrence_132(order):
 # -- two-pattern families ---------------------------------------------------
 
 
-def prepend1(sub):
-    """F for the pattern 1 (+) t', given the series for t'.
-
-    Rational expression: F = 1 + (xp + xr(p+q) G + x q r^2 G^2)
-    / (1 - xpq - xqr(1+p) G - x q^2 r^2 G^2)  with G = F_{t'} - 1; the
-    quotient u = num/den is solved as u = num + (1 - den) u.
-    """
-    P, Q, R = Polynomial.gens(PQR)
-    G = sub - 1
-    terms = [(P, 1, ()), (R * (P + Q), 1, (G,)), (Q * R * R, 1, (G, G)),
-             (P * Q, 1, (F,)), (Q * R * (1 + P), 1, (G, F)), (Q * Q * R * R, 1, (G, G, F))]
-    return _solve(PQR, sub.order, 0, terms) + 1
-
-
-def prepend11(sub):
-    """F for the pattern 11 (+) t', given the series for t'.
-
-    Solves the quadratic functional equation
-    F = 1 + xp + x(p+r)q (F-1) + xpr G + xqr (F-1)^2
-      + xqr(p+r) (F-1) G + x q^2 r^2 G (F-1)^2,  G = F_{t'} - 1,
-    for u = F - 1; this picks the unique series branch with constant term 1.
-    """
-    P, Q, R = Polynomial.gens(PQR)
-    G = sub - 1
-    terms = [(P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
-             (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]
-    return _solve(PQR, sub.order, 0, terms) + 1
-
-
 def pair_series(blocks, order):
     """Chain of prepend steps; blocks are "1" or "11", rightmost is the base.
 
-    The base block must itself contain a repeated letter (its avoider series
-    is the constant 1); each remaining block, right to left, wraps the
+    The base's avoider series is the constant 1, since every nonempty word
+    contains both 1 and 11; each remaining block, right to left, wraps the
     current pattern by disjoint concatenation from the left.
     """
-    if not blocks:
-        raise ValueError("empty chain")
-    if blocks[-1] not in ("1", "11"):
-        raise ValueError(f"unsupported base pattern {blocks[-1]!r}")
-    steps = {"1": prepend1, "11": prepend11}
-    chain = TruncatedSeries.constant(1, PQR, order)  # the base: no avoider beyond order 0
+    if not blocks or any("prepend" + block not in EQUATIONS for block in blocks):
+        raise ValueError(f"unsupported chain {blocks!r}")
+    chain = TruncatedSeries.constant(1, PQR, order)
     for block in reversed(blocks[:-1]):
-        if block not in steps:
-            raise ValueError(f"unsupported chain block {block!r}")
-        chain = steps[block](chain)
+        chain = solve("prepend" + block, order, chain - 1)
     return chain
 
 
@@ -400,19 +377,3 @@ def chain_pattern(blocks):
     for block in reversed(blocks):
         pattern = [1] * len(block) + [v + 1 for v in pattern]
     return tuple(pattern)
-
-
-# -- joint plateau / 122-occurrence series ----------------------------------
-
-
-def solve_R(order):
-    """Series R(x,p,z) over the 213-avoiders marking plateaus and 122 hits.
-
-    R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)), solved as
-    R = 1 + x R(x,pz,z) R(x,pz^2,z) R + x (p - 1) R(x,pz^2,z) R; the
-    substitutions act on coefficients by transferring p-degree into z-degree.
-    """
-    P = Polynomial.variable("p", PZ)
-    r1, r2 = (lambda c, k=k: c.shift_var("p", "z", k) for k in (1, 2))
-    terms = [(1, 1, (r1, r2, F)), (P - 1, 1, (r2, F))]
-    return _solve(PZ, order, 1, terms)

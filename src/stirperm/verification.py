@@ -417,6 +417,7 @@ def run_checks(suite="all", ns=range(1, 6), jobs=1):
         for solver in c.solves:
             _solve_orders[solver] = max((_solve_orders.get(solver, 0), *c.covered(ns)))
     work = [(name, ns) for name in SUITES[suite]]
+    jobs = min(jobs, len(work))  # no more workers than checks: one check runs in this process
     if jobs > 1:
         import multiprocessing
 

@@ -12,8 +12,9 @@ import pytest
 import stirperm
 from benchmarks import jobs
 from stirperm import formulas, polynomials, series
-from stirperm.cli import CHAIN_LIMIT, SERIES_LIMITS, main
+from stirperm.cli import main
 from stirperm.generation import generate_all, generate_avoiders
+from stirperm.series import CHAIN_LIMIT, EQUATIONS
 from stirperm.verification import CATALAN_CHAINS, CHECKS, RATIONAL_CHAINS
 from stirperm.words import avoids, stats
 
@@ -295,10 +296,11 @@ def test_formula_json_is_what_json_dumps_writes(capsys, argv, value):
             {"exp": list(exp), "coef": str(coef)} for exp, coef in value.items()]
 
 
+CHAIN_IDS = {"prepend11": "prepend11:11,11", "prepend1": "prepend1:1,1,11"}  # an --eq id each
+
+
 @pytest.mark.parametrize("eq, solver", [
-    ("213", "series_213"), ("R", "solve_R"), ("prepend11:11,11", "pair_series"),
-    ("prepend1:1,1,11", "pair_series"),
-])
+    (CHAIN_IDS.get(family, family), equation.entry) for family, equation in EQUATIONS.items()])
 def test_series_refuses_an_order_past_its_limit_before_solving(capsys, monkeypatch, eq, solver):
     orders = []
 
@@ -307,7 +309,7 @@ def test_series_refuses_an_order_past_its_limit_before_solving(capsys, monkeypat
         return series.TruncatedSeries.constant(1, polynomials.PQR, 0)
 
     monkeypatch.setattr(series, solver, tiny)
-    limit = SERIES_LIMITS[eq.partition(":")[0]]
+    limit = EQUATIONS[eq.partition(":")[0]].limit
     for order in (limit + 1, 40000):
         code, out, err = run_cli(capsys, "series", "--eq", eq, "--order", str(order))
         assert code == 2 and out == ""
@@ -321,7 +323,7 @@ def test_series_refuses_an_order_past_its_limit_before_solving(capsys, monkeypat
 def test_series_limits_clear_the_benchmark_orders():
     for job in jobs.workload("series-solve", reference={}):
         flags = dict(zip(job.argv[1::2], job.argv[2::2]))
-        assert int(flags["--order"]) <= SERIES_LIMITS[flags["--eq"].partition(":")[0]]
+        assert int(flags["--order"]) <= EQUATIONS[flags["--eq"].partition(":")[0]].limit
 
 
 def test_series_refuses_a_chain_block_other_than_1_and_11(capsys, monkeypatch):
@@ -379,7 +381,8 @@ def test_series_refuses_a_chain_past_the_blocks_times_order_limit(capsys, monkey
 
 
 def test_the_chain_limit_clears_the_benchmark_and_verify_chains():
-    sizes = [(1, SERIES_LIMITS["prepend1"]), (1, SERIES_LIMITS["prepend11"])]  # (blocks, order)
+    # (blocks, order) of each chain the limit must admit
+    sizes = [(1, EQUATIONS["prepend1"].limit), (1, EQUATIONS["prepend11"].limit)]
     for job in jobs.workload("series-solve", reference={}):
         flags = dict(zip(job.argv[1::2], job.argv[2::2]))
         _, colon, chain = flags["--eq"].partition(":")
@@ -396,6 +399,17 @@ def test_series_unknown(capsys):
     code, _, err = run_cli(capsys, "series", "--eq", "999")
     assert code == 2
     assert "unknown equation" in err
+
+
+def test_the_eq_help_and_the_known_list_name_exactly_the_table_families(capsys):
+    # the help is a literal, so that verbs other than series never import series
+    code, text, _ = run_cli(capsys, "series", "--help")
+    assert code == 0
+    listed = " ".join(text.split()).partition("equation id: ")[2].partition(" --order")[0]
+    assert listed.split(", ") == [family + ":<chain>" * bool(equation.chain_limit)
+                                  for family, equation in EQUATIONS.items()]
+    assert run_cli(capsys, "series", "--eq", "999") == (
+        2, "", f"error: unknown equation '999'; known: {listed}\n")
 
 
 def test_an_exponent_past_the_range_is_a_usage_error(capsys, monkeypatch):

@@ -5,9 +5,12 @@ from stirperm.formulas import count_avoid_213, descents_132, plateau_poly_123, p
 from stirperm.generation import distribution, joint_plat_122
 from stirperm.polynomials import Polynomial
 from stirperm.series import (
+    EQUATIONS,
+    F,
     PQR,
     PQRV,
     TruncatedSeries,
+    _solve,
     chain_pattern,
     pair_series,
     recurrence_123,
@@ -15,14 +18,17 @@ from stirperm.series import (
     series_123,
     series_132,
     series_213,
-    solve_123,
-    solve_132,
-    solve_213,
     solve_R,
 )
 from stirperm.verification import _chain_at_one, _expand, _nested_catalan
 
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)
+
+
+def raw(family, order):
+    """The series f that _solve finds for a family, before C is read off it."""
+    eq = EQUATIONS[family]
+    return _solve(eq.vars, order, eq.start, eq.terms(*Polynomial.gens(eq.vars), None))
 
 
 def ints(series):
@@ -65,7 +71,7 @@ def test_solver_oracle_equivalence():
 
 
 def test_solve_213_shape():
-    f = solve_213(4)
+    f = raw("213", 4)
     p = Polynomial.variable("p", PQR)
     assert f.coefficient(0).is_zero()
     assert f.coefficient(1) == p
@@ -77,7 +83,7 @@ def test_qr_weighted_symmetry_of_213_coefficients():
 
     q = Polynomial.variable("q", PQR)
     r = Polynomial.variable("r", PQR)
-    f = solve_213(6)
+    f = raw("213", 6)
     for n in range(1, 7):
         weighted = f.coefficient(n) * q * r
         for perm in permutations(PQR):
@@ -86,12 +92,12 @@ def test_qr_weighted_symmetry_of_213_coefficients():
 
 def test_fixed_point_contraction():
     # a lower truncation order changes no coefficient below it
-    full = solve_213(6)
+    full = raw("213", 6)
     for k in range(7):
-        assert solve_213(k).coeffs == full.coeffs[: k + 1]
-    full123 = solve_123(5)
+        assert raw("213", k).coeffs == full.coeffs[: k + 1]
+    full123 = raw("123", 5)
     for k in range(6):
-        assert solve_123(k).coeffs == full123.coeffs[: k + 1]
+        assert raw("123", k).coeffs == full123.coeffs[: k + 1]
 
 
 def test_recurrences_match_solvers():
@@ -210,6 +216,50 @@ def test_prepend_chains_have_total_degree_2n_minus_1(blocks):
     assert_degree_2n_minus_1(pair_series(blocks, 6))
 
 
+G = "g"  # a chain step's G as a factor: the weight check counts it and solves nothing
+
+# the PQR families; R, in p,z, has coefficients that are not homogeneous
+WEIGHED = [family for family, eq in EQUATIONS.items() if eq.form != "C"]
+
+
+def weight_errors(eq):
+    """(index, degrees) of each term whose scalar has not the degree its form needs.
+
+    The coefficient of x^n is homogeneous of degree 2n - 1 in C - 1 and of
+    degree 2n in qC - q + 1, so a term (scalar, s, factors) needs a scalar
+    of degree 2s + (number of F and G factors) - 1 in the C - 1 form, 2s in
+    the qC - q + 1 form.
+    """
+    errors = []
+    for i, (scalar, s, factors) in enumerate(eq.terms(*Polynomial.gens(eq.vars), G)):
+        unknowns = sum(1 for factor in factors if factor in (F, G))
+        want = 2 * s if eq.form == "qC-q+1" else 2 * s + unknowns - 1
+        degrees = (scalar * Polynomial.one(eq.vars)).total_degrees()
+        if degrees != {want}:
+            errors.append((i, degrees))
+    return errors
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(family, marks=pytest.mark.xfail(
+        family in ("prepend1", "prepend11"), strict=True, raises=AssertionError,
+        reason="one term of each prepend equation has the wrong degree (ROADMAP item 1)"))
+    for family in WEIGHED])
+def test_every_term_has_the_degree_its_form_needs(family):
+    assert weight_errors(EQUATIONS[family]) == []
+
+
+@pytest.mark.parametrize("family", WEIGHED)
+def test_the_weight_check_refuses_a_scalar_of_the_wrong_degree(family):
+    eq = EQUATIONS[family]
+
+    def terms(P, Q, R, G):  # the first term's scalar one degree too high
+        (scalar, s, factors), *rest = eq.terms(P, Q, R, G)
+        return [(scalar * P, s, factors), *rest]
+
+    assert 0 in dict(weight_errors(eq._replace(terms=terms)))
+
+
 def test_catalan_chains():
     chains = _nested_catalan(8)
     assert chains[("11", "11")] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -280,9 +330,9 @@ def test_solve_R_printed_terms():
 
 def test_series_q_division_shapes():
     # the auxiliary solutions have constant term 1 and q-divisible tails
-    f = solve_123(4)
+    f = raw("123", 4)
     assert f.coefficient(0) == Polynomial.one(PQR)
-    g = solve_132(4)
+    g = raw("132", 4)
     assert g.coefficient(0) == Polynomial.one(PQR)
     q = PQR.index("q")
     for n in range(1, 5):

@@ -245,3 +245,30 @@ def test_nested_catalan_chains_count_the_brute_avoiders():
         pattern = series.chain_pattern(blocks)
         brute = [sum(1 for _ in generate_avoiders(n, (P213, pattern))) for n in range(7)]
         assert counts[:7] == brute, blocks
+
+
+def test_run_checks_starts_no_more_workers_than_checks(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:  # stands in for multiprocessing.Pool: records its size, runs the work here
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return list(map(fn, work))
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    results = verification.run_checks("counts", range(1, 3), jobs=100000)
+    assert sizes == [3] and all(r.ok for r in results)
+    assert verification.run_checks("counts", range(1, 3), jobs=2)[0].ok and sizes == [3, 2]
+    assert len(verification.SUITES["fibonacci"]) == 1
+    assert verification.run_checks("fibonacci", range(1, 3), jobs=100000)[0].ok
+    assert sizes == [3, 2]  # the one-check suite ran serially
