@@ -301,13 +301,13 @@ def cmd_series(args):
                             "pass --force to proceed")
     spec = args.spec and _assignments(args.spec.split(","), equation.vars, "variable",
                                       f"equation {args.eq}")
-    ser = solve(args.order)
-    if args.spec:
-        ser = ser.specialize(spec)
-    # one coefficient's text per write: the whole output is never held at once
+    coeffs = solve(args.order)
+    # one coefficient per write, specialized just before: the output is never held at once
     as_json, write = args.format == "json", sys.stdout.write
     write("[" if as_json else "")
-    for k, c in enumerate(ser.coeffs):
+    for k, c in enumerate(coeffs):
+        if spec:
+            c = c.specialize(spec)
         write((", " if k else "") + (c.to_json() if as_json else str(c)))
     write("]\n" if as_json else "\n")
     return 0
@@ -453,6 +453,8 @@ def _check_json(r, timings):
 
 
 def main(argv=None):
+    # formula and series print integers of any length (Python < 3.10.7 has no limit)
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

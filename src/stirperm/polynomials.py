@@ -152,9 +152,6 @@ class Polynomial:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get(0, 0)
 

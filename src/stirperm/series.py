@@ -1,11 +1,11 @@
 """Truncated formal power series in x with exact polynomial coefficients.
 
-Every functional equation is an entry of ``EQUATIONS``, solved by one
-online solver, ``_solve`` (lazy online evaluation, van der Hoeven, "Relax,
-but don't be too lazy", 2002): the unknown only enters multiplied by x, so
+A series solved to order N is the tuple of its coefficients 0..N.  Every
+functional equation is an entry of ``EQUATIONS``, solved by one online
+solver, ``_solve`` (lazy online evaluation, van der Hoeven, "Relax, but
+don't be too lazy", 2002): the unknown only enters multiplied by x, so
 coefficient n is computed once from coefficients 0..n-1.  A quotient
-num/den is the equation q = num + (1 - den) q.  All arithmetic is exact;
-no radicals are expanded.
+num/den is the equation q = num + (1 - den) q.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -19,93 +19,52 @@ PQRV = ("p", "q", "r", "v")
 
 
 class TruncatedSeries:
-    """Series sum_{k<=N} c_k x**k with Polynomial coefficients, exact mod x^(N+1)."""
+    """Series sum_{k<=N} c_k x**k with Polynomial coefficients, exact mod x^(N+1).
 
-    __slots__ = ("vars", "order", "coeffs")
+    Kept only for benchmarks/tracing.py, which wraps its three methods by name.
+    """
 
-    def __init__(self, vars, coeffs, order=None):
-        vars = tuple(vars)
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        zero = Polynomial.zero(vars)
-        fixed = []
-        for k in range(order + 1):
-            c = coeffs[k] if k < len(coeffs) else zero
-            if isinstance(c, int):
-                c = Polynomial.constant(c, vars)
-            if c.vars != vars:
-                raise ValueError("coefficient variable mismatch")
-            fixed.append(c)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(fixed))
+    __slots__ = ("vars", "coeffs")
+
+    def __init__(self, vars, coeffs):
+        object.__setattr__(self, "vars", tuple(vars))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    @classmethod
-    def constant(cls, value, vars, order):
-        return cls(vars, [value], order)
-
-    def coefficient(self, k):
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     def _check(self, other):
-        if self.vars != other.vars or self.order != other.order:
+        if self.vars != other.vars or len(self.coeffs) != len(other.coeffs):
             raise ValueError("series mismatch (variables or truncation order)")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Polynomial)):
-            other = TruncatedSeries.constant(other, self.vars, self.order)
-        self._check(other)
-        return TruncatedSeries(
-            self.vars, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __neg__(self):
-        return TruncatedSeries(self.vars, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Polynomial)):
-            other = TruncatedSeries.constant(other, self.vars, self.order)
-        return self + (-other)
-
-    # No caller in the package; kept since benchmarks/tracing.py wraps __mul__, inverse, compose
     def __mul__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
         coeffs = [Polynomial.sum_products(self.vars, [(a[i], b[k - i]) for i in range(k + 1)])
-                  for k in range(self.order + 1)]
-        return TruncatedSeries(self.vars, coeffs, self.order)
+                  for k in range(len(a))]
+        return TruncatedSeries(self.vars, coeffs)
 
     def inverse(self):
         """Reciprocal series; the constant coefficient must be exactly 1."""
         if self.coeffs[0] != Polynomial.one(self.vars):
             raise DivisibilityError("series inverse needs constant coefficient 1")
         a, inv = self.coeffs, [Polynomial.one(self.vars)]
-        for n in range(1, self.order + 1):
+        for n in range(1, len(a)):
             pairs = [(a[k], inv[n - k]) for k in range(1, n + 1)]
             inv.append(-Polynomial.sum_products(self.vars, pairs))
-        return TruncatedSeries(self.vars, inv, self.order)
+        return TruncatedSeries(self.vars, inv)
 
     def compose(self, inner):
-        """Substitute the inner series for x; it must vanish at x = 0."""
+        """Substitute the inner series for x by Horner's rule; it must vanish at x = 0."""
         self._check(inner)
-        if not inner.coeffs[0].is_zero():
+        if inner.coeffs[0]:
             raise CompositionError("inner series must have zero constant term")
-        result = TruncatedSeries.constant(self.coeffs[self.order], self.vars, self.order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
+        *rest, top = self.coeffs
+        result = TruncatedSeries(self.vars, [top] + [Polynomial.zero(self.vars)] * len(rest))
+        for c in reversed(rest):
+            head, *tail = (result * inner).coeffs
+            result = TruncatedSeries(self.vars, [head + c, *tail])
         return result
-
-    def specialize(self, values):
-        return self.map_coefficients(lambda c: c.specialize(values))
-
-    def map_coefficients(self, fn):
-        return TruncatedSeries(self.vars, [fn(c) for c in self.coeffs], self.order)
 
 
 # -- the online solver --------------------------------------------------------
@@ -144,9 +103,9 @@ def _solve(vars, order, start, terms):
 
     Each term is (scalar, s, factors) with s >= 1.  A factor is F (the
     unknown f), a function applied to f coefficient by coefficient (such as
-    p -> p z^k), or a known TruncatedSeries; no factors stands for 1.  Each
+    p -> p z^k), or a known series (a tuple); no factors stands for 1.  Each
     product caches its coefficients and shares them with every product that
-    ends in it.
+    ends in it.  Returns f, a tuple.
     """
 
     def coefficient(n):
@@ -156,8 +115,9 @@ def _solve(vars, order, start, terms):
             vars, [(scalar, prod[n - s]) for scalar, s, prod in compiled if n >= s]
         )
 
+    one = Polynomial.one(vars)  # int scalars become constant polynomials
     f = _Stream(coefficient)
-    streams = {(id(F),): f, (): TruncatedSeries.constant(1, vars, order).coeffs}
+    streams = {(id(F),): f, (): (one,) + (Polynomial.zero(vars),) * order}
 
     def stream(factors):
         key = tuple(map(id, factors))
@@ -166,16 +126,15 @@ def _solve(vars, order, start, terms):
             if len(factors) > 1:
                 streams[key] = _product(stream(factors[:1]), stream(factors[1:]), vars)
             else:
-                streams[key] = _Stream(lambda k: head(f[k])) if callable(head) else head.coeffs
+                streams[key] = _Stream(lambda k: head(f[k])) if callable(head) else head
         return streams[key]
 
-    one = Polynomial.one(vars)  # int scalars become constant polynomials
     compiled = [(one * scalar, s, stream(factors)) for scalar, s, factors in terms]
-    coeffs = [f[k] for k in range(order + 1)]
+    coeffs = tuple(f[k] for k in range(order + 1))
     # f and its products refer to each other: free them now, not at a later gc
     streams.clear()
     compiled.clear()
-    return TruncatedSeries(vars, coeffs, order)
+    return coeffs
 
 
 # -- the equations -----------------------------------------------------------
@@ -242,9 +201,11 @@ def solve(family, order, G=None):
     """C of an EQUATIONS family to order; G is a chain step's F_t' - 1."""
     eq = EQUATIONS[family]
     f = _solve(eq.vars, order, eq.start, eq.terms(*Polynomial.gens(eq.vars), G))
-    if eq.form == "qC-q+1":  # C - 1 = (f - 1)/q, checking that q divides f - 1
-        f = (f - 1).map_coefficients(lambda c: c.div_var_exact("q"))
-    return f if eq.form == "C" else f + 1
+    if eq.form == "C-1":
+        return (f[0] + 1, *f[1:])
+    if eq.form == "qC-q+1":  # f starts at 1; C - 1 = (f - 1)/q, checking that q divides
+        return (*f[:1], *(c.div_var_exact("q") for c in f[1:]))
+    return f
 
 
 def series_213(order):
@@ -323,7 +284,7 @@ def _catalytic(order, seeds, lag, head, plain, brackets, close):
                   for j, c in enumerate(brackets, 1)),
             ])
         f.append(close[0] * f[n - 1] + at_one(L[n]) + close[1] * at_one(L[n - 1]))
-    return [c.project(PQR) for c in f[: order + 1]]
+    return tuple(c.project(PQR) for c in f[: order + 1])
 
 
 def recurrence_123(order):
@@ -361,9 +322,10 @@ def pair_series(blocks, order):
     """
     if not blocks or any("prepend" + block not in EQUATIONS for block in blocks):
         raise ValueError(f"unsupported chain {blocks!r}")
-    chain = TruncatedSeries.constant(1, PQR, order)
+    zero = Polynomial.zero(PQR)
+    chain = (Polynomial.one(PQR),) + (zero,) * order
     for block in reversed(blocks[:-1]):
-        chain = solve("prepend" + block, order, chain - 1)
+        chain = solve("prepend" + block, order, (zero, *chain[1:]))
     return chain
 
 

@@ -182,16 +182,16 @@ def _eulerian_row(n):
 # One solve per solver per run_checks call, at the largest order a row that
 # reads it covers (_solve_orders, set by run_checks).  Coefficient n of a
 # solve truncated at N >= n is the one truncated at n.
-# Each solver gives coefficients 0..N; each looks its series function up when
-# called, so that a wrapper installed on the series module is the one run.
+# Each solver gives the tuple of coefficients 0..N; each looks its series function
+# up when called, so that a wrapper installed on the series module is the one run.
 SOLVERS = {
-    "213": lambda N: series.series_213(N).coeffs,
-    "123": lambda N: series.series_123(N).coeffs,
-    "132": lambda N: series.series_132(N).coeffs,
+    "213": lambda N: series.series_213(N),
+    "123": lambda N: series.series_123(N),
+    "132": lambda N: series.series_132(N),
     "recurrence-123": lambda N: series.recurrence_123(N),
     "recurrence-132": lambda N: series.recurrence_132(N),
-    "pair-122": lambda N: series.pair_series(("1", "11"), N).coeffs,
-    "R": lambda N: series.solve_R(N).coeffs,
+    "pair-122": lambda N: series.pair_series(("1", "11"), N),
+    "R": lambda N: series.solve_R(N),
 }
 _SOLVES = {}
 _solve_orders = {}
@@ -240,7 +240,7 @@ def _computed_seeds(n):
 
 def _chain_at_one(blocks, order):
     """A chain's series at p = q = r = 1, as ints."""
-    return [sum(c.terms.values()) for c in series.pair_series(blocks, order).coeffs]
+    return [sum(c.terms.values()) for c in series.pair_series(blocks, order)]
 
 
 def _times(a, b):

@@ -80,12 +80,8 @@ def is_stirling(word):
     Scans with a stack: values must open in pairs that close in nesting
     order, and a value may only open on top of a strictly smaller one.
     """
-    n2 = len(word)
-    if n2 % 2:
-        return False
-    n = n2 // 2
-    if sorted(word) != [v for v in range(1, n + 1) for _ in (0, 1)]:
-        return False
+    if sorted(word) != [v for v in range(1, len(word) // 2 + 1) for _ in (0, 1)]:
+        return False  # not two copies each of 1..n (an odd length never is)
     stack = []
     seen = set()
     for x in word:
@@ -160,18 +156,29 @@ def _fit(word, pattern, pi, start, assigned):
     assigned maps the pattern values already placed to their word letters:
     a value placed already must reappear as the same letter, a new one must
     fit beside them (_fits).  assigned is restored before returning.
+    Only first copies are tried: a placed value takes the first later copy
+    of its letter, a new value each distinct letter once, at its first
+    position; a later copy only leaves the later letters fewer positions.
     """
     k = len(pattern)
     if pi == k:
         return True
     t = pattern[pi]
+    end = len(word) - (k - pi) + 1
     bound = assigned.get(t)
-    for wj in range(start, len(word) - (k - pi) + 1):
+    if bound is not None:
+        try:
+            wj = word.index(bound, start, end)
+        except ValueError:  # no copy of bound left
+            return False
+        return _fit(word, pattern, pi + 1, wj + 1, assigned)
+    tried = set()
+    for wj in range(start, end):
         w = word[wj]
-        if bound is not None:
-            if w == bound and _fit(word, pattern, pi + 1, wj + 1, assigned):
-                return True
-        elif not assigned or _fits(assigned, t, w):
+        if w in tried:
+            continue
+        tried.add(w)
+        if not assigned or _fits(assigned, t, w):
             assigned[t] = w
             found = _fit(word, pattern, pi + 1, wj + 1, assigned)
             del assigned[t]
@@ -260,7 +267,9 @@ def split_gaps(word, pattern, cut):
     interval search finds all of them: it tries o[cut] from the right and
     stops at the first gap the mask already holds, and it drops every
     placement whose interval the mask already covers.  The letters after
-    the cut are placed by _fit.
+    the cut are placed by _fit, and the first cut letters by its first-copy
+    rule, since a later copy never makes the interval longer; o[cut] tries
+    every copy, since a later one can end the interval later.
     """
     k, n = len(pattern), len(word)
     if k == 0:
@@ -306,15 +315,25 @@ def split_gaps(word, pattern, cut):
                     return
             return
         t = pattern[pi]
+        end = n - (k - pi) + 1
         bound = assigned.get(t)
-        for wj in range(start, n - (k - pi) + 1):
+        if bound is not None:
+            try:
+                wj = word.index(bound, start, end)
+            except ValueError:
+                return
+            if wj < covered:  # else o[cut-1] >= covered too
+                prefix(pi + 1, wj + 1, wj)
+            return
+        tried = set()
+        for wj in range(start, end):
             if wj >= covered:  # then o[cut-1] >= covered too
                 return
             w = word[wj]
-            if bound is not None:
-                if w == bound:
-                    prefix(pi + 1, wj + 1, wj)
-            elif not assigned or _fits(assigned, t, w):
+            if w in tried:
+                continue
+            tried.add(w)
+            if not assigned or _fits(assigned, t, w):
                 assigned[t] = w
                 prefix(pi + 1, wj + 1, wj)
                 del assigned[t]
@@ -383,10 +402,4 @@ def count_adjacent_122(word):
 
 def first_occurrences(word):
     """Subsequence of first occurrences of each value, in appearance order."""
-    seen = set()
-    out = []
-    for x in word:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(word))

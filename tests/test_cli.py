@@ -170,6 +170,14 @@ def test_enumerate_reproduces_the_benchmark_reference_digests(capsys):
         assert digest == reference[f"enum-{pattern or 'all'}"], argv
 
 
+def test_series_reproduces_the_benchmark_reference_digests(capsys):
+    reference = jobs.load_reference()
+    for job in jobs.workload("series-solve", reference):
+        assert job.name in reference
+        code, out, _ = run_cli(capsys, *job.argv)
+        assert job.check(code, out.encode("ascii")) is None, job.argv
+
+
 def test_enumerate_bad_pattern(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--avoid", "13")
     assert code == 2
@@ -262,8 +270,10 @@ SERIES_JSON_CASES = {
     ("R", "6", None): series.solve_R,
     ("prepend11:11,11,11", "5", None): lambda N: series.pair_series(("11", "11", "11"), N),
     ("prepend1:1,1,11", "5", None): lambda N: series.pair_series(("1", "1", "11"), N),
-    ("213", "4", "p=2,r=-1"): lambda N: series.series_213(N).specialize({"p": 2, "r": -1}),
-    ("123", "3", "all=0"): lambda N: series.series_123(N).specialize(dict.fromkeys("pqr", 0)),
+    ("213", "4", "p=2,r=-1"): lambda N: [c.specialize({"p": 2, "r": -1})
+                                         for c in series.series_213(N)],
+    ("123", "3", "all=0"): lambda N: [c.specialize(dict.fromkeys("pqr", 0))
+                                      for c in series.series_123(N)],
     ("R", "0", None): series.solve_R,
 }
 
@@ -278,7 +288,7 @@ def test_series_json_is_what_json_dumps_writes(capsys, eq, order, spec):
     assert coeffs == [
         {"vars": list(c.vars),
          "terms": [{"exp": list(exp), "coef": str(coef)} for exp, coef in c.items()]}
-        for c in SERIES_JSON_CASES[eq, order, spec](int(order)).coeffs
+        for c in SERIES_JSON_CASES[eq, order, spec](int(order))
     ]
 
 
@@ -306,7 +316,7 @@ def test_series_refuses_an_order_past_its_limit_before_solving(capsys, monkeypat
 
     def tiny(*args):  # stands in for the solver: records the order, solves nothing
         orders.append(args[-1])
-        return series.TruncatedSeries.constant(1, polynomials.PQR, 0)
+        return (polynomials.Polynomial.one(polynomials.PQR),)
 
     monkeypatch.setattr(series, solver, tiny)
     limit = EQUATIONS[eq.partition(":")[0]].limit
@@ -353,7 +363,7 @@ def test_series_spec_prints_the_specialized_solve(capsys, eq, solve, spec):
     text = ",".join(f"{name}={value}" for name, value in spec.items())
     code, out, _ = run_cli(capsys, "series", "--eq", eq, "--order", "6", "--spec", text)
     assert code == 0
-    assert out == ", ".join(map(str, solve(6).specialize(spec).coeffs)) + "\n"
+    assert out == ", ".join(str(c.specialize(spec)) for c in solve(6)) + "\n"
 
 
 @pytest.mark.parametrize("eq, order", [
@@ -366,7 +376,7 @@ def test_series_refuses_a_chain_past_the_blocks_times_order_limit(capsys, monkey
 
     def tiny(blocks, order):  # stands in for the solver: records the order, solves nothing
         orders.append(order)
-        return series.TruncatedSeries.constant(1, polynomials.PQR, 0)
+        return (polynomials.Polynomial.one(polynomials.PQR),)
 
     monkeypatch.setattr(series, "pair_series", tiny)
     blocks = eq.count(",") + 1
@@ -436,6 +446,12 @@ def test_formula_values(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run_cli(capsys, "formula", "--id", "plateaus-123", "--n", "3")
     assert code == 0 and out.strip() == "5*p^3 + 5*p^2"
+
+
+def test_formula_prints_an_integer_of_more_than_4300_digits(capsys):
+    code, out, err = run_cli(capsys, "formula", "--id", "count-213", "--n", "6000")
+    assert code == 0 and err == ""
+    assert len(out) > 4301 and out == f"{formulas.count_avoid_213(6000)}\n"
 
 
 FORMULA_LIST = """\

@@ -168,6 +168,43 @@ def test_a_pattern_with_more_values_than_the_word_is_refused_at_once():
     assert time.perf_counter() - start < 1
 
 
+def test_long_rest_masks_of_the_doubled_chain_are_found_in_under_a_second():
+    # in 1,1,2,2,...,m,m each value of 1..m has two copies, so the occurrences
+    # are the 2^m choices of copies: cut 0 holds gaps 0..1, cut c < m gaps
+    # 2c-1..2c+1 and cut m gaps 2m-1..2m; the time is this process's own
+    start = time.process_time()
+    for m in (16, 18):
+        word = tuple(k for k in range(1, m + 1) for _ in "ab")
+        rest = tuple(range(1, m + 1))
+        for cut in range(m + 1):
+            low, high = (0, 1) if cut == 0 else (2 * m - 1, 2 * m) if cut == m else (
+                2 * cut - 1, 2 * cut + 1)
+            assert split_gaps(word, rest, cut) == (1 << high + 1) - (1 << low), (m, cut)
+    assert time.process_time() - start < 1
+
+
+LONG_RESTS = tuple(map(parse_word, ("123", "321", "132", "112", "121", "211",
+                                    "1122", "1212", "1221")))
+
+
+def assert_long_rests_match_the_brute_masks(word, rests=LONG_RESTS):
+    for rest in rests:
+        got = [split_gaps(word, rest, cut) for cut in range(len(rest) + 1)]
+        assert got == split_masks(word, rest), (word, rest)
+
+
+def test_long_rest_search_matches_the_brute_reference_on_stirling_words():
+    for n in range(5):
+        for word in generate_all(n):
+            assert_long_rests_match_the_brute_masks(word)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=9).map(tuple), st.sampled_from(LONG_RESTS))
+def test_long_rest_search_matches_the_brute_reference_on_words_with_repeats(word, rest):
+    assert_long_rests_match_the_brute_masks(word, (rest,))
+
+
 def test_count_occurrences_examples():
     # the brute reference itself
     assert count((1, 1, 2, 2), (1, 2, 2)) == 2
