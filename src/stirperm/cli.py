@@ -4,13 +4,12 @@ Subcommands: enumerate, series, formula, biject, verify.  Output is
 byte-deterministic for fixed flags: fixed orderings everywhere, decimal
 strings for all numbers, and no timings unless asked for.
 
-Input rules, the same for every verb.  Orders and counts are checked while
-the command line is parsed: enumerate --n, series --order and formula --n
-must be integers >= 0, verify --jobs an integer >= 1.  Series --spec and
-formula --param are read by one name=integer parser: blank pieces are
-skipped, all=N assigns every name, and a bad integer, an unknown name or a
-name assigned twice is refused.  Bad input prints one line naming it on
-stderr and nothing on stdout.
+Input rules, the same for every verb.  Orders are checked while the
+command line is parsed: enumerate --n, series --order and formula --n must
+be integers >= 0.  Series --spec and formula --param are read by one
+name=integer parser: blank pieces are skipped, all=N assigns every name,
+and a bad integer, an unknown name or a name assigned twice is refused.
+Bad input prints one line naming it on stderr and nothing on stdout.
 
 Each biject map is its own subcommand and takes only what it uses: phi,
 rho and fc take --direction and a required --input, and psi also
@@ -47,17 +46,15 @@ from .words import DIGITS, format_word, parse_word, stats, validate_pattern  # n
 DEFAULT_LIMIT = 8
 
 
-def _at_least(low):
-    """argparse type: an integer >= low, else an error naming the text."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return value
-    return parse
+def _order(text):
+    """argparse type: an integer >= 0, else an error naming the text."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 # biject maps: name, help, and an --input example for each direction
@@ -77,11 +74,10 @@ def build_parser():
         "the bijections between avoiders and trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    order, positive = _at_least(0), _at_least(1)
 
     p_enum = sub.add_parser("enumerate", help="list Stirling permutations")
     p_enum.set_defaults(handler=cmd_enumerate)
-    p_enum.add_argument("--n", type=order, required=True, help="order")
+    p_enum.add_argument("--n", type=_order, required=True, help="order")
     p_enum.add_argument("--avoid", action="append", default=[], metavar="PATTERN",
                         help="pattern to avoid (repeatable), e.g. 213 or 1122")
     p_enum.add_argument("--stats", action="store_true", help="append des,asc,plat columns")
@@ -94,7 +90,7 @@ def build_parser():
         "--eq", required=True,
         help="equation id: 213, 123, 132, R, prepend1:<chain>, prepend11:<chain>",
     )
-    p_series.add_argument("--order", type=order, default=10, help="truncation order N")
+    p_series.add_argument("--order", type=_order, default=10, help="truncation order N")
     p_series.add_argument(
         "--spec", default=None, metavar="ASSIGN",
         help="specialization, e.g. p=1,q=1 or all=1, applied before printing",
@@ -106,7 +102,7 @@ def build_parser():
     p_formula.set_defaults(handler=cmd_formula)
     p_formula.add_argument("--id", dest="formula_id",
                            help="formula id, e.g. count-213 or plateaus-123")
-    p_formula.add_argument("--n", type=order, help="order")
+    p_formula.add_argument("--n", type=_order, help="order")
     p_formula.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                            help="extra integer parameter, e.g. d=2 (repeatable)")
     p_formula.add_argument("--format", choices=("lines", "json"), default="lines")
@@ -135,7 +131,6 @@ def build_parser():
     p_verify.add_argument("--suite", default="all", help="suite name (see --list), default all")
     p_verify.add_argument("--n", default="1..5", metavar="RANGE",
                           help="order range lo..hi with 1 <= lo <= hi, or a single order")
-    p_verify.add_argument("--jobs", type=positive, default=1, help="parallel worker processes")
     p_verify.add_argument("--timings", action="store_true", help="include elapsed seconds")
     p_verify.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -411,7 +406,7 @@ def cmd_verify(args):
             print(f"{name}: {', '.join(verification.SUITES[name])}")
         return 0
     try:
-        results = verification.run_checks(args.suite, _parse_range(args.n), jobs=args.jobs)
+        results = verification.run_checks(args.suite, _parse_range(args.n))
     except ValueError as exc:
         raise BadPattern(str(exc)) from exc
     passed = sum(1 for r in results if r.ok)

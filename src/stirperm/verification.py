@@ -10,9 +10,11 @@ order by order.  An int cap covers each requested order n with
 pair-rationals and catalan-chains, a truncation order N whose coefficients
 up to x^N are all compared).  A CheckResult records the orders covered:
 none is SKIP, never PASS; a FAIL names the first order, and the first entry
-of a dict or list, where the sides differ.  Brute distributions and the
-solves named in SOLVERS are memoised (each solved once, at the largest order
-a row that reads it covers); each run_checks call starts with empty memos.
+of a dict or list, where the sides differ, and a side that raises is a FAIL
+at that order.  run_checks runs its checks one after another in this
+process.  Brute distributions and the solves named in SOLVERS are memoised:
+each run_checks call starts with empty memos and fills each entry once, a
+solve at the largest order a row that reads it covers.
 The requested orders are an ascending range or sequence, never copied: an
 int cap takes its slice of them by bisection.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
 
@@ -34,19 +36,12 @@ PATTERNS = {"213": P213, "123": P123, "132": P132}
 SWAPS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))  # two of the three statistics exchanged
 
 
-class CheckResult:
-    """One check's outcome; _run_single sets elapsed once the check has run."""
+class CheckResult(namedtuple("CheckResult", "check_id suite status expected actual elapsed "
+                             "counterexample orders", defaults=(None, ()))):
+    """One check's outcome: its status ("pass", "fail" or "skip"), the seconds
+    it took, and the orders it compared, the failing one last."""
 
-    __slots__ = ("check_id", "suite", "status", "expected", "actual", "elapsed",
-                 "counterexample", "orders")
-
-    def __init__(self, check_id, suite, status, expected, actual, elapsed,
-                 counterexample=None, orders=()):
-        self.check_id, self.suite = check_id, suite
-        self.status = status  # "pass", "fail" or "skip"
-        self.expected, self.actual, self.elapsed = expected, actual, elapsed
-        self.counterexample = counterexample
-        self.orders = orders  # the orders compared, the failing one last
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -81,16 +76,15 @@ def _first_difference(want, got, where=""):
     return where, want, got
 
 
-class Check:
-    """One row of TABLE: two routes to one object, compared order by order."""
+class Check(namedtuple("Check", "check_id suite orders expected actual solves",
+                       defaults=((),))):
+    """One row of TABLE: two routes to one object, compared order by order.
 
-    __slots__ = ("check_id", "suite", "orders", "expected", "actual", "solves")
+    orders is a cap on the requested orders (int) or fixed orders (tuple);
+    solves names the SOLVERS whose memoised coefficients a side reads.
+    """
 
-    def __init__(self, check_id, suite, orders, expected, actual, solves=()):
-        self.check_id, self.suite = check_id, suite
-        self.orders = orders  # cap on the requested orders (int), or fixed orders (tuple)
-        self.expected, self.actual = expected, actual
-        self.solves = solves  # the SOLVERS whose memoised coefficients a side reads
+    __slots__ = ()
 
     def covered(self, ns):
         """The orders this check compares when the ascending orders ns are requested."""
@@ -99,17 +93,27 @@ class Check:
         return self.orders
 
     def __call__(self, ns):
+        """This row's CheckResult at the requested orders ns, with the seconds it took."""
+        start = time.perf_counter()
+        status, want, got, counterexample, orders = self._compare(ns)
+        return CheckResult(self.check_id, self.suite, status, want, got,
+                           time.perf_counter() - start, counterexample, orders)
+
+    def _compare(self, ns):
+        """(status, expected, actual, counterexample, orders) of this row at ns."""
         orders = self.covered(ns)
         for i, n in enumerate(orders):
-            want, got = self.expected(n), self.actual(n)
+            try:
+                want, got = self.expected(n), self.actual(n)
+            except Exception as exc:  # a side that raises fails the row at this order
+                return "fail", "a value", f"{type(exc).__name__}: {exc}", f"n={n}", orders[: i + 1]
             if want != got:
                 where, want, got = _first_difference(want, got)
-                return CheckResult(self.check_id, self.suite, "fail", str(want), str(got),
-                                   0.0, f"n={n}{where}", orders[: i + 1])
+                return "fail", str(want), str(got), f"n={n}{where}", orders[: i + 1]
         if not orders:
-            return CheckResult(self.check_id, self.suite, "skip", "", "", 0.0,
-                               f"covers 1..{self.orders} only; asked for {format_orders(ns)}")
-        return CheckResult(self.check_id, self.suite, "pass", "", "", 0.0, None, orders)
+            return ("skip", "", "", f"covers 1..{self.orders} only; asked for {format_orders(ns)}",
+                    orders)
+        return "pass", "", "", None, orders
 
 
 @lru_cache(maxsize=None)
@@ -398,15 +402,7 @@ SUITES = {
 SUITES["all"] = tuple(CHECKS)
 
 
-def _run_single(args):
-    name, ns = args
-    start = time.perf_counter()
-    result = CHECKS[name](ns)
-    result.elapsed = time.perf_counter() - start
-    return result
-
-
-def run_checks(suite="all", ns=range(1, 6), jobs=1):
+def run_checks(suite="all", ns=range(1, 6)):
     """Run a suite of checks; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -416,11 +412,4 @@ def run_checks(suite="all", ns=range(1, 6), jobs=1):
     for c in TABLE:
         for solver in c.solves:
             _solve_orders[solver] = max((_solve_orders.get(solver, 0), *c.covered(ns)))
-    work = [(name, ns) for name in SUITES[suite]]
-    jobs = min(jobs, len(work))  # no more workers than checks: one check runs in this process
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_run_single, work)
-    return [_run_single(item) for item in work]
+    return [CHECKS[name](ns) for name in SUITES[suite]]

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -207,3 +209,22 @@ def test_split_test_detects_exactly_the_new_occurrences(case):
     gaps = split_gaps(prev, rest, cut)
     assert gaps == split_mask(prev, rest, cut)
     assert new == bool(gaps >> pos & 1)
+
+
+@pytest.mark.xfail(strict=True, reason="the deep walk is cubic: every gap is tested on a "
+                   "(2k+1)-bit mask, and every ancestor's word stays alive")
+def test_a_deep_walk_with_one_avoider_per_order_is_light():
+    # the 12-avoider of order n is n,n,...,1,1: one child per node, kept at
+    # gap 0 only.  A walk that reads the kept gaps off the mask's set bits
+    # and drops finished ancestors peaks near 0.2 MiB and takes near 0.03 s;
+    # today it peaks near 18 MiB and takes near 1.9 s of CPU.
+    tracemalloc.start()
+    try:
+        assert next(generate_avoiders(1500, ((1, 2),)))[:2] == (1500, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    start = time.process_time()
+    assert len(list(generate_avoiders(3000, ((1, 2),)))) == 1
+    assert time.process_time() - start < 0.3

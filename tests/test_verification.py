@@ -1,11 +1,12 @@
-import time
+import json
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 
 from benchmarks import jobs, tracing
-from stirperm import bijections, series, verification
+from stirperm import bijections, cli, series, verification
 from stirperm.cli import main
 from stirperm.generation import generate_avoiders
 from stirperm.polynomials import Polynomial
@@ -77,6 +78,26 @@ def test_runner_fails_at_the_first_differing_order_and_entry():
     assert result.orders == (1, 2, 3, 4)
     assert result.counterexample == "n=4 at b at 1"
     assert (result.expected, result.actual) == ("4", "-4")
+
+
+def test_runner_fails_at_the_order_where_a_side_raises():
+    def raises_at_2(n):
+        if n == 2:
+            raise ValueError("no value at 2")
+        return n
+
+    for sides in ((raises_at_2, abs), (abs, raises_at_2)):
+        result = Check("toy", "toy", 3, *sides)(range(1, 4))
+        assert result.status == "fail" and result.orders == (1, 2)
+        assert (result.expected, result.actual) == ("a value", "ValueError: no value at 2")
+        assert result.counterexample == "n=2"
+
+
+def test_a_result_is_built_once_with_its_elapsed_time():
+    result = Check("toy", "toy", 3, abs, abs)(range(1, 4))
+    assert result.elapsed >= 0
+    with pytest.raises(AttributeError):
+        result.elapsed = 0.0
 
 
 def test_fixed_orders_ignore_the_requested_range():
@@ -153,6 +174,41 @@ def test_verify_rejects_an_empty_or_bad_range(capsys, orders):
     assert "order range" in capsys.readouterr().err
 
 
+@pytest.fixture
+def suite_with_a_raising_row(monkeypatch):
+    """A suite "toy" of three rows whose middle row's actual side raises at order 2."""
+    def raises_at_2(n):
+        if n == 2:
+            raise KeyError(n)
+        return n
+
+    rows = (Check("toy-before", "toy", 3, abs, abs),
+            Check("toy-raises", "toy", 3, abs, raises_at_2),
+            Check("toy-after", "toy", 3, abs, abs))
+    for row in rows:
+        monkeypatch.setitem(verification.CHECKS, row.check_id, row)
+    monkeypatch.setitem(verification.SUITES, "toy", tuple(row.check_id for row in rows))
+
+
+def test_verify_prints_a_raising_row_as_fail_and_runs_the_rest(capsys, suite_with_a_raising_row):
+    assert main(["verify", "--suite", "toy", "--n", "1..3"]) == 1
+    assert capsys.readouterr() == (
+        "PASS  toy-before  orders 1..3\n"
+        "FAIL  toy-raises  orders 1..2  expected a value; got KeyError: 2  [n=2]\n"
+        "PASS  toy-after   orders 1..3\n"
+        "2/3 checks passed\n", "")
+
+
+def test_verify_json_reports_a_raising_row_as_fail(capsys, suite_with_a_raising_row):
+    assert main(["verify", "--suite", "toy", "--n", "1..3", "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in out["checks"]] == ["pass", "fail", "pass"]
+    assert out["checks"][1] == {
+        "id": "toy-raises", "suite": "toy", "status": "fail", "orders": [1, 2],
+        "expected": "a value", "actual": "KeyError: 2", "counterexample": "n=2"}
+    assert out["summary"] == {"passed": 2, "skipped": 0, "total": 3}
+
+
 def test_verify_prints_covered_orders_and_skips(capsys):
     assert main(["verify", "--suite", "counts", "--n", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -162,20 +218,43 @@ def test_verify_prints_covered_orders_and_skips(capsys):
     assert lines[-1] == "2/3 checks passed, 1 skipped"
 
 
+class CountedOrders(Sequence):
+    """A read-only view of an order range that counts the items read from it."""
+
+    def __init__(self, orders):
+        self.orders, self.reads = orders, 0
+
+    def __len__(self):
+        return len(self.orders)
+
+    def __getitem__(self, index):
+        item = self.orders[index]
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+
 @pytest.mark.parametrize("suite", ["bijections", "fibonacci"])
-def test_a_wide_range_prints_what_its_covered_part_prints_without_a_copy(capsys, suite):
+def test_a_wide_range_prints_what_its_covered_part_prints_without_a_copy(
+        capsys, monkeypatch, suite):
+    views = []
+
+    def counted_range(text, parse=cli._parse_range):
+        views.append(CountedOrders(parse(text)))
+        return views[-1]
+
+    monkeypatch.setattr(cli, "_parse_range", counted_range)
     tracemalloc.start()
     try:
         assert main(["verify", "--suite", suite, "--n", "1..9"]) == 0
         narrow, narrow_peak = capsys.readouterr(), tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        start = time.perf_counter()
         assert main(["verify", "--suite", suite, "--n", "1..1000000"]) == 0
-        elapsed, wide_peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        wide_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert capsys.readouterr() == narrow
-    assert elapsed < 1
+    # bisection probes and the covered slices: a scan would read 10^6 items per row
+    assert views[1].reads < 10_000
     assert wide_peak < narrow_peak + 2**20  # a list of the range would take 8 MB
 
 
@@ -245,30 +324,3 @@ def test_nested_catalan_chains_count_the_brute_avoiders():
         pattern = series.chain_pattern(blocks)
         brute = [sum(1 for _ in generate_avoiders(n, (P213, pattern))) for n in range(7)]
         assert counts[:7] == brute, blocks
-
-
-def test_run_checks_starts_no_more_workers_than_checks(monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class Pool:  # stands in for multiprocessing.Pool: records its size, runs the work here
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            return list(map(fn, work))
-
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
-    results = verification.run_checks("counts", range(1, 3), jobs=100000)
-    assert sizes == [3] and all(r.ok for r in results)
-    assert verification.run_checks("counts", range(1, 3), jobs=2)[0].ok and sizes == [3, 2]
-    assert len(verification.SUITES["fibonacci"]) == 1
-    assert verification.run_checks("fibonacci", range(1, 3), jobs=100000)[0].ok
-    assert sizes == [3, 2]  # the one-check suite ran serially
