@@ -7,19 +7,21 @@ a generating tree (in the ECO sense of Barcucci, Del Lungo, Pergola and
 Pinzani): deleting the adjacent pair n,n from an avoider leaves an avoider,
 so the children of the order n-1 avoiders are the only candidates, and a
 child is kept unless some occurrence uses its new pair (see
-occurrence_split).  One walk down that tree (_walk) serves every reader.
-It yields each order-n avoider as a leaf: its parent, the order n-1 node,
-plus the gap that takes the new pair.  The gap's kind alone fixes what the
-pair adds to the parent's des, asc and plat (STEPS), the bookkeeping of
-West's generating trees ("Generating trees and the Catalan and Schroeder
-numbers", Discrete Math. 1995), and one step rule (_child) turns a leaf
-into the child's node, carrying count_adjacent_122 too.  Words are built
-only for the inner orders of the walk and for readers that ask for them:
-distribution, second_order_eulerian and joint_plat_122 tally the leaves,
-and the CLI cuts each row from its parent's text.  The walk finds a
-parent's bad gaps with one split_gaps call per split: one scan of the
-parent when the split's rest has one or two letters, as it has for every
-pattern the paper studies, and the interval search for longer rests.  The
+occurrence_split).  One walk down that tree (_walk) serves every reader,
+one parent at a time: for each order n-1 avoider it yields the list of
+its leaves, each the parent, the order n-1 node, plus a gap that takes
+the new pair.  The gap's kind alone fixes what the pair adds to the
+parent's des, asc and plat (STEPS), the bookkeeping of West's generating
+trees ("Generating trees and the Catalan and Schroeder numbers", Discrete
+Math. 1995), and one step rule (_child) turns a leaf into the child's
+node, carrying count_adjacent_122 too.  Words are built only for the
+inner orders of the walk and for readers that ask for them:
+distribution, second_order_eulerian and joint_plat_122 tally each
+parent's leaves, and the CLI cuts each row from its parent's text.  A
+parent's bad gaps come from one split_gaps call per split: one scan of
+the parent when the split's rest has one or two letters, as it has for
+every pattern the paper studies, and the interval search for longer
+rests; past them, a parent costs one step per gap it keeps.  The
 whole-word functions words.stats and words.count_adjacent_122 tally only
 the root; the tests check the carried values against them.
 
@@ -30,8 +32,7 @@ Polynomial, so enumerate loads none of it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby, starmap
-from operator import itemgetter
+from itertools import chain
 
 from .words import avoids, count_adjacent_122, split_gaps, stats
 
@@ -51,7 +52,8 @@ def generate_all(n):
     order n-1 word counting from the right end, so the stream for n=2 is
     1122, 1221, 2211.
     """
-    yield from starmap(_word, _walk(n, ()))
+    for leaf in chain.from_iterable(_walk(n, ())):
+        yield _word(*leaf)
 
 
 def occurrence_split(pattern):
@@ -91,23 +93,21 @@ FORMS = ("words", "leaves")
 
 
 def _walk(n, patterns):
-    """Yield a leaf (parent, pos, kind) for each order-n avoider.
+    """Yield, for each order n-1 avoider that keeps a gap, the list of its leaves.
 
-    A leaf is a parent plus a gap: the avoider is the order n-1 node parent,
-    a tuple (word, des, asc, plat, adj122), with n,n inserted at position
-    pos, into a gap of the given kind (see STEPS).  _child, the step rule,
-    turns a leaf into the avoider's node, _word into its word alone and
-    _adj122 into its count_adjacent_122.
-    The walk builds nodes only for the inner orders, whose words it must
-    split, and leaves the order-n words to the readers that ask for them.
-    The order-0 avoider is the leaf (root, 0, ROOT).
+    A leaf (parent, pos, kind) stands for one order-n avoider: the order
+    n-1 node parent, a tuple (word, des, asc, plat, adj122), with n,n
+    inserted at position pos, into a gap of the given kind (see STEPS).
+    _child, the step rule, turns a leaf into the avoider's node, _word into
+    its word alone and _adj122 into its count_adjacent_122.  The order-0
+    avoider is the one leaf (root, 0, ROOT).
 
-    A depth-first walk down the generating tree.  The root's statistics are
-    tallied over the (empty) word; every child updates its parent's in O(1)
-    (or O(n) for adj122).  A gap is bad when, for some split (rest, cut) of
-    occurrence_split, an occurrence of rest in the parent has its first cut
-    letters before the gap and the others after it; the bad gaps come from
-    one split_gaps call per split and parent, and yield no leaf.
+    Depth first, on one stack of the inner orders' nodes: a node is popped
+    before its children are pushed, so it is dropped once they are listed,
+    and they are pushed last-first, so that the lists come out in
+    generate_all's order.  The root's statistics are tallied over the
+    (empty) word; every child updates its parent's in O(1) (or O(n) for
+    adj122).
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -116,37 +116,51 @@ def _walk(n, patterns):
     s = stats(())
     root = ((), s.des, s.asc, s.plat, count_adjacent_122(()))
     if n == 0:
-        yield root, 0, ROOT
+        yield [(root, 0, ROOT)]
         return
     splits = [split for split in map(occurrence_split, patterns) if split is not None]
-    # Depth first with an explicit stack of child streams, one per order
-    # below n - 1, so that no order is too deep.
-    stack = [iter((root,))]
+    stack, inner = [root], 2 * n - 2  # inner: the length of an order n-1 word
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif len(stack) == n:  # an order n - 1 node: its leaves are order n
-            yield from _leaves(node, splits)
-        else:
-            stack.append(starmap(_child, _leaves(node, splits)))
+        node = stack.pop()
+        leaves = _leaves(node, splits)
+        if len(node[0]) < inner:
+            stack += [_child(*leaf) for leaf in reversed(leaves)]
+        elif leaves:
+            yield leaves
 
 
 def _leaves(node, splits):
-    """The leaves under one node: (node, pos, kind) for each gap it keeps."""
+    """The leaves (node, pos, kind) under one node, one per gap it keeps, right to left.
+
+    A gap is bad when, for some split (rest, cut) of occurrence_split, an
+    occurrence of rest in the node's word has its first cut letters before
+    the gap and the others after it: bit pos of split_gaps(word, rest,
+    cut).  With no bad gap every gap is kept; otherwise the kept gaps are
+    read off the set bits of ~bad, highest first, one step per kept gap.
+    Gap pos lies between prev[pos - 1] and prev[pos], a missing neighbour
+    acting as 0.
+    """
     prev = node[0]
     bad = 0
     for rest, cut in splits:
         bad |= split_gaps(prev, rest, cut)
-    # Right to left, in generate_all's order: gap pos lies between left =
-    # prev[pos - 1] and right = prev[pos], a missing neighbour acting as 0.
-    right, pos = 0, len(prev)
-    for left in reversed(prev):
-        if not bad >> pos & 1:
-            yield node, pos, ASCENT if left < right else DESCENT if left > right else PLATEAU
-        right, pos = left, pos - 1
-    if not bad & 1:
-        yield node, 0, ASCENT if prev else EMPTY
+    end, leaves = len(prev), []
+    if not bad:  # every parent of an unpatterned walk: no mask to read, and faster
+        right, pos = 0, end
+        for left in reversed(prev):
+            leaves.append((node, pos, ASCENT if left < right else DESCENT if left > right
+                           else PLATEAU))
+            right, pos = left, pos - 1
+        leaves.append((node, 0, ASCENT if prev else EMPTY))
+        return leaves
+    kept = ~bad & ((2 << end) - 1)
+    while kept:
+        pos = kept.bit_length() - 1
+        kept ^= 1 << pos
+        left, right = prev[pos - 1] if pos else 0, prev[pos] if pos < end else 0
+        leaves.append((node, pos, ASCENT if left < right else DESCENT if left > right
+                       else PLATEAU))
+    return leaves
 
 
 def _word(parent, pos, kind):
@@ -200,25 +214,26 @@ def generate_avoiders(n, patterns=(), form="words"):
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; choose from {', '.join(FORMS)}")
-    leaves = _walk(n, tuple(patterns))
+    leaves = chain.from_iterable(_walk(n, tuple(patterns)))
     if form == "leaves":
         yield from leaves
     else:
-        yield from starmap(_word, leaves)
+        for leaf in leaves:
+            yield _word(*leaf)
 
 
 def stat_tally(n, patterns=()):
     """Counter of (plat, des, asc) over the order-n avoiders, from their leaves.
 
-    The leaves of one parent come out together; they are counted by kind,
-    and each kind adds its STEPS row to the parent's statistics once.
+    Each parent's leaves are counted by kind, and each kind adds its STEPS
+    row to the parent's statistics once.
     """
     tally = Counter()
-    for node, leaves in groupby(generate_avoiders(n, patterns, form="leaves"), itemgetter(0)):
+    for leaves in _walk(n, tuple(patterns)):
         counts = [0] * len(STEPS)
         for leaf in leaves:
             counts[leaf[2]] += 1
-        _, des, asc, plat, _ = node
+        _, des, asc, plat, _ = leaves[0][0]
         for (dd, da, dp), count in zip(STEPS, counts):
             if count:
                 tally[plat + dp, des + dd, asc + da] += count
@@ -257,7 +272,6 @@ def joint_plat_122(n, patterns=((2, 1, 3),)):
     """
     from .polynomials import PZ, Polynomial
 
-    leaves = generate_avoiders(n, patterns, form="leaves")
     tally = Counter((parent[3] + STEPS[kind][2], _adj122(parent, pos, kind))
-                    for parent, pos, kind in leaves)
+                    for leaves in _walk(n, tuple(patterns)) for parent, pos, kind in leaves)
     return Polynomial(PZ, tally)

@@ -185,11 +185,15 @@ def test_enumerate_bad_pattern(capsys):
 
 
 def test_enumerate_walks_1200_orders_without_recursion(capsys, recursion_room):
-    # the one 21-avoider of each order is 1,1,2,2,...; no word avoids 1
+    # the one 21-avoider of each order is 1,1,2,2,... (kept at the right end),
+    # the one 12-avoider ...,2,2,1,1 (kept at gap 0); no word avoids 1
     with recursion_room():
         code, out, _ = run_cli(capsys, "enumerate", "--n", "1200", "--force", "--avoid", "21")
         assert code == 0
         assert out == ",".join(str(k) for k in range(1, 1201) for _ in "ab") + "\n"
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "1200", "--force", "--avoid", "12")
+        assert code == 0
+        assert out == ",".join(str(k) for k in range(1200, 0, -1) for _ in "ab") + "\n"
         code, out, _ = run_cli(capsys, "enumerate", "--n", "1200", "--avoid", "1")
         assert code == 0 and out == ""
 

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stirperm.generation import (
+    ASCENT,
+    DESCENT,
+    PLATEAU,
     ROOT,
     STEPS,
     _child,
+    _leaves,
     distribution,
     double_factorial_odd,
     generate_all,
@@ -179,14 +183,24 @@ def test_avoider_counts_at_order_8_match_the_closed_forms():
     assert counts == {P213: 43263, P123: 11181, P132: 11181}
 
 
+SINGLE_PATTERNS = [ps for ps in PATTERNS if len(ps) == 1]
+
+
+@st.composite
+def stirling_words(draw, low, high):
+    """A random Stirling word of order low..high, grown by random insertions."""
+    word = ()
+    for letter in range(1, draw(st.integers(low, high)) + 1):
+        pos = draw(st.integers(0, len(word)))
+        word = word[:pos] + (letter, letter) + word[pos:]
+    return word
+
+
 @st.composite
 def insertions(draw):
     """A random Stirling word of order 8..20, a pattern and a gap for n+1, n+1."""
-    word = ()
-    for letter in range(1, draw(st.integers(8, 20)) + 1):
-        pos = draw(st.integers(0, len(word)))
-        word = word[:pos] + (letter, letter) + word[pos:]
-    (pattern,) = draw(st.sampled_from([ps for ps in PATTERNS if len(ps) == 1]))
+    word = draw(stirling_words(8, 20))
+    (pattern,) = draw(st.sampled_from(SINGLE_PATTERNS))
     return word, pattern, draw(st.integers(0, len(word)))
 
 
@@ -211,13 +225,31 @@ def test_split_test_detects_exactly_the_new_occurrences(case):
     assert new == bool(gaps >> pos & 1)
 
 
-@pytest.mark.xfail(strict=True, reason="the deep walk is cubic: every gap is tested on a "
-                   "(2k+1)-bit mask, and every ancestor's word stays alive")
+@pytest.mark.parametrize("patterns", SINGLE_PATTERNS, ids=lambda ps: "".join(map(str, ps[0])))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(word=stirling_words(16, 40))
+def test_leaves_keep_the_gaps_no_split_marks_in_masks_wider_than_an_int_digit(patterns, word):
+    # orders 16..40 have 33..81 gaps: masks of more than one 30-bit digit
+    splits = [split for split in map(occurrence_split, patterns) if split is not None]
+    masks = [split_gaps(word, rest, cut) for rest, cut in splits]
+    want = []
+    for pos in range(len(word), -1, -1):  # right to left, one gap at a time
+        if not any(mask >> pos & 1 for mask in masks):
+            left = word[pos - 1] if pos > 0 else 0
+            right = word[pos] if pos < len(word) else 0
+            want.append((pos, ASCENT if left < right else DESCENT if left > right else PLATEAU))
+    node = (word, 0, 0, 0, 0)
+    leaves = _leaves(node, splits)
+    assert all(leaf[0] is node for leaf in leaves)
+    assert [leaf[1:] for leaf in leaves] == want
+
+
 def test_a_deep_walk_with_one_avoider_per_order_is_light():
     # the 12-avoider of order n is n,n,...,1,1: one child per node, kept at
-    # gap 0 only.  A walk that reads the kept gaps off the mask's set bits
-    # and drops finished ancestors peaks near 0.2 MiB and takes near 0.03 s;
-    # today it peaks near 18 MiB and takes near 1.9 s of CPU.
+    # gap 0 only.  Reading the kept gaps off the mask's set bits and dropping
+    # each node once its children are listed, the walk peaks near 0.1 MiB and
+    # takes near 0.05 s; testing every gap and keeping every ancestor's word
+    # alive, it peaked near 18 MiB and took near 2 s.
     tracemalloc.start()
     try:
         assert next(generate_avoiders(1500, ((1, 2),)))[:2] == (1500, 1500)
