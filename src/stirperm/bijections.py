@@ -250,7 +250,7 @@ def avoiding_permutations(n, pattern):
     ]
 
 
-def apairs(n, pattern=P123):
+def apairs(n, pattern):
     """All pairs (p, s) with p avoiding the pattern and s bounded by c(p)."""
     out = []
     for perm in avoiding_permutations(n, pattern):
@@ -419,7 +419,7 @@ def verify_phi(n):
                    ternary_trees(n - 1))
 
 
-def verify_psi(n, family="123"):
+def verify_psi(n, family):
     """psi over one class, onto its pairs, with its plateau/descent bookkeeping."""
     pattern, _ = _family(family)
 
@@ -460,13 +460,3 @@ def verify_fc(n):
 
     return _report(apairs(n, P123), to_fc_tree, from_fc_tree, transported, fc_trees(n))
 
-
-# Each name is looked up when the map is called, so a rebinding of a
-# verify_* function (a wrapper that times it, say) is seen here too.
-VERIFIERS = {
-    "phi": lambda n: verify_phi(n),
-    "psi-123": lambda n: verify_psi(n, "123"),
-    "psi-132": lambda n: verify_psi(n, "132"),
-    "rho": lambda n: verify_rho(n),
-    "fc": lambda n: verify_fc(n),
-}

@@ -21,8 +21,8 @@ series and formula write their JSON with Polynomial.to_json, one
 coefficient at a time, and load no json module; biject psi and verify
 --format json import it.
 
-series refuses an --order above its equation's limit, a chain whose blocks
-times --order pass its chain limit, both in series.EQUATIONS, and a bad
+series refuses an --order above its equation's limit in series.EQUATIONS,
+a chain whose blocks times --order pass series.CHAIN_LIMIT, and a bad
 --spec, all before it solves; enumerate refuses output larger than order
 DEFAULT_LIMIT.  --force lifts the limits.
 
@@ -265,7 +265,7 @@ def _series_solver(eq):
 
     # chain family -> the block it prepends, the rest of its name
     chains = {name: name.removeprefix("prepend") for name, e in series.EQUATIONS.items()
-              if e.chain_limit}
+              if e.entry == "pair_series"}
     verb, colon, chain = eq.partition(":")
     equation = series.EQUATIONS.get(verb)
     if equation and not colon and verb not in chains:
@@ -286,13 +286,15 @@ def _series_solver(eq):
 
 
 def cmd_series(args):
+    from .series import CHAIN_LIMIT
+
     equation, blocks, solve = _series_solver(args.eq)
     if args.order > equation.limit and not args.force:
         raise LimitExceeded(f"order {args.order} exceeds the limit {equation.limit} for "
                             f"equation {args.eq}; pass --force to proceed")
-    if len(blocks) * args.order > equation.chain_limit and not args.force:
+    if len(blocks) * args.order > CHAIN_LIMIT and not args.force:
         raise LimitExceeded(f"{len(blocks)} blocks at order {args.order} exceed the limit "
-                            f"{equation.chain_limit} on blocks x order for a chain; "
+                            f"{CHAIN_LIMIT} on blocks x order for a chain; "
                             "pass --force to proceed")
     spec = args.spec and _assignments(args.spec.split(","), equation.vars, "variable",
                                       f"equation {args.eq}")

@@ -139,26 +139,27 @@ def _solve(vars, order, start, terms):
 
 # -- the equations -----------------------------------------------------------
 #
-# One entry per --eq family.  _solve finds the series f = start + sum of the
+# One entry per --eq family.  _solve finds the series f = f(0) + sum of the
 # terms over vars, and form says how C is read off f: "C-1" (f = C - 1),
-# "qC-q+1" (f = qC - q + 1) or "C" (f = C).  terms(*gens, G) builds the
-# terms (scalar, s, factors) from the generators of vars and, for a chain
-# step, G = F_t' - 1 of the pattern t' it prepends to; building the table
-# makes no Polynomial.  entry is the function of this module that solves
-# the family; pair_series solves a chain, one step per block b with the
+# "qC-q+1" (f = qC - q + 1) or "C" (f = C); since C(0) = 1, the form fixes
+# f(0) (START).  terms(*gens, G) builds the terms (scalar, s, factors) from
+# the generators of vars and, for a chain step, G = F_t' - 1 of the pattern
+# t' it prepends to; building the table makes no Polynomial.  entry is the
+# function of this module that solves the family; a family whose entry is
+# pair_series is a chain step, solved once per block b of a chain as the
 # family "prepend" + b.
 #
 # limit is the largest --order without --force: the largest order solved in
 # under 2 s (in-process, best of 2, Python 3.11.7, 2-vCPU Xeon): 213 1.8 s,
-# 123 1.3 s, 132 1.2 s, R 1.6 s.  The chain limits were measured on
+# 123 1.3 s, 132 1.2 s, R 1.6 s.  The chain-step limits were measured on
 # four-step chains (1.7 and 1.4 s); a chain takes longer the more blocks it
-# has.  chain_limit is the largest blocks x order of a chain without
-# --force, 0 for a family that takes no chain.
-Equation = namedtuple("Equation", "vars start form limit chain_limit entry terms")
+# has.
+Equation = namedtuple("Equation", "vars form limit entry terms")
+START = {"C-1": 0, "qC-q+1": 1, "C": 1}
 
-# The chain limit, measured the same way: 11,11,11,11 and 1,11,11,11 at
-# order 26 (104) took 1.7-1.9 s, while 1,11,11,11 took 2.2 s at 27 (108)
-# and 2.9 s at 28 (112).
+# CHAIN_LIMIT is the largest blocks x order of a chain without --force,
+# measured the same way: 11,11,11,11 and 1,11,11,11 at order 26 (104) took
+# 1.7-1.9 s, while 1,11,11,11 took 2.2 s at 27 (108) and 2.9 s at 28 (112).
 CHAIN_LIMIT = 104
 
 # R(x, p z^k, z) coefficient by coefficient, k = 1, 2: p-degree moves into z-degree
@@ -166,32 +167,32 @@ _R1, _R2 = (lambda c, k=k: c.shift_var("p", "z", k) for k in (1, 2))
 
 EQUATIONS = {
     # f = xp + x(pr+qr+pq) f + xqr(r+p+q) f^2 + x q^2 r^2 f^3
-    "213": Equation(PQR, 0, "C-1", 40, 0, "series_213", lambda P, Q, R, G: [
+    "213": Equation(PQR, "C-1", 40, "series_213", lambda P, Q, R, G: [
         (P, 1, ()), (P * R + Q * R + P * Q, 1, (F,)),
         (Q * R * (R + P + Q), 1, (F, F)), (Q * Q * R * R, 1, (F, F, F))]),
     # f = 1 + pqx(-1 + (2 + x(pr+qr-pq)) f - pqx(1 - x(p-r)(q-r)) f^2) f
-    "123": Equation(PQR, 1, "qC-q+1", 52, 0, "series_123", lambda P, Q, R, G: [
+    "123": Equation(PQR, "qC-q+1", 52, "series_123", lambda P, Q, R, G: [
         (-P * Q, 1, (F,)), (2 * P * Q, 1, (F, F)), (P * Q * (P * R + Q * R - P * Q), 2, (F, F)),
         (-P * Q * P * Q, 2, (F, F, F)), (P * Q * P * Q * (P - R) * (Q - R), 3, (F, F, F))]),
     # f = 1 + px(q - 2r + r(2 + (pr-pq+q^2)x) f - p r^2 x f^2) f
-    "132": Equation(PQR, 1, "qC-q+1", 46, 0, "series_132", lambda P, Q, R, G: [
+    "132": Equation(PQR, "qC-q+1", 46, "series_132", lambda P, Q, R, G: [
         (P * (Q - 2 * R), 1, (F,)), (2 * P * R, 1, (F, F)),
         (P * R * (P * R - P * Q + Q * Q), 2, (F, F)), (-P * P * R * R, 2, (F, F, F))]),
     # R(x,p,z) over the 213-avoiders marking plateaus and 122 hits:
     # R = 1 / (1 - x (R(x,pz,z) - 1 + p) R(x,pz^2,z)), solved as
     # R = 1 + x R(x,pz,z) R(x,pz^2,z) R + x (p - 1) R(x,pz^2,z) R
-    "R": Equation(PZ, 1, "C", 21, 0, "solve_R", lambda P, Z, G: [
+    "R": Equation(PZ, "C", 21, "solve_R", lambda P, Z, G: [
         (1, 1, (_R1, _R2, F)), (P - 1, 1, (_R2, F))]),
     # 1 (+) t': F = 1 + (xp + xr(p+q) G + x q r^2 G^2)
     #   / (1 - xpq - xqr(1+p) G - x q^2 r^2 G^2), and u = F - 1 = num/den
     # is solved as u = num + (1 - den) u
-    "prepend1": Equation(PQR, 0, "C-1", 28, CHAIN_LIMIT, "pair_series", lambda P, Q, R, G: [
+    "prepend1": Equation(PQR, "C-1", 28, "pair_series", lambda P, Q, R, G: [
         (P, 1, ()), (R * (P + Q), 1, (G,)), (Q * R * R, 1, (G, G)),
         (P * Q, 1, (F,)), (Q * R * (1 + P), 1, (G, F)), (Q * Q * R * R, 1, (G, G, F))]),
     # 11 (+) t': F = 1 + xp + x(p+r)q (F-1) + xpr G + xqr (F-1)^2
     #   + xqr(p+r) (F-1) G + x q^2 r^2 G (F-1)^2, solved for u = F - 1,
     # the unique series branch with constant term 1
-    "prepend11": Equation(PQR, 0, "C-1", 26, CHAIN_LIMIT, "pair_series", lambda P, Q, R, G: [
+    "prepend11": Equation(PQR, "C-1", 26, "pair_series", lambda P, Q, R, G: [
         (P, 1, ()), (P * R, 1, (G,)), ((P + R) * Q, 1, (F,)), (Q * R, 1, (F, F)),
         (Q * R * (P + R), 1, (F, G)), (Q * Q * R * R, 1, (G, F, F))]),
 }
@@ -200,7 +201,7 @@ EQUATIONS = {
 def solve(family, order, G=None):
     """C of an EQUATIONS family to order; G is a chain step's F_t' - 1."""
     eq = EQUATIONS[family]
-    f = _solve(eq.vars, order, eq.start, eq.terms(*Polynomial.gens(eq.vars), G))
+    f = _solve(eq.vars, order, START[eq.form], eq.terms(*Polynomial.gens(eq.vars), G))
     if eq.form == "C-1":
         return (f[0] + 1, *f[1:])
     if eq.form == "qC-q+1":  # f starts at 1; C - 1 = (f - 1)/q, checking that q divides

@@ -56,9 +56,6 @@ class _Tree:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return type(self), self._fields()
-
     @classmethod
     def parse(cls, text):
         """The tree whose serialize() is text.

@@ -14,7 +14,10 @@ of a dict or list, where the sides differ, and a side that raises is a FAIL
 at that order.  run_checks runs its checks one after another in this
 process.  Brute distributions and the solves named in SOLVERS are memoised:
 each run_checks call starts with empty memos and fills each entry once, a
-solve at the largest order a row that reads it covers.
+solve at the largest order a row that reads it covers.  A side, and each
+solver, calls another module's functions through the module, as in
+``lambda n: formulas.count_avoid_213(n)``, so that a wrapper or a patch
+installed on the module is the one run.
 The requested orders are an ascending range or sequence, never copied: an
 int cap takes its slice of them by bisection.
 """
@@ -27,10 +30,9 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
 
-from . import bijections, formulas, generation, series
+from . import bijections, formulas, generation, series, trees, words
 from .polynomials import PQR, Polynomial
-from .trees import ternary_trees
-from .words import P123, P132, P213, stats
+from .words import P123, P132, P213
 
 PATTERNS = {"213": P213, "123": P123, "132": P132}
 SWAPS = ((1, 0, 2), (2, 1, 0), (0, 2, 1))  # two of the three statistics exchanged
@@ -186,8 +188,7 @@ def _eulerian_row(n):
 # One solve per solver per run_checks call, at the largest order a row that
 # reads it covers (_solve_orders, set by run_checks).  Coefficient n of a
 # solve truncated at N >= n is the one truncated at n.
-# Each solver gives the tuple of coefficients 0..N; each looks its series function
-# up when called, so that a wrapper installed on the series module is the one run.
+# Each solver gives the tuple of coefficients 0..N.
 SOLVERS = {
     "213": lambda N: series.series_213(N),
     "123": lambda N: series.series_123(N),
@@ -219,7 +220,7 @@ def _brute_catalytic(n, pattern):
     terms = Counter()
     for word in generation.generate_avoiders(n, (pattern,)):
         if word[0] == word[1]:
-            s = stats(word)
+            s = words.stats(word)
             terms[s.plat, s.des, s.asc, word[0] - 1] += 1
     return Polynomial(series.PQRV, terms)
 
@@ -297,39 +298,38 @@ def _psi_involution(word):
 
 
 def _on_123_avoiders(n, image, key):
-    return {w: key(stats(image(w))) for w in generation.generate_avoiders(n, (P123,))}
+    return {w: key(words.stats(image(w))) for w in generation.generate_avoiders(n, (P123,))}
 
 
 def _tree_tally(n):
     """n minus the edge counts of the ternary trees with n-1 edges, tallied."""
-    tally = Counter(tuple(n - c for c in tree.edge_counts()) for tree in ternary_trees(n - 1))
+    tally = Counter(tuple(n - c for c in tree.edge_counts())
+                    for tree in trees.ternary_trees(n - 1))
     return {"words": tally, **{swap: tally for swap in SWAPS}}
 
 
 def _word_tally(n):
     """The (aasc, plat, ades) tally of the 213-avoiders, and its images under SWAPS.
 
-    It is read off the walk's leaf tally of (plat, des, asc), which builds
-    no order-n word.
+    It is read off the memoised (plat, des, asc) distribution.
     """
     tally = Counter({(asc + 1, plat, des + 1): count
-                     for (plat, des, asc), count in generation.stat_tally(n, (P213,)).items()})
+                     for (plat, des, asc), count in _brute(n, P213).items()})
     swapped = {swap: Counter({tuple(k[a] for a in swap): v for k, v in tally.items()})
                for swap in SWAPS}
     return {"words": tally, **swapped}
 
 
-def _bijection(check_id, name, count, cap=5):
-    """One bijection verifier's report, against count(n) objects and no failures."""
+def _bijection(check_id, count, verify, cap=5):
+    """One bijection verifier's report verify(n), against count(n) objects and no failures."""
     return Check(check_id, "bijections", cap,
-                 lambda n: {"checked": count(n), "round trip": 0, "transport": 0},
-                 lambda n: bijections.VERIFIERS[name](n))
+                 lambda n: {"checked": count(n), "round trip": 0, "transport": 0}, verify)
 
 
 # -- the table ---------------------------------------------------------------
 
 TABLE = (
-    Check("count-all", "counts", 7, generation.double_factorial_odd,
+    Check("count-all", "counts", 7, lambda n: generation.double_factorial_odd(n),
           lambda n: sum(1 for _ in generation.generate_all(n))),
     # Reversal maps the 213-avoiders onto the 312-avoiders, counted too: a
     # split marks gap 0 bad only when the pattern's largest letter comes first.
@@ -386,11 +386,16 @@ TABLE = (
           lambda N: {b: _chain_at_one(b, N) for b in CATALAN_CHAINS}),
     Check("joint-plat-122", "joint", 9, lambda n: generation.joint_plat_122(n),
           lambda n: _solved("R", n), ("R",)),
-    _bijection("bijection-phi", "phi", formulas.count_avoid_213),
-    _bijection("bijection-psi-123", "psi-123", formulas.count_avoid_123),
-    _bijection("bijection-psi-132", "psi-132", formulas.count_avoid_132),
-    _bijection("bijection-rho", "rho", lambda n: formulas.binomial(2 * n, n) // (n + 1), cap=6),
-    _bijection("bijection-fc", "fc", formulas.count_avoid_123),
+    _bijection("bijection-phi", lambda n: formulas.count_avoid_213(n),
+               lambda n: bijections.verify_phi(n)),
+    _bijection("bijection-psi-123", lambda n: formulas.count_avoid_123(n),
+               lambda n: bijections.verify_psi(n, "123")),
+    _bijection("bijection-psi-132", lambda n: formulas.count_avoid_132(n),
+               lambda n: bijections.verify_psi(n, "132")),
+    _bijection("bijection-rho", lambda n: formulas.binomial(2 * n, n) // (n + 1),
+               lambda n: bijections.verify_rho(n), cap=6),
+    _bijection("bijection-fc", lambda n: formulas.count_avoid_123(n),
+               lambda n: bijections.verify_fc(n)),
     Check("involution-swap", "bijections", 5,
           lambda n: _on_123_avoiders(n, lambda w: w, lambda s: (s.ades, s.plat)),
           lambda n: _on_123_avoiders(n, _psi_involution, lambda s: (s.plat, s.ades))),

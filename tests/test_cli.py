@@ -420,7 +420,7 @@ def test_the_eq_help_and_the_known_list_name_exactly_the_table_families(capsys):
     code, text, _ = run_cli(capsys, "series", "--help")
     assert code == 0
     listed = " ".join(text.split()).partition("equation id: ")[2].partition(" --order")[0]
-    assert listed.split(", ") == [family + ":<chain>" * bool(equation.chain_limit)
+    assert listed.split(", ") == [family + ":<chain>" * (equation.entry == "pair_series")
                                   for family, equation in EQUATIONS.items()]
     assert run_cli(capsys, "series", "--eq", "999") == (
         2, "", f"error: unknown equation '999'; known: {listed}\n")

@@ -1,15 +1,16 @@
-"""Named faults in the generating-tree layer, and the verify rows that catch each.
+"""Named faults in the program, and the verify rows that catch each.
 
 A verify PASS means something only if the row would FAIL on a wrong
 program (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test
-data selection", IEEE Computer, 1978).  Each mutant below is patched into
-stirperm.generation, and `run_checks("all", 1..5)` must fail exactly the
-rows it names; the unmutated program fails none.
+data selection", IEEE Computer, 1978).  Each mutant below replaces one
+attribute of a module or one entry of series.EQUATIONS, and
+`run_checks("all", 1..5)` must fail exactly the rows it names; the
+unmutated program fails none, and every row fails under some mutant.
 """
 
 import pytest
 
-from stirperm import generation, verification
+from stirperm import bijections, formulas, generation, series, verification
 from stirperm.generation import ASCENT, EMPTY, PLATEAU, ROOT, STEPS
 
 ORDERS = range(1, 6)  # verify's default orders
@@ -43,21 +44,60 @@ def _right_end_lost_past_a_bad_gap(node, splits, leaves=generation._leaves):
     return [leaf for leaf in kept if leaf[1] != end]
 
 
+def _all_but_the_last_word(n, generate_all=generation.generate_all):
+    words = list(generate_all(n))
+    return words[:-1] if n >= 3 else words
+
+
+def _count_avoid_123_off_at_4(n, count=formulas.count_avoid_123):
+    return count(n) + (n == 4)
+
+
+def _grow_children_decreasing(perm):
+    """bijections._grow, with the stack popping the largest child first."""
+    children = {segment[0] - 1: sorted(segment) for segment in bijections._segments(perm)}
+    preorder, stack = [], [0]
+    while stack:
+        vertex = stack.pop()
+        preorder.append(vertex)
+        stack += children.get(vertex, ())
+    return preorder, tuple(len(children.get(v, ())) for v in preorder)
+
+
+def _term(family, index, scalar):
+    """EQUATIONS[family] with term index's scalar c replaced by scalar(c, P, Q, R)."""
+    eq = series.EQUATIONS[family]
+
+    def terms(P, Q, R, G):
+        out = eq.terms(P, Q, R, G)
+        c, s, factors = out[index]
+        out[index] = (scalar(c, P, Q, R), s, factors)
+        return out
+
+    return eq._replace(terms=terms)
+
+
+def _doubled(c, *gens):
+    return 2 * c
+
+
 # failed by each STEPS mutant: rows that read brute tallies of plat, des and asc together
 STATISTIC_ROWS = {"symmetry-213", "stats-213", "symmetry-123", "marginals-123",
                   "marginals-213", "series-oracles", "series-initials", "phi-pullback"}
 
+# (owner, name, mutant, rows): the mutant replaces owner.name, or owner[name]
+# when the owner is series.EQUATIONS
 MUTANTS = [
-    pytest.param("STEPS", _steps(ASCENT, (0, 1, 1)), STATISTIC_ROWS | {
+    pytest.param(generation, "STEPS", _steps(ASCENT, (0, 1, 1)), STATISTIC_ROWS | {
         "eulerian-rows", "descents-132", "ascents-132"}, id="ascent-step-as-descent"),
-    pytest.param("STEPS", _steps(EMPTY, (0, 0, 0)), STATISTIC_ROWS | {
+    pytest.param(generation, "STEPS", _steps(EMPTY, (0, 0, 0)), STATISTIC_ROWS | {
         "plateaus-213", "plateaus-123", "joint-plat-122"}, id="empty-step-adds-nothing"),
-    pytest.param("STEPS", _steps(PLATEAU, (1, 1, 1)), STATISTIC_ROWS | {
+    pytest.param(generation, "STEPS", _steps(PLATEAU, (1, 1, 1)), STATISTIC_ROWS | {
         "plateaus-213", "plateaus-123", "joint-plat-122"}, id="plateau-step-keeps-the-plateau"),
-    pytest.param("_adj122", _adj122_off_on_a_split_plateau, {"joint-plat-122"},
+    pytest.param(generation, "_adj122", _adj122_off_on_a_split_plateau, {"joint-plat-122"},
                  id="adj122-plus-one-on-a-split-plateau"),
     # involution-swap is caught because psi_inverse raises on a wrong word
-    pytest.param("_word", _word_one_gap_right, {
+    pytest.param(generation, "_word", _word_one_gap_right, {
         "count-avoiders", "eulerian-rows", "symmetry-213", "stats-213", "symmetry-123",
         "plateaus-213", "plateaus-123", "plateaus-132-vs-123", "marginals-123",
         "marginals-213", "descents-132", "ascents-132", "series-oracles", "series-initials",
@@ -65,12 +105,29 @@ MUTANTS = [
         "bijection-psi-132", "involution-swap", "phi-pullback"}, id="word-splice-one-gap-right"),
     # Gap 0 is bad only when a pattern's largest letter comes first (cut 0):
     # count-avoiders walks 312 for it.
-    pytest.param("split_gaps", _no_bad_gap_left_of_the_word, {"count-avoiders"},
+    pytest.param(generation, "split_gaps", _no_bad_gap_left_of_the_word, {"count-avoiders"},
                  id="split-masks-lose-bit-0"),
     # The right end is bad for 213 and 123 whenever any gap is, never for 132 or 312.
-    pytest.param("_leaves", _right_end_lost_past_a_bad_gap, {
+    pytest.param(generation, "_leaves", _right_end_lost_past_a_bad_gap, {
         "count-avoiders", "plateaus-132-vs-123", "descents-132", "ascents-132",
         "series-oracles", "bijection-psi-132"}, id="leaves-lose-the-right-end-past-a-bad-gap"),
+    pytest.param(generation, "generate_all", _all_but_the_last_word, {"count-all"},
+                 id="generate-all-drops-the-last-word"),
+    # count_avoid_132 is count_avoid_123, and bijection-fc counts the 123 pairs
+    pytest.param(formulas, "count_avoid_123", _count_avoid_123_off_at_4, {
+        "count-avoiders", "bijection-psi-123", "bijection-psi-132", "bijection-fc"},
+                 id="count-avoid-123-off-by-one-at-4"),
+    pytest.param(bijections, "_grow", _grow_children_decreasing, {
+        "bijection-rho", "bijection-fc"}, id="grow-orders-children-decreasingly"),
+    pytest.param(series.EQUATIONS, "213", _term("213", 3, lambda c, P, Q, R: Q * Q * R * P), {
+        "series-oracles", "series-specializations"}, id="213-cubic-term-q2r2-as-q2rp"),
+    pytest.param(series.EQUATIONS, "123", _term("123", 0, _doubled), {
+        "series-oracles", "series-recurrences", "series-specializations"},
+                 id="123-first-term-doubled"),
+    pytest.param(series.EQUATIONS, "prepend1", _term("prepend1", 3, _doubled), {
+        "pair-122", "pair-rationals"}, id="prepend1-pq-f-term-doubled"),
+    pytest.param(series.EQUATIONS, "prepend11", _term("prepend11", -1, _doubled), {
+        "catalan-chains"}, id="prepend11-last-term-doubled"),
 ]
 
 
@@ -85,8 +142,16 @@ def test_the_unmutated_program_passes_every_row():
     assert all(r.ok for r in verification.run_checks("all", ORDERS))
 
 
-@pytest.mark.parametrize("name, mutant, rows", MUTANTS)
-def test_each_mutant_fails_the_rows_it_names(monkeypatch, name, mutant, rows):
-    monkeypatch.setattr(generation, name, mutant)
+def test_every_row_fails_under_some_mutant():
+    caught = set().union(*(param.values[-1] for param in MUTANTS))
+    assert caught == set(verification.CHECKS)
+
+
+@pytest.mark.parametrize("owner, name, mutant, rows", MUTANTS)
+def test_each_mutant_fails_the_rows_it_names(monkeypatch, owner, name, mutant, rows):
+    if owner is series.EQUATIONS:
+        monkeypatch.setitem(owner, name, mutant)
+    else:
+        monkeypatch.setattr(owner, name, mutant)
     failing = _failing_rows()
     assert failing == rows

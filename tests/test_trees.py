@@ -1,5 +1,3 @@
-import pickle
-
 import pytest
 
 from stirperm.bijections import left_path_order
@@ -115,7 +113,6 @@ def test_trees_are_frozen_values(make):
     with pytest.raises(AttributeError):
         del one.shape
     assert one == other
-    assert pickle.loads(pickle.dumps(one)) == one
 
 
 def test_trees_of_different_classes_never_compare_equal():

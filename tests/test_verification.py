@@ -280,14 +280,14 @@ def test_verify_with_nothing_covered_is_not_a_pass(capsys):
 
 @pytest.mark.parametrize("key", ["checked", "transport"])
 def test_a_bijection_row_fails_on_a_wrong_report_and_names_the_key(monkeypatch, key):
-    verify = bijections.VERIFIERS["phi"]
+    verify = bijections.verify_phi
 
     def wrong_at_3(n):
         report = verify(n)
         report[key] += n == 3
         return report
 
-    monkeypatch.setitem(bijections.VERIFIERS, "phi", wrong_at_3)
+    monkeypatch.setattr(bijections, "verify_phi", wrong_at_3)
     result = verification.CHECKS["bijection-phi"](range(1, 6))
     assert result.status == "fail" and result.orders == (1, 2, 3)
     assert result.counterexample == f"n=3 at {key}"
