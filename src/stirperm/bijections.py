@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from itertools import islice, permutations, product
 
-from .errors import InvalidPair, NotAvoider
 from .generation import generate_avoiders
 from .trees import FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees, ternary_trees
 from .words import (
@@ -69,7 +68,7 @@ def phi(word):
     right subtrees, each split the same way.  Each block holds both copies
     of its letters, since a letter with one copy on each side of an m would
     enclose a smaller letter.  A split out of the order that the module
-    docstring states raises NotAvoider.
+    docstring states raises ValueError.
 
     The block of a letter x, the one x is smallest in, is the longest run
     of letters >= x around its copies, so it ends at the nearest smaller
@@ -97,7 +96,7 @@ def phi(word):
         left, vertical, right = kids[stack.pop()]
         below = max(top[vertical], top[right])
         if (left and left <= below) or (vertical and vertical <= top[right]):
-            raise NotAvoider(f"{format_word(word)} contains 213")
+            raise ValueError(f"{format_word(word)} contains 213")
         shape.append(4 * bool(left) | 2 * bool(vertical) | bool(right))
         stack += [child for child in (right, vertical, left) if child]
     return TernaryTree(tuple(shape))
@@ -181,22 +180,22 @@ def psi(word):
     return perm, tuple(s)
 
 
-def _check_permutation(perm, error=ValueError):
+def _check_permutation(perm):
     if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise error(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
+        raise ValueError(f"not a permutation of 1..{len(perm)}: {format_word(perm)}")
 
 
 def _check_pair(perm, s, family=None):
-    """perm's segment lengths; InvalidPair unless (perm, s) is a pair (of the family, if given)."""
-    _check_permutation(perm, InvalidPair)
+    """perm's segment lengths; ValueError unless (perm, s) is a pair (of the family, if given)."""
+    _check_permutation(perm)
     if family and _family(family)[1](perm):
-        raise InvalidPair(f"base permutation {format_word(perm)} contains {family}")
+        raise ValueError(f"base permutation {format_word(perm)} contains {family}")
     comp = composition_of(perm)
     if len(s) != len(comp):
-        raise InvalidPair(f"sequence length {len(s)} != {len(comp)} segments")
+        raise ValueError(f"sequence length {len(s)} != {len(comp)} segments")
     for si, ci in zip(s, comp):
         if not 1 <= si <= ci:
-            raise InvalidPair(f"entry {si} outside 1..{ci}")
+            raise ValueError(f"entry {si} outside 1..{ci}")
     return comp
 
 
@@ -288,7 +287,7 @@ def rho(perm):
     """
     _check_permutation(perm)
     if contains_123(perm):
-        raise NotAvoider(f"{format_word(perm)} contains 123")
+        raise ValueError(f"{format_word(perm)} contains 123")
     # Each entry hangs below a vertex smaller than itself, so a permutation
     # of 1..n always gives a tree on 0..n.
     return OrderedTree(_grow(perm)[1])

@@ -9,7 +9,9 @@ command line is parsed: enumerate --n, series --order and formula --n must
 be integers >= 0.  Series --spec and formula --param are read by one
 name=integer parser: blank pieces are skipped, all=N assigns every name,
 and a bad integer, an unknown name or a name assigned twice is refused.
-Bad input prints one line naming it on stderr and nothing on stdout.
+Past argparse's own usage errors, every refusal is a ValueError, which
+main prints as one line, "error: <message>", on stderr, with nothing on
+stdout and exit 2.
 
 Each biject map is its own subcommand and takes only what it uses: phi,
 rho and fc take --direction and a required --input, and psi also
@@ -39,7 +41,6 @@ import sys
 from functools import cache
 from itertools import accumulate, islice
 
-from .errors import BadPattern, LimitExceeded, StirpermError, UnknownEquation
 # stats is unused here but traced as cli.stats by the benchmark
 from .words import DIGITS, format_word, parse_word, stats, validate_pattern  # noqa: F401
 
@@ -179,7 +180,7 @@ def _row_limit(n, patterns):
         what = (f"a bound of {bound} rows: {2 * n - 1} per order-{n - 1} avoider, "
                 f"counted up to {parents}")
     if bound > cap:
-        raise LimitExceeded(
+        raise ValueError(
             f"order {n} exceeds the default limit {DEFAULT_LIMIT} ({what}, "
             f"more than the {cap} permutations of order {DEFAULT_LIMIT}); "
             "pass --force to proceed"
@@ -233,7 +234,7 @@ def cmd_enumerate(args):
 def _assignments(pieces, names, noun, owner):
     """{name: int} from name=integer pieces over names; all=N assigns them all.
 
-    Skips blank pieces; a bad integer, an unknown or a repeated name raises BadPattern.
+    Skips blank pieces; a bad integer, an unknown or a repeated name raises ValueError.
     """
     values = {}
     for piece in map(str.strip, pieces):
@@ -244,13 +245,13 @@ def _assignments(pieces, names, noun, owner):
         try:
             number = int(value)
         except ValueError as exc:
-            raise BadPattern(f"bad {noun} {piece!r}; want name=integer") from exc
+            raise ValueError(f"bad {noun} {piece!r}; want name=integer") from exc
         for v in (name == "all" and names) or (name,):
             if v not in names:
                 takes = ",".join(names) or f"no {noun}s"
-                raise BadPattern(f"{owner} has no {noun} {v!r}; takes {takes}")
+                raise ValueError(f"{owner} has no {noun} {v!r}; takes {takes}")
             if v in values:
-                raise BadPattern(f"{noun} {v!r} given twice")
+                raise ValueError(f"{noun} {v!r} given twice")
             values[v] = number
     return values
 
@@ -273,16 +274,16 @@ def _series_solver(eq):
     if colon and verb in chains:
         blocks = tuple(b.strip() for b in chain.split(",") if b.strip())
         if not blocks:
-            raise UnknownEquation(f"empty chain in {eq!r}")
+            raise ValueError(f"empty chain in {eq!r}")
         if blocks[0] != chains[verb]:
-            raise UnknownEquation(f"chain head {blocks[0]!r} does not match verb {verb!r}")
+            raise ValueError(f"chain head {blocks[0]!r} does not match verb {verb!r}")
         bad = [b for b in blocks if b not in chains.values()]
         if bad:
-            raise UnknownEquation(f"unsupported chain block {bad[0]!r} in {eq!r}; "
-                                  f"blocks are {' and '.join(chains.values())}")
+            raise ValueError(f"unsupported chain block {bad[0]!r} in {eq!r}; "
+                             f"blocks are {' and '.join(chains.values())}")
         return equation, blocks, lambda order: series.pair_series(blocks, order)
     known = ", ".join(name + ":<chain>" * (name in chains) for name in series.EQUATIONS)
-    raise UnknownEquation(f"unknown equation {eq!r}; known: {known}")
+    raise ValueError(f"unknown equation {eq!r}; known: {known}")
 
 
 def cmd_series(args):
@@ -290,12 +291,12 @@ def cmd_series(args):
 
     equation, blocks, solve = _series_solver(args.eq)
     if args.order > equation.limit and not args.force:
-        raise LimitExceeded(f"order {args.order} exceeds the limit {equation.limit} for "
-                            f"equation {args.eq}; pass --force to proceed")
+        raise ValueError(f"order {args.order} exceeds the limit {equation.limit} for "
+                         f"equation {args.eq}; pass --force to proceed")
     if len(blocks) * args.order > CHAIN_LIMIT and not args.force:
-        raise LimitExceeded(f"{len(blocks)} blocks at order {args.order} exceed the limit "
-                            f"{CHAIN_LIMIT} on blocks x order for a chain; "
-                            "pass --force to proceed")
+        raise ValueError(f"{len(blocks)} blocks at order {args.order} exceed the limit "
+                         f"{CHAIN_LIMIT} on blocks x order for a chain; "
+                         "pass --force to proceed")
     spec = args.spec and _assignments(args.spec.split(","), equation.vars, "variable",
                                       f"equation {args.eq}")
     coeffs = solve(args.order)
@@ -325,9 +326,9 @@ def cmd_formula(args):
             print(f"{name}: {summary}" + ("; needs " + ",".join(params) if params else ""))
         return 0
     if args.formula_id is None or args.n is None:
-        raise BadPattern("formula needs --id and --n, or --list")
+        raise ValueError("formula needs --id and --n, or --list")
     if args.formula_id not in formulas.FORMULAS:
-        raise UnknownEquation(
+        raise ValueError(
             f"unknown formula {args.formula_id!r}; known: {', '.join(sorted(formulas.FORMULAS))}"
         )
     func, _ = formulas.FORMULAS[args.formula_id]
@@ -335,7 +336,7 @@ def cmd_formula(args):
     params = _assignments(args.param, names, "parameter", f"formula {args.formula_id}")
     missing = [p for p in names if p not in params]
     if missing:
-        raise BadPattern(f"formula {args.formula_id} needs --param {','.join(missing)}")
+        raise ValueError(f"formula {args.formula_id} needs --param {','.join(missing)}")
     value = func(args.n, *[params[p] for p in names])
     if args.format == "json":
         value = value.to_json() if isinstance(value, Polynomial) else f'{{"value": "{value}"}}'
@@ -350,11 +351,11 @@ def _parse_pair(text):
     """(perm, s) from 'perm|s'; "|" alone is the order-0 pair ((), ())."""
     perm_text, bar, s_text = text.partition("|")
     if not bar:
-        raise BadPattern("pair input must look like 'perm|s', e.g. 4,6,5,2,1,3|3,1,1")
+        raise ValueError("pair input must look like 'perm|s', e.g. 4,6,5,2,1,3|3,1,1")
     try:
         s = tuple(int(x) for x in s_text.split(",")) if s_text else ()
     except ValueError as exc:
-        raise BadPattern(f"bad pair {text!r}: s must be comma-separated integers") from exc
+        raise ValueError(f"bad pair {text!r}: s must be comma-separated integers") from exc
     return parse_word(perm_text), s
 
 
@@ -394,9 +395,9 @@ def _parse_range(text):
     try:
         lo, hi = int(lo), int(hi if dots else lo)
     except ValueError as exc:
-        raise BadPattern(f"bad order range {text!r}; e.g. 1..5 or 3") from exc
+        raise ValueError(f"bad order range {text!r}; e.g. 1..5 or 3") from exc
     if not 1 <= lo <= hi:
-        raise BadPattern(f"order range {text!r} is empty or starts below 1")
+        raise ValueError(f"order range {text!r} is empty or starts below 1")
     return range(lo, hi + 1)
 
 
@@ -407,10 +408,7 @@ def cmd_verify(args):
         for name in verification.SUITES:
             print(f"{name}: {', '.join(verification.SUITES[name])}")
         return 0
-    try:
-        results = verification.run_checks(args.suite, _parse_range(args.n))
-    except ValueError as exc:
-        raise BadPattern(str(exc)) from exc
+    results = verification.run_checks(args.suite, _parse_range(args.n))
     passed = sum(1 for r in results if r.ok)
     skipped = sum(1 for r in results if r.status == "skip")
     code = 0 if passed and passed + skipped == len(results) else 1
@@ -458,7 +456,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.handler(args)
-    except (StirpermError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,14 +2,13 @@
 
 Every division here is exact by theorem (the counts come from Lagrange
 inversion); a nonzero remainder is therefore an implementation error and
-raises DivisibilityError rather than rounding.
+raises ValueError rather than rounding.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivisibilityError
 from .polynomials import Polynomial
 
 P_ONLY = ("p",)
@@ -26,7 +25,7 @@ def binomial(a, b):
 def exact_div(num, den):
     q, r = divmod(num, den)
     if r:
-        raise DivisibilityError(f"{num} not divisible by {den}")
+        raise ValueError(f"{num} not divisible by {den}")
     return q
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .words import avoids, count_adjacent_122, split_gaps, stats
+from .words import P213, avoids, count_adjacent_122, split_gaps, stats
 
 
 def double_factorial_odd(n):
@@ -261,8 +261,8 @@ def second_order_eulerian(n):
     return row
 
 
-def joint_plat_122(n, patterns=((2, 1, 3),)):
-    """Distribution of (plateaus, adjacent-pair occurrences of 122).
+def joint_plat_122(n):
+    """Distribution of (plateaus, adjacent-pair occurrences of 122) over 213-avoiders.
 
     The occurrence statistic is count_adjacent_122: the version whose
     generating function satisfies the substitution equation solved by
@@ -273,5 +273,5 @@ def joint_plat_122(n, patterns=((2, 1, 3),)):
     from .polynomials import PZ, Polynomial
 
     tally = Counter((parent[3] + STEPS[kind][2], _adj122(parent, pos, kind))
-                    for leaves in _walk(n, tuple(patterns)) for parent, pos, kind in leaves)
+                    for leaves in _walk(n, (P213,)) for parent, pos, kind in leaves)
     return Polynomial(PZ, tally)

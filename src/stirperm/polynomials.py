@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .errors import DivisibilityError
 
 PQR = ("p", "q", "r")  # plateaus, descents, ascents
 PZ = ("p", "z")  # plateaus, adjacent 122 occurrences
@@ -336,7 +335,7 @@ class Polynomial:
         def move(key):
             if not key >> s & MASK:
                 exp = _unpack(key, len(self.vars))
-                raise DivisibilityError(f"monomial {exp} has no factor {name}")
+                raise ValueError(f"monomial {exp} has no factor {name}")
             return key - (1 << s), 1
 
         return self._remap(self.vars, move)
@@ -364,7 +363,7 @@ class Polynomial:
                 if running:
                     out[rest + (k << s)] = running
             if running:
-                raise DivisibilityError(f"not divisible by (1 - {name})")
+                raise ValueError(f"not divisible by (1 - {name})")
         return Polynomial._raw(self.vars, out, self.bound)
 
     # -- presentation -----------------------------------------------------

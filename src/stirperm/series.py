@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import CompositionError, DivisibilityError
 from .polynomials import PQR, PZ, Polynomial
 
 PQRV = ("p", "q", "r", "v")
@@ -47,7 +46,7 @@ class TruncatedSeries:
     def inverse(self):
         """Reciprocal series; the constant coefficient must be exactly 1."""
         if self.coeffs[0] != Polynomial.one(self.vars):
-            raise DivisibilityError("series inverse needs constant coefficient 1")
+            raise ValueError("series inverse needs constant coefficient 1")
         a, inv = self.coeffs, [Polynomial.one(self.vars)]
         for n in range(1, len(a)):
             pairs = [(a[k], inv[n - k]) for k in range(1, n + 1)]
@@ -58,7 +57,7 @@ class TruncatedSeries:
         """Substitute the inner series for x by Horner's rule; it must vanish at x = 0."""
         self._check(inner)
         if inner.coeffs[0]:
-            raise CompositionError("inner series must have zero constant term")
+            raise ValueError("inner series must have zero constant term")
         *rest, top = self.coeffs
         result = TruncatedSeries(self.vars, [top] + [Polynomial.zero(self.vars)] * len(rest))
         for c in reversed(rest):

@@ -411,7 +411,7 @@ SUITES = {
 SUITES["all"] = tuple(CHECKS)
 
 
-def run_checks(suite="all", ns=range(1, 6)):
+def run_checks(suite, ns):
     """Run a suite of checks; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")

@@ -12,7 +12,6 @@ from itertools import accumulate
 from operator import gt, lt
 from typing import NamedTuple
 
-from .errors import BadPattern
 
 P213, P123, P132 = (2, 1, 3), (1, 2, 3), (1, 3, 2)  # the three patterns of length 3 studied
 
@@ -48,13 +47,13 @@ def parse_word(text):
         try:
             letters = tuple(int(part) for part in text.split(","))
         except ValueError as exc:
-            raise BadPattern(f"bad word {text!r}") from exc
+            raise ValueError(f"bad word {text!r}") from exc
     else:
         if not text.isdigit() or "0" in text:
-            raise BadPattern(f"bad word {text!r}: digits 1-9 or comma form required")
+            raise ValueError(f"bad word {text!r}: digits 1-9 or comma form required")
         letters = tuple(int(ch) for ch in text)
     if any(x < 1 for x in letters):
-        raise BadPattern(f"bad word {text!r}: letters must be positive")
+        raise ValueError(f"bad word {text!r}: letters must be positive")
     return letters
 
 
@@ -123,16 +122,14 @@ def validate_pattern(word):
     """
     letters = tuple(word)
     if not letters:
-        raise BadPattern("empty pattern")
+        raise ValueError("empty pattern")
     if len(letters) > MAX_PATTERN_LETTERS:
-        raise BadPattern(
+        raise ValueError(
             f"pattern of {len(letters)} letters; at most {MAX_PATTERN_LETTERS} are supported"
         )
     values = set(letters)
     if values != set(range(1, max(values) + 1)):
-        raise BadPattern(
-            f"pattern {format_word(letters)} values must form a range 1..m"
-        )
+        raise ValueError(f"pattern {format_word(letters)} values must form a range 1..m")
     return letters
 
 

@@ -808,7 +808,7 @@ def loaded_modules(*argv):
 def test_each_verb_loads_only_the_modules_it_runs():
     # enumerate builds no polynomial, and series walks no generating tree
     assert loaded_modules("enumerate", "--n", "2", "--stats", "--avoid", "213") == {
-        "stirperm", "stirperm.cli", "stirperm.errors", "stirperm.words", "stirperm.generation"}
+        "stirperm", "stirperm.cli", "stirperm.words", "stirperm.generation"}
     assert "stirperm.generation" not in loaded_modules("series", "--eq", "213", "--order", "3")
     # series and formula write their JSON text without the json module
     assert "json" not in loaded_modules("series", "--eq", "R", "--order", "3", "--format", "json")
@@ -885,3 +885,48 @@ def test_verify_json_reports_each_check_and_a_summary(capsys):
 def test_verify_text_is_the_default_format(capsys):
     argv = ("verify", "--suite", "pairs", "--n", "1..3")
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--format", "text")
+
+
+VERIFY_SUITES = ("'all', 'bijections', 'counts', 'fibonacci', 'joint', 'marginals', 'pairs', "
+                 "'plateaus', 'series', 'statistics-132', 'symmetry'")
+FORMULA_IDS = ("ascents-132, count-123, count-132, count-213, descents-132, "
+               "fibonacci-213-1233, plateaus-123, plateaus-213, stats-213")
+
+# (argv, the stderr line): every refusal of every verb prints its message alone
+REFUSALS = [
+    (("enumerate", "--n", "9"), "order 9 exceeds the default limit 8 (34459425 permutations, "
+     "more than the 2027025 permutations of order 8); pass --force to proceed"),
+    (("enumerate", "--n", "2", "--avoid", "13"), "pattern 13 values must form a range 1..m"),
+    (("enumerate", "--n", "2", "--avoid", "0"),
+     "bad word '0': digits 1-9 or comma form required"),
+    (("series", "--eq", "nope"), "unknown equation 'nope'; known: 213, 123, 132, R, "
+     "prepend1:<chain>, prepend11:<chain>"),
+    (("series", "--eq", "prepend1:11"), "chain head '11' does not match verb 'prepend1'"),
+    (("series", "--eq", "prepend1:1,2"),
+     "unsupported chain block '2' in 'prepend1:1,2'; blocks are 1 and 11"),
+    (("series", "--eq", "213", "--order", "99"),
+     "order 99 exceeds the limit 40 for equation 213; pass --force to proceed"),
+    (("series", "--eq", "prepend1:1,1,1,1,1", "--order", "26"), "5 blocks at order 26 exceed "
+     "the limit 104 on blocks x order for a chain; pass --force to proceed"),
+    (("series", "--eq", "213", "--order", "3", "--spec", "zz=1"),
+     "equation 213 has no variable 'zz'; takes p,q,r"),
+    (("series", "--eq", "213", "--order", "3", "--spec", "p=x"),
+     "bad variable 'p=x'; want name=integer"),
+    (("formula", "--id", "nope", "--n", "3"), f"unknown formula 'nope'; known: {FORMULA_IDS}"),
+    (("formula", "--n", "3"), "formula needs --id and --n, or --list"),
+    (("formula", "--id", "descents-132", "--n", "3"), "formula descents-132 needs --param d"),
+    (("biject", "phi", "--input", "1,2,2,1,3,3"), "122133 contains 213"),
+    (("biject", "psi", "--direction", "inv", "--input", "1,2,3|1,1,1"),
+     "base permutation 123 contains 123"),
+    (("biject", "fc", "--input", "1,2"),
+     "pair input must look like 'perm|s', e.g. 4,6,5,2,1,3|3,1,1"),
+    (("biject", "rho", "--direction", "inv", "--input", "(()"),
+     "not a serialized OrderedTree: '(()'"),
+    (("verify", "--suite", "nope"), f"unknown suite 'nope'; choose from [{VERIFY_SUITES}]"),
+    (("verify", "--n", "3..1"), "order range '3..1' is empty or starts below 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_each_refusal_prints_one_error_line_and_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -171,8 +171,9 @@ def test_walk_readers_match_whole_word_tallies():
             words = list(generate_avoiders(n, patterns))
             want = Polynomial(PQR, Counter((s.plat, s.des, s.asc) for s in map(stats, words)))
             assert distribution(n, patterns) == want
-            joint = Counter((stats(w).plat, count_adjacent_122(w)) for w in words)
-            assert joint_plat_122(n, patterns) == Polynomial(PZ, joint)
+        joint = Counter((stats(w).plat, count_adjacent_122(w))
+                        for w in generate_avoiders(n, (P213,)))
+        assert joint_plat_122(n) == Polynomial(PZ, joint)
         assert second_order_eulerian(n) == [
             sum(1 for w in generate_all(n) if stats(w).des == k) for k in range(n)
         ]

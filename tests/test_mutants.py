@@ -3,15 +3,16 @@
 A verify PASS means something only if the row would FAIL on a wrong
 program (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test
 data selection", IEEE Computer, 1978).  Each mutant below replaces one
-attribute of a module or one entry of series.EQUATIONS, and
+attribute of a module or a class, or one entry of series.EQUATIONS, and
 `run_checks("all", 1..5)` must fail exactly the rows it names; the
 unmutated program fails none, and every row fails under some mutant.
 """
 
 import pytest
 
-from stirperm import bijections, formulas, generation, series, verification
+from stirperm import bijections, formulas, generation, series, trees, verification
 from stirperm.generation import ASCENT, EMPTY, PLATEAU, ROOT, STEPS
+from stirperm.polynomials import Polynomial
 
 ORDERS = range(1, 6)  # verify's default orders
 
@@ -62,6 +63,25 @@ def _grow_children_decreasing(perm):
         preorder.append(vertex)
         stack += children.get(vertex, ())
     return preorder, tuple(len(children.get(v, ())) for v in preorder)
+
+
+def _recurrence_132_first_bracket_doubled(order):
+    """series.recurrence_132 with its first bracket P*Q*V doubled."""
+    P, Q, R, V = Polynomial.gens(series.PQRV)
+    return series._catalytic(
+        order, series.SEEDS["132"], 1,
+        head=(P * Q,),
+        plain=(2 * P * R, -P * P * R * R),
+        brackets=(2 * P * Q * V, P * Q * R * (Q - P) * V),
+        close=(P * R, R * (Q - P)))
+
+
+def _edge_counts_left_and_right_swapped(tree):
+    return tuple(sum(1 for mask in tree.shape if mask & bit) for bit in (1, 2, 4))
+
+
+def _identity(x):
+    return x
 
 
 def _term(family, index, scalar):
@@ -119,6 +139,16 @@ MUTANTS = [
                  id="count-avoid-123-off-by-one-at-4"),
     pytest.param(bijections, "_grow", _grow_children_decreasing, {
         "bijection-rho", "bijection-fc"}, id="grow-orders-children-decreasingly"),
+    pytest.param(bijections, "fc_involution", _identity, {"bijection-fc"},
+                 id="fc-involution-as-the-identity"),
+    pytest.param(bijections, "involution_pair", _identity, {"bijection-fc", "involution-swap"},
+                 id="involution-pair-as-the-identity"),
+    # phi-pullback misses it: the tree tally it checks equals each of its SWAPS
+    # images, so swapping left and right edges leaves that tally as it was
+    pytest.param(trees.TernaryTree, "edge_counts", _edge_counts_left_and_right_swapped,
+                 {"bijection-phi"}, id="ternary-edge-counts-left-and-right-swapped"),
+    pytest.param(series, "recurrence_132", _recurrence_132_first_bracket_doubled,
+                 {"series-recurrences"}, id="recurrence-132-first-bracket-doubled"),
     pytest.param(series.EQUATIONS, "213", _term("213", 3, lambda c, P, Q, R: Q * Q * R * P), {
         "series-oracles", "series-specializations"}, id="213-cubic-term-q2r2-as-q2rp"),
     pytest.param(series.EQUATIONS, "123", _term("123", 0, _doubled), {

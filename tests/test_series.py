@@ -1,7 +1,6 @@
 import pytest
 
 from stirperm import series
-from stirperm.errors import CompositionError, DivisibilityError
 from stirperm.formulas import count_avoid_213, descents_132, plateau_poly_123, plateau_poly_213
 from stirperm.generation import distribution, joint_plat_122
 from stirperm.polynomials import Polynomial
@@ -47,7 +46,7 @@ def test_series_arithmetic_basics():
     assert ints(geom.coeffs) == [1, 1, 1, 1, 1, 1]
     assert ints((geom * geom).coeffs) == [1, 2, 3, 4, 5, 6]
     assert ints((constants(1, -1, 0, 0, 0, 0) * geom).coeffs) == [1, 0, 0, 0, 0, 0]
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(ValueError, match="^series inverse needs constant coefficient 1$"):
         constants(2, 0, 0, 0, 0, 0).inverse()
     with pytest.raises(ValueError):
         geom * constants(1, 0)
@@ -59,7 +58,7 @@ def test_compose():
     doubled = geom.compose(constants(0, 2, 0, 0, 0, 0, 0))
     assert ints(doubled.coeffs) == [2**k for k in range(7)]
     assert ints(geom.compose(constants(0, 0, 0, 0, 0, 0, 0)).coeffs) == [1, 0, 0, 0, 0, 0, 0]
-    with pytest.raises(CompositionError):
+    with pytest.raises(ValueError, match="^inner series must have zero constant term$"):
         geom.compose(constants(1, 0, 0, 0, 0, 0, 0))
 
 
