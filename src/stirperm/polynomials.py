@@ -6,8 +6,10 @@ vector into one int by Kronecker substitution (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007): each exponent fills its own unsigned ``FIELD_BITS`` =
 16 bit field, the first variable in the highest field.  The zero exponent is
-key 0, int order of the keys is the order of the exponent tuples, and a
-product's key is ``k1 + k2``.
+key 0 and int order of the keys is the order of the exponent tuples.  Two
+kernels work on the keys: ``sum_products`` multiplies, a product's key being
+``k1 + k2``, and ``_substitute`` reshapes, sending each variable to an int
+times a monomial (``specialize``, ``permute_vars``, ``project``, ``shift_var``).
 
 Exponents are natural numbers: the paper's coefficients count plateaus,
 descents and ascents.  An exponent must lie in 0..MAX_EXPONENT (2**15 - 1),
@@ -47,6 +49,8 @@ def _check(reach, low=0):
 
 def _field(vars, name):
     """The bit offset of the named variable's field."""
+    if name not in vars:
+        raise ValueError(f"no variable {name!r} in {vars}")
     return FIELD_BITS * (len(vars) - 1 - vars.index(name))
 
 
@@ -255,90 +259,71 @@ class Polynomial:
 
     # -- substitution and reshaping ---------------------------------------
 
-    def _remap(self, vars, move, bound=None):
-        """Send each term's key through move(key) -> (new_key, weight).
+    def _substitute(self, vars, images, bound=None):
+        """This polynomial in ``vars``, each variable named in ``images`` sent to its image.
 
-        The result, in ``vars`` and within ``bound`` (default: this one's),
-        sums the weighted coefficients of the terms that land on one key and
-        drops those that cancel.
+        An image (key, value) is value times the monomial of packed key ``key`` in
+        ``vars``, and None says the variable must not occur; the others keep their
+        fields.  One pass sums the terms that land on one key, dropping zero sums.
         """
+        moves = []  # (field, key step, value) per variable named
+        for v, image in images.items():
+            s = _field(self.vars, v)  # refuses a name that is not a variable
+            moves.append((s, None, None) if image is None else (s, image[0] - (1 << s), image[1]))
         out = defaultdict(int)
         for key, coef in self.terms.items():
-            key, weight = move(key)
-            out[key] += coef * weight
-        return Polynomial._raw(
-            tuple(vars), {k: c for k, c in out.items() if c},
-            self.bound if bound is None else bound,
-        )
+            new = key
+            for s, step, val in moves:
+                e = key >> s & MASK
+                if e:
+                    if step is None:
+                        first = next(v for v in images if images[v] is None
+                                     and any(k >> _field(self.vars, v) & MASK for k in self.terms))
+                        raise ValueError(f"variable {first} occurs; cannot project")
+                    new += e * step
+                    coef *= val ** e
+            out[new] += coef
+        return Polynomial._raw(tuple(vars), {k: c for k, c in out.items() if c},
+                               self.bound if bound is None else bound)
 
     def specialize(self, values):
         """Substitute integers for some variables; keeps the variable tuple."""
-        fields = [(_field(self.vars, v), val) for v, val in values.items()]
-
-        def move(key):
-            weight = 1
-            for s, val in fields:
-                e = key >> s & MASK
-                if e:
-                    weight *= val ** e
-                    key -= e << s
-            return key, weight
-
-        return self._remap(self.vars, move)
-
-    def _move_fields(self, vars, sources):
-        """The polynomial in vars whose field t holds this one's field sources[t]."""
-        top = FIELD_BITS * (len(vars) - 1)
-        moves = [(_field(self.vars, v), top - FIELD_BITS * t) for t, v in enumerate(sources)]
-
-        def move(key):
-            new = 0
-            for s, t in moves:
-                new |= (key >> s & MASK) << t
-            return new, 1
-
-        return self._remap(vars, move)
+        return self._substitute(self.vars, {v: (0, val) for v, val in values.items()})
 
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the variable set onto itself."""
-        source = {mapping.get(v, v): v for v in self.vars}  # new name -> old name
-        if sorted(source) != sorted(self.vars):
+        key = {v: 1 << _field(self.vars, v) for v in mapping}  # refuses a name not a variable
+        if sorted(mapping.get(v, v) for v in self.vars) != sorted(self.vars):
             raise ValueError("mapping is not a bijection of the variables")
-        return self._move_fields(self.vars, [source[v] for v in self.vars])
+        # a bijection that fixes the variables left out sends its keys onto its keys
+        return self._substitute(self.vars, {v: (key[w], 1) for v, w in mapping.items()})
 
     def shift_var(self, src, dst, mult):
         """Substitute src -> src * dst**mult (an exponent transfer)."""
         i, j = _field(self.vars, src), _field(self.vars, dst)
         moved = [(k >> j & MASK) + mult * (k >> i & MASK) for k in self.terms]
-        reach = max(moved, default=0)
+        reach = max([self.bound, *moved])
         _check(reach, min(moved, default=0))
-        return self._remap(
-            self.vars, lambda k: (k + (mult * (k >> i & MASK) << j), 1),
-            max(self.bound, reach),
-        )
+        return self._substitute(self.vars, {src: ((1 << i) + (mult << j), 1)}, reach)
 
     def project(self, new_vars):
-        """Restrict to a sub-tuple of variables; the dropped ones must not occur."""
+        """Restrict to some of the variables, in any order; the dropped ones must not occur."""
         new_vars = tuple(new_vars)
-        for v in self.vars:
-            s = _field(self.vars, v)
-            if v not in new_vars and any(key >> s & MASK for key in self.terms):
-                raise ValueError(f"variable {v} occurs; cannot project")
-        return self._move_fields(new_vars, new_vars)
+        for v in new_vars:
+            _field(self.vars, v)  # refuses a name that is not a variable
+        return self._substitute(new_vars, {
+            v: (1 << _field(new_vars, v), 1) if v in new_vars else None for v in self.vars})
 
     # -- exact division ---------------------------------------------------
 
     def div_var_exact(self, name):
         """Divide by the variable, exactly (every monomial must contain it)."""
         s = _field(self.vars, name)
-
-        def move(key):
+        for key in self.terms:
             if not key >> s & MASK:
-                exp = _unpack(key, len(self.vars))
-                raise ValueError(f"monomial {exp} has no factor {name}")
-            return key - (1 << s), 1
-
-        return self._remap(self.vars, move)
+                raise ValueError(f"monomial {_unpack(key, len(self.vars))} has no factor {name}")
+        return Polynomial._raw(
+            self.vars, {key - (1 << s): c for key, c in self.terms.items()}, self.bound)
 
     def div_one_minus_exact(self, name):
         """Divide by (1 - name), exactly.

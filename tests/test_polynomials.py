@@ -55,6 +55,23 @@ def test_shift_var():
         poly.shift_var("p", "z", -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: f.permute_vars({"x": "y"}),
+    lambda f: f.permute_vars({"x": "p"}),
+    lambda f: f.specialize({"q": 1, "x": 1}),
+    lambda f: f.shift_var("x", "p", 1),
+    lambda f: f.shift_var("p", "x", 1),
+    lambda f: f.project(("p", "x")),
+    lambda f: f.div_var_exact("x"),
+    lambda f: f.div_one_minus_exact("x"),
+], ids=["permute-key", "permute-key-onto-a-variable", "specialize", "shift-src", "shift-dst",
+        "project", "div-var", "div-one-minus"])
+def test_an_unknown_name_is_refused(call):
+    p, q, r = gens()
+    with pytest.raises(ValueError, match=r"^no variable 'x' in \('p', 'q', 'r'\)$"):
+        call(p * q + r)
+
+
 def test_project_extend():
     p, q, r = gens()
     poly = p * p + 2 * p
@@ -108,7 +125,7 @@ def test_immutability():
         p.terms = {}
 
 
-# -- the two kernels: sum_products and the exponent map ---------------------
+# -- the two kernels: sum_products and _substitute -------------------------
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 POINTS = st.tuples(*[st.sampled_from([-3, -2, -1, 1, 2, 3])] * 3)
@@ -261,6 +278,12 @@ def test_reshaping_matches_the_reference(ring, data):
     if len(keep) < n and any(exp[k] for exp in a for k in range(n) if k not in keep):
         with pytest.raises(ValueError):
             poly.project([vars[k] for k in keep])
+    for k in range(n):
+        if all(exp[k] for exp in a):
+            same(poly.div_var_exact(vars[k]), {put(exp, k, exp[k] - 1): c for exp, c in a.items()})
+        else:
+            with pytest.raises(ValueError, match=f"has no factor {vars[k]}$"):
+                poly.div_var_exact(vars[k])
 
 
 @PROPERTY
