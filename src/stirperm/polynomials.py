@@ -47,6 +47,14 @@ def _check(reach, low=0):
                          f"past the limit {MAX_EXPONENT}")
 
 
+def _ring(vars):
+    """The variable names as a tuple; a name may occur once only."""
+    vars = tuple(vars)
+    if len(set(vars)) < len(vars):
+        raise ValueError(f"repeated variable name in {vars}")
+    return vars
+
+
 def _field(vars, name):
     """The bit offset of the named variable's field."""
     if name not in vars:
@@ -75,7 +83,7 @@ def _json_string(name):
 
 
 class Polynomial:
-    """Polynomial in the variables named by ``vars`` (an ordered tuple).
+    """Polynomial in the variables named by ``vars`` (an ordered tuple of distinct names).
 
     ``terms`` maps packed exponent keys to nonzero coefficients and
     ``bound`` bounds the exponents (see the module docstring).  Instances are
@@ -88,7 +96,7 @@ class Polynomial:
 
     def __init__(self, vars, terms=None):
         """Build from a mapping of exponent tuples to coefficients; zeros are dropped."""
-        vars = tuple(vars)
+        vars = _ring(vars)
         clean, reach = {}, 0
         for exp, coef in (terms or {}).items():
             if coef:
@@ -116,7 +124,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, vars):
-        return cls._raw(tuple(vars), {}, 0)
+        return cls._raw(_ring(vars), {}, 0)
 
     @classmethod
     def one(cls, vars):
@@ -124,12 +132,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c, vars):
-        vars = tuple(vars)
+        vars = _ring(vars)
         return cls._raw(vars, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, name, vars):
-        vars = tuple(vars)
+        vars = _ring(vars)
         return cls._raw(vars, {1 << _field(vars, name): 1}, 1)
 
     @classmethod
@@ -308,7 +316,7 @@ class Polynomial:
 
     def project(self, new_vars):
         """Restrict to some of the variables, in any order; the dropped ones must not occur."""
-        new_vars = tuple(new_vars)
+        new_vars = _ring(new_vars)
         for v in new_vars:
             _field(self.vars, v)  # refuses a name that is not a variable
         return self._substitute(new_vars, {

@@ -4,7 +4,10 @@ Each check is one row of TABLE: an id, a suite, its orders, and two
 callables ``expected(n)`` and ``actual(n)`` that reach one object by two
 independent routes (closed form against enumeration, series solver against
 recurrence, each bijection's walk over its domain and onto its codomain
-against a closed-form count and zero failures).  One runner compares them
+against a closed-form count and zero failures).  A side never calls a
+function of the route it checks: no brute side calls formulas.  Every
+one-statistic marginal is read off a p,q,r distribution by _marginal, as a
+polynomial or, through _counts, as counts by value.  One runner compares them
 order by order.  An int cap covers each requested order n with
 1 <= n <= cap; a tuple covers fixed orders whatever was requested (for
 pair-rationals and catalan-chains, a truncation order N whose coefficients
@@ -128,29 +131,19 @@ def _var(name):
     return Polynomial.variable(name, PQR)
 
 
-def _plateaus(dist):
-    return dist.specialize({"q": 1, "r": 1}).project(("p",))
+def _marginal(dist, var):
+    """The one-statistic marginal of a p,q,r distribution: the other two set to 1."""
+    return dist.specialize({v: 1 for v in PQR if v != var}).project((var,))
 
 
-def _descents(dist, n):
-    """Counts by number of descents d = 0..2n-1 of a p,q,r distribution."""
-    marginal = dist.specialize({"p": 1, "r": 1}).project(("q",))
-    return [marginal.coefficient((d,)) for d in range(2 * n)]
+def _counts(dist, var, n, plus=0):
+    """Counts by var's statistic plus `plus`, at the values 0..2n."""
+    marginal = _marginal(dist, var)
+    return [marginal.coefficient((k - plus,)) for k in range(2 * n + 1)]
 
 
 def _descents_132(n):
-    return [formulas.descents_132(n, d) for d in range(2 * n)]
-
-
-def _marginals(n, pattern, names):
-    """The named one-statistic marginals of a brute distribution, all in q."""
-    dist, q = _brute(n, pattern), _var("q")
-    marginals = {
-        "des+1": dist.specialize({"p": 1, "r": 1}) * q,
-        "plat": dist.specialize({"q": 1, "r": 1}).permute_vars({"p": "q", "q": "p"}),
-        "asc+1": dist.specialize({"p": 1, "q": 1}).permute_vars({"q": "r", "r": "q"}) * q,
-    }
-    return [marginals[name] for name in names]
+    return [formulas.descents_132(n, d) for d in range(2 * n + 1)]
 
 
 def _symmetric(weighted, perms):
@@ -163,16 +156,9 @@ def _symmetric(weighted, perms):
     return lambda n: dict.fromkeys(("".join(p) for p in perms), weighted(n)), images
 
 
-def _stats_213_formula(n):
-    return {
-        (m, d, 2 * n - 1 - m - d): formulas.count_213_by_stats(n, m, d, 2 * n - 1 - m - d)
-        for m in range(2 * n) for d in range(2 * n - m)
-    }
-
-
-def _stats_213_brute(n):
-    dist = _brute(n, P213)
-    return {(m, d, k): dist.coefficient((k, d, m)) for m, d, k in _stats_213_formula(n)}
+def _triples(n):
+    """The (asc, des, plat) values of a word of order n: they sum to 2n - 1."""
+    return [(m, d, 2 * n - 1 - m - d) for m in range(2 * n) for d in range(2 * n - m)]
 
 
 def _eulerian_row(n):
@@ -207,12 +193,6 @@ def _solved(name, n):
     if name not in _SOLVES or len(_SOLVES[name]) <= n:
         _SOLVES[name] = SOLVERS[name](max(n, _solve_orders.get(name, 0)))
     return _SOLVES[name][n]
-
-
-def _solved_marginals(n):
-    solved = {name: _solved(name, n) for name in PATTERNS}
-    return {**{name: _plateaus(c) for name, c in solved.items()},
-            "132 descents": _descents(solved["132"], n)}
 
 
 def _brute_catalytic(n, pattern):
@@ -343,23 +323,28 @@ TABLE = (
     Check("symmetry-213", "symmetry", 9,
           *_symmetric(lambda n: _brute(n, P213) * _var("q") * _var("r"),
                       tuple(permutations(PQR)))),
-    Check("stats-213", "symmetry", 9, _stats_213_formula, _stats_213_brute),
+    Check("stats-213", "symmetry", 9,
+          lambda n: {t: formulas.count_213_by_stats(n, *t) for t in _triples(n)},
+          lambda n: {(m, d, k): _brute(n, P213).coefficient((k, d, m))
+                     for m, d, k in _triples(n)}),
     Check("symmetry-123", "symmetry", 9,
           *_symmetric(lambda n: _brute(n, P123) * _var("q"), (PQR, ("q", "p", "r")))),
     Check("plateaus-213", "plateaus", 9, lambda n: formulas.plateau_poly_213(n),
-          lambda n: _plateaus(_brute(n, P213))),
+          lambda n: _marginal(_brute(n, P213), "p")),
     Check("plateaus-123", "plateaus", 9, lambda n: formulas.plateau_poly_123(n),
-          lambda n: _plateaus(_brute(n, P123))),
-    Check("plateaus-132-vs-123", "plateaus", 9, lambda n: _plateaus(_brute(n, P123)),
-          lambda n: _plateaus(_brute(n, P132))),
-    Check("marginals-123", "marginals", 9, lambda n: _marginals(n, P123, ("plat",)),
-          lambda n: _marginals(n, P123, ("des+1",))),
-    Check("marginals-213", "marginals", 9, lambda n: _marginals(n, P213, ("des+1", "des+1")),
-          lambda n: _marginals(n, P213, ("plat", "asc+1"))),
+          lambda n: _marginal(_brute(n, P123), "p")),
+    Check("plateaus-132-vs-123", "plateaus", 9, lambda n: _marginal(_brute(n, P123), "p"),
+          lambda n: _marginal(_brute(n, P132), "p")),
+    Check("marginals-123", "marginals", 9, lambda n: _counts(_brute(n, P123), "p", n),
+          lambda n: _counts(_brute(n, P123), "q", n, plus=1)),
+    Check("marginals-213", "marginals", 9,
+          lambda n: dict.fromkeys(("plat", "asc+1"), _counts(_brute(n, P213), "q", n, plus=1)),
+          lambda n: {"plat": _counts(_brute(n, P213), "p", n),
+                     "asc+1": _counts(_brute(n, P213), "r", n, plus=1)}),
     Check("descents-132", "statistics-132", 9, _descents_132,
-          lambda n: _descents(_brute(n, P132), n)),
+          lambda n: _counts(_brute(n, P132), "q", n)),
     Check("ascents-132", "statistics-132", 9, lambda n: formulas.ascent_poly_132(n),
-          lambda n: _brute(n, P132).specialize({"p": 1, "q": 1}).project(("r",))),
+          lambda n: _marginal(_brute(n, P132), "r")),
     Check("series-oracles", "series", 9,
           lambda n: {k: _brute(n, p) for k, p in PATTERNS.items()},
           lambda n: {k: _solved(k, n) for k in PATTERNS}, tuple(PATTERNS)),
@@ -372,7 +357,8 @@ TABLE = (
     Check("series-specializations", "series", 9,
           lambda n: {"213": formulas.plateau_poly_213(n), "123": formulas.plateau_poly_123(n),
                      "132": formulas.plateau_poly_123(n), "132 descents": _descents_132(n)},
-          _solved_marginals, tuple(PATTERNS)),
+          lambda n: {**{k: _marginal(_solved(k, n), "p") for k in PATTERNS},
+                     "132 descents": _counts(_solved("132", n), "q", n)}, tuple(PATTERNS)),
     Check("pair-122", "pairs", tuple(range(11)),
           lambda j: _var("p") ** j * _var("q") ** (j - 1) if j else Polynomial.one(PQR),
           lambda j: _solved("pair-122", j), ("pair-122",)),

@@ -77,22 +77,20 @@ def is_stirling(word):
     """True iff the word is a Stirling permutation of some order n >= 0.
 
     Scans with a stack: values must open in pairs that close in nesting
-    order, and a value may only open on top of a strictly smaller one.
+    order, and a value may only open on top of a strictly smaller one.  The
+    stack increases strictly, so a second copy that is not on top is below a
+    larger value and refused by that same test.
     """
     if sorted(word) != [v for v in range(1, len(word) // 2 + 1) for _ in (0, 1)]:
         return False  # not two copies each of 1..n (an odd length never is)
     stack = []
-    seen = set()
     for x in word:
         if stack and stack[-1] == x:
             stack.pop()
-        elif x in seen:
-            return False
         elif stack and x < stack[-1]:
             return False
         else:
             stack.append(x)
-            seen.add(x)
     return not stack
 
 
@@ -282,19 +280,19 @@ def split_gaps(word, pattern, cut):
     covered = top  # (covered, top] is in the mask: nothing above covered adds a gap
     assigned = {}  # pattern value -> word letter committed to it
 
-    def mark(last, end):
+    def mark(start, end):
         nonlocal bad, covered
-        bad |= (1 << (end + 1)) - (1 << (last + 1))
+        bad |= (1 << (end + 1)) - (1 << start)
         covered = (~bad & ((1 << (top + 1)) - 1)).bit_length() - 1
 
-    def prefix(pi, start, last):
+    def prefix(pi, start):
         """Place pattern[pi:cut] from start on, then mark each interval."""
         if pi == cut:
             if cut == k:
-                mark(last, n)
+                mark(start, n)
                 return
-            free = ~bad & -(1 << (last + 1))
-            first = (free & -free).bit_length() - 1  # the lowest gap above last not yet marked
+            free = ~bad & -(1 << start)
+            first = (free & -free).bit_length() - 1  # the lowest gap from start not yet marked
             t = pattern[cut]
             bound = assigned.get(t)
             for wj in range(top, first - 1, -1):
@@ -308,7 +306,7 @@ def split_gaps(word, pattern, cut):
                 else:
                     found = False
                 if found:
-                    mark(last, wj)
+                    mark(start, wj)
                     return
             return
         t = pattern[pi]
@@ -320,7 +318,7 @@ def split_gaps(word, pattern, cut):
             except ValueError:
                 return
             if wj < covered:  # else o[cut-1] >= covered too
-                prefix(pi + 1, wj + 1, wj)
+                prefix(pi + 1, wj + 1)
             return
         tried = set()
         for wj in range(start, end):
@@ -332,10 +330,10 @@ def split_gaps(word, pattern, cut):
             tried.add(w)
             if not assigned or _fits(assigned, t, w):
                 assigned[t] = w
-                prefix(pi + 1, wj + 1, wj)
+                prefix(pi + 1, wj + 1)
                 del assigned[t]
 
-    prefix(0, 0, -1)
+    prefix(0, 0)
     return bad
 
 

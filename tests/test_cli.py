@@ -749,6 +749,21 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
+# SHA-256 of the `verify --n 1..6` report: a change that adds a row or
+# rewords a line updates these and says so.
+VERIFY_1_TO_6_SHA256 = {
+    "text": "3946eec12bd9e0d0ae893f0622e4ef59dd7b8ccc14d97ade1b48445636a8f4e4",
+    "json": "653740bf503afc7694d57bfe3f81f2c3961af5276fadd9886a77103e56a099b1",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_1_TO_6_SHA256)
+def test_the_verify_report_at_1_to_6_is_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, "verify", "--n", "1..6", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_1_TO_6_SHA256[fmt]
+
+
 def _child_env():
     """os.environ with this process's stirperm first on PYTHONPATH.
 

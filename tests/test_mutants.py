@@ -100,6 +100,21 @@ def _flip_then_psi_inverse(pair, family, psi_inverse=bijections.psi_inverse,
     return psi_inverse(flip(pair), family)
 
 
+def _swap_2_and_c(pair):
+    """(p, s) with s_i = 2 and s_i = c_i exchanged on each segment with c_i >= 3."""
+    perm, s = pair
+    return perm, tuple({2: c, c: 2}.get(x, x) if c >= 3 else x
+                       for c, x in zip(bijections.composition_of(perm), s))
+
+
+def _psi_then_swap(word, psi=bijections.psi):
+    return _swap_2_and_c(psi(word))
+
+
+def _swap_then_psi_inverse(pair, family, psi_inverse=bijections.psi_inverse):
+    return psi_inverse(_swap_2_and_c(pair), family)
+
+
 def _rho_of_the_inverse(perm, rho=bijections.rho):
     return rho(_inverse(perm))
 
@@ -174,6 +189,12 @@ MUTANTS = [
     pytest.param([(bijections, "psi", _psi_then_flip),
                   (bijections, "psi_inverse", _flip_then_psi_inverse)],
                  {"bijection-psi-123", "bijection-psi-132"}, id="psi-conjugated-by-the-sign-flip"),
+    # Swapping s_i = 2 and s_i = c_i keeps every s_i = 1, so the plateau half
+    # of the rule holds and only psi-123's descent half catches it;
+    # involution-swap reads psi's pairs too.
+    pytest.param([(bijections, "psi", _psi_then_swap),
+                  (bijections, "psi_inverse", _swap_then_psi_inverse)],
+                 {"bijection-psi-123", "involution-swap"}, id="psi-conjugated-by-a-2-c-swap"),
     pytest.param([(bijections, "rho", _rho_of_the_inverse),
                   (bijections, "rho_inverse", _inverse_of_rho_inverse)],
                  {"bijection-rho"}, id="rho-conjugated-by-inversion"),

@@ -72,6 +72,20 @@ def test_an_unknown_name_is_refused(call):
         call(p * q + r)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Polynomial(("p", "p"), {(1, 2): 1}),
+    lambda: Polynomial.zero(("p", "p")),
+    lambda: Polynomial.one(("p", "p")),
+    lambda: Polynomial.constant(2, ("p", "p")),
+    lambda: Polynomial.variable("p", ("p", "p")),
+    lambda: Polynomial.gens(("p", "p")),
+    lambda: (gens()[0] ** 2).project(("p", "p")),
+], ids=["constructor", "zero", "one", "constant", "variable", "gens", "project"])
+def test_a_repeated_name_is_refused(call):
+    with pytest.raises(ValueError, match=r"^repeated variable name in \('p', 'p'\)$"):
+        call()
+
+
 def test_project_extend():
     p, q, r = gens()
     poly = p * p + 2 * p

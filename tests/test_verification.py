@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 from collections import Counter
@@ -6,7 +7,7 @@ from collections.abc import Sequence
 import pytest
 
 from benchmarks import jobs, tracing
-from stirperm import bijections, cli, series, verification
+from stirperm import bijections, cli, formulas, series, verification
 from stirperm.cli import main
 from stirperm.generation import generate_avoiders
 from stirperm.polynomials import Polynomial
@@ -56,6 +57,30 @@ PRUNED_ORACLE_ROWS = (
     "marginals-123", "marginals-213", "descents-132", "ascents-132",
     "series-oracles", "series-specializations", "fibonacci-pair", "joint-plat-122",
 )
+
+
+# The rows whose expected side is a closed form of formulas.
+CLOSED_FORM_ROWS = ("count-avoiders", "stats-213", "plateaus-213", "plateaus-123",
+                    "descents-132", "ascents-132", "fibonacci-pair")
+
+
+@pytest.mark.parametrize("check_id", CLOSED_FORM_ROWS)
+def test_the_brute_side_of_a_closed_form_row_calls_no_formula(monkeypatch, check_id):
+    def called(*args):
+        raise AssertionError("a formula was called")
+
+    for name, value in vars(formulas).items():
+        if inspect.isfunction(value) and value.__module__ == formulas.__name__:
+            monkeypatch.setattr(formulas, name, called)
+    check = verification.CHECKS[check_id]
+    verification._brute.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="a formula was called"):
+            check.expected(1)
+        for n in range(1, 5):
+            check.actual(n)
+    finally:
+        verification._brute.cache_clear()
 
 
 def test_runner_skips_a_check_that_covers_no_order():
