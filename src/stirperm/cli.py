@@ -25,12 +25,22 @@ coefficient at a time, and load no json module; biject psi and verify
 
 series refuses an --order above its equation's limit in series.EQUATIONS,
 a chain whose blocks times --order pass series.CHAIN_LIMIT, and a bad
---spec, all before it solves; enumerate refuses output larger than order
-DEFAULT_LIMIT.  --force lifts the limits.
+--spec, all before it solves; formula refuses an --n above its formula's
+limit in formulas.FORMULAS before it evaluates; enumerate refuses output
+larger than order DEFAULT_LIMIT.  --force lifts the limits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes standard output early, as
 `enumerate --n 8 | head -1` does; nothing is printed on stderr then.
+
+How a run ends: run, the entry point of `python -m stirperm` and of the
+stirperm script, flushes stdout and then stderr and ends the process with
+os._exit, skipping the interpreter's teardown (freeing every object and
+module), which costs more than many commands themselves.  So atexit
+handlers do not run.  Under a tracer or profiler (sys.gettrace or
+sys.getprofile set, as coverage, trace and cProfile do), it exits the
+normal way, so that they can write their reports.  main, which tests call
+in-process, returns its exit code and ends nothing.
 """
 
 from __future__ import annotations
@@ -108,6 +118,7 @@ def build_parser():
                            help="extra integer parameter, e.g. d=2 (repeatable)")
     p_formula.add_argument("--format", choices=("lines", "json"), default="lines")
     p_formula.add_argument("--list", action="store_true", help="list formula ids and exit")
+    p_formula.add_argument("--force", action="store_true", help="override the order limit")
 
     p_biject = sub.add_parser("biject", help="run a bijection or its inverse")
     p_biject.set_defaults(handler=cmd_biject)
@@ -158,7 +169,8 @@ ENUMERATE_LAYOUTS = {
     "json": (("[", "["), ('"{0}"', '{{"word": "{0}", "des": {1}, "asc": {2}, "plat": {3}}}'),
              ", ", "]\n"),
 }
-ENUMERATE_BUFFER = 64  # rows per write; larger chunks write faster but raise peak RSS
+# rows per write, plus at most one parent's; larger chunks write faster but raise peak RSS
+ENUMERATE_BUFFER = 64
 
 
 def _row_limit(n, patterns):
@@ -203,27 +215,31 @@ def cmd_enumerate(args):
         return [after.format(None, des + dd, asc + da, plat + dp)
                 for dd, da, dp in generation.STEPS]
 
-    # A row is its parent's text with n,n spliced in at the gap.  A word of
-    # order n has exactly the letters 1..n, so format_word's digit form holds
-    # iff n <= 9, cut at the positions; the comma form cuts ",a,b,..." before
-    # each comma, splices in ",n,n" and drops the leading comma.
-    pair, skip = (str(n) * 2 if n else "", 0) if n <= 9 else (f",{n},{n}", 1)
-    cuts, parent, lead, chunk = list(range(2 * n + 1)), None, heads[args.stats], []
-    write = sys.stdout.write
+    # A row is its parent's text with n,n spliced in at the gap; a parent's
+    # text and stats texts are made once, when its first leaf comes.  A word
+    # of order n has exactly the letters 1..n, so format_word's digit form
+    # holds iff n <= 9, cut at the positions; the comma form cuts ",a,b,..."
+    # before each comma, splices in ",n,n" and drops the leading comma.
+    digits = n <= 9
+    pair = (str(n) * 2 if n else "") if digits else f",{n},{n}"
+    lead, chunk, write, parent = heads[args.stats], [], sys.stdout.write, None
     for node, pos, kind in generation.generate_avoiders(n, patterns, form="leaves"):
-        if len(chunk) == ENUMERATE_BUFFER:  # flushed before a row, so the last is never empty
-            write(lead + sep.join(chunk))
-            lead, chunk = sep, []
         if node is not parent:
+            if len(chunk) >= ENUMERATE_BUFFER:  # flushed before a parent, so the last is never empty
+                write(lead + sep.join(chunk))
+                lead, chunk = sep, []
             parent, (word, des, asc, plat, _) = node, node
             tails = ends(des, asc, plat)
-            if not skip:
+            if digits:
                 text = bytes(word).translate(DIGITS).decode("ascii")
             else:
                 parts = [f",{x}" for x in word]
                 text, cuts = "".join(parts), [0, *accumulate(map(len, parts))]
-        o = cuts[pos]
-        chunk.append(before + (text[:o] + pair + text[o:])[skip:] + tails[kind])
+        if digits:
+            chunk.append(f"{before}{text[:pos]}{pair}{text[pos:]}{tails[kind]}")
+        else:
+            o = cuts[pos]
+            chunk.append(f"{before}{(text[:o] + pair + text[o:])[1:]}{tails[kind]}")
     write(lead + sep.join(chunk) + tail)
     return 0
 
@@ -321,7 +337,7 @@ def cmd_formula(args):
     from .polynomials import Polynomial
 
     if args.list:
-        for name, (func, summary) in sorted(formulas.FORMULAS.items()):
+        for name, (func, summary, _) in sorted(formulas.FORMULAS.items()):
             params = _formula_params(func)
             print(f"{name}: {summary}" + ("; needs " + ",".join(params) if params else ""))
         return 0
@@ -331,7 +347,10 @@ def cmd_formula(args):
         raise ValueError(
             f"unknown formula {args.formula_id!r}; known: {', '.join(sorted(formulas.FORMULAS))}"
         )
-    func, _ = formulas.FORMULAS[args.formula_id]
+    func, _, limit = formulas.FORMULAS[args.formula_id]
+    if args.n > limit and not args.force:
+        raise ValueError(f"order {args.n} exceeds the limit {limit} for formula "
+                         f"{args.formula_id}; pass --force to proceed")
     names = _formula_params(func)
     params = _assignments(args.param, names, "parameter", f"formula {args.formula_id}")
     missing = [p for p in names if p not in params]
@@ -465,12 +484,16 @@ def run():
     try:
         code = main()
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so that
-        # the interpreter's shutdown flush writes nothing either
+        # the shutdown flush of a normal exit (below) writes nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
-    raise SystemExit(code)
+    # a tracer or profiler (coverage, trace, cProfile) writes its report at a normal exit
+    if sys.gettrace() or sys.getprofile() or not isinstance(code, int):
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ raises ValueError rather than rounding.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .polynomials import Polynomial
 
@@ -157,15 +158,23 @@ def count_avoid_213_1233(n):
     return fibonacci(2 * n)
 
 
-# formula id -> (function of n and its parameters, summary)
+# formula id -> (function of n and its parameters, summary, limit).  limit
+# is the largest --n without --force: the largest order evaluated and
+# printed in under 2 s (in-process, best of 2, Python 3.11.7, 2-vCPU Xeon),
+# rounded down to two significant digits.  stats-213 was timed at m = d =
+# (2n-1)//3, and descents-132 at the slowest of d = n//2, 2n//3 and n-1.
+Formula = namedtuple("Formula", "func summary limit")
+
 FORMULAS = {
-    "count-213": (count_avoid_213, "number of 213-avoiders of order n"),
-    "count-123": (count_avoid_123, "number of 123-avoiders of order n"),
-    "count-132": (count_avoid_132, "number of 132-avoiders of order n"),
-    "stats-213": (count_213_by_stats, "213-avoiders with m ascents, d descents, k plateaus"),
-    "plateaus-213": (plateau_poly_213, "plateau marginal over 213-avoiders"),
-    "plateaus-123": (plateau_poly_123, "plateau marginal over 123-avoiders"),
-    "descents-132": (descents_132, "132-avoiders with d descents"),
-    "ascents-132": (ascent_poly_132, "ascent marginal over 132-avoiders"),
-    "fibonacci-213-1233": (count_avoid_213_1233, "avoiders of 213 and 1233: F(2n)"),
+    "count-213": Formula(count_avoid_213, "number of 213-avoiders of order n", 170_000),
+    "count-123": Formula(count_avoid_123, "number of 123-avoiders of order n", 3500),
+    "count-132": Formula(count_avoid_132, "number of 132-avoiders of order n", 3500),
+    "stats-213": Formula(count_213_by_stats, "213-avoiders with m ascents, d descents, "
+                         "k plateaus", 260_000),
+    "plateaus-213": Formula(plateau_poly_213, "plateau marginal over 213-avoiders", 5700),
+    "plateaus-123": Formula(plateau_poly_123, "plateau marginal over 123-avoiders", 7900),
+    "descents-132": Formula(descents_132, "132-avoiders with d descents", 5000),
+    "ascents-132": Formula(ascent_poly_132, "ascent marginal over 132-avoiders", 260),
+    "fibonacci-213-1233": Formula(count_avoid_213_1233, "avoiders of 213 and 1233: F(2n)",
+                                  230_000),
 }

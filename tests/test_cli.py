@@ -11,7 +11,7 @@ import pytest
 
 import stirperm
 from benchmarks import jobs
-from stirperm import formulas, polynomials, series
+from stirperm import cli, formulas, polynomials, series
 from stirperm.cli import main
 from stirperm.generation import generate_all, generate_avoiders
 from stirperm.series import CHAIN_LIMIT, EQUATIONS
@@ -485,6 +485,19 @@ def test_formula_output_is_pinned(capsys, argv, out):
     assert run_cli(capsys, "formula", "--id", *argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("fid", sorted(formulas.FORMULAS))
+def test_formula_refuses_an_n_past_its_limit_unless_forced(capsys, monkeypatch, fid):
+    formula = formulas.FORMULAS[fid]
+    monkeypatch.setitem(formulas.FORMULAS, fid, formula._replace(limit=3))
+    names = cli._formula_params(formula.func)
+    argv = ["formula", "--id", fid, *[arg for v in names for arg in ("--param", f"{v}=1")]]
+    assert run_cli(capsys, *argv, "--n", "4") == (
+        2, "", f"error: order 4 exceeds the limit 3 for formula {fid}; pass --force to proceed\n")
+    for n, force in ((3, []), (4, ["--force"])):
+        value = formula.func(n, *[1] * len(names))
+        assert run_cli(capsys, *argv, "--n", str(n), *force) == (0, f"{value}\n", "")
+
+
 def test_formula_errors(capsys):
     code, _, err = run_cli(capsys, "formula", "--id", "nope", "--n", "2")
     assert code == 2 and "unknown formula" in err
@@ -765,14 +778,24 @@ def test_the_verify_report_at_1_to_6_is_pinned(capsys, fmt):
 
 
 def _child_env():
-    """os.environ with this process's stirperm first on PYTHONPATH.
+    """os.environ with this process's stirperm first on PYTHONPATH, and no PYTHONUNBUFFERED.
 
     A child interpreter then finds the package where this process did,
-    however pytest was started.
+    however pytest was started, and block-buffers its stdout as it does
+    when run by hand, so that output it fails to flush before it ends is
+    missing.
     """
     src = str(Path(stirperm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _python(*argv):
+    """A finished child `python argv` process, its output as bytes."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=_child_env(),
+                          timeout=120)
 
 
 def test_module_entry_point():
@@ -784,6 +807,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "11"
+
+
+def test_a_block_buffered_run_writes_every_byte_main_writes(capsys):
+    # 10,395 rows, many buffers' worth: the run flushes them all before it ends
+    argv = ("enumerate", "--n", "6", "--stats")
+    proc = _python("-m", "stirperm", *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode("ascii"), b"")
+    assert code == 0 and len(out.splitlines()) == 1 + 10395
+
+
+def test_a_refusal_run_delivers_its_error_line_and_exits_2():
+    proc = _python("-m", "stirperm", "series", "--eq", "nope")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == (b"error: unknown equation 'nope'; known: 213, 123, 132, R, "
+                           b"prepend1:<chain>, prepend11:<chain>\n")
+
+
+def test_a_profiled_run_ends_normally_so_the_profiler_prints_its_table():
+    proc = _python("-m", "cProfile", "-m", "stirperm", "enumerate", "--n", "1")
+    assert proc.returncode == 0 and proc.stderr == b""
+    lines = proc.stdout.decode("ascii").splitlines()
+    assert lines[0] == "11"
+    assert any("function calls" in line for line in lines)
+    assert any("ncalls" in line and "cumtime" in line for line in lines)
 
 
 def test_a_reader_that_closes_the_pipe_ends_the_run_quietly_with_exit_141():
@@ -798,6 +846,21 @@ def test_a_reader_that_closes_the_pipe_ends_the_run_quietly_with_exit_141():
         proc.wait()
     assert err == b""
     assert proc.returncode == 141
+
+
+def test_a_traced_run_whose_reader_is_gone_also_exits_141_quietly():
+    # a traced run ends with the interpreter's own shutdown flush, which must find nothing
+    traced = ("import runpy, sys; sys.settrace(lambda *args: None); "
+              "runpy.run_module('stirperm', run_name='__main__')")
+    proc = subprocess.Popen([sys.executable, "-c", traced, "enumerate", "--n", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    proc.stdout.close()  # while the child still starts: its one flush meets a closed pipe
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (141, b"")
 
 
 # stdlib modules no verb needs: dataclasses brings inspect and ast, fractions decimal
@@ -930,6 +993,14 @@ REFUSALS = [
     (("formula", "--id", "nope", "--n", "3"), f"unknown formula 'nope'; known: {FORMULA_IDS}"),
     (("formula", "--n", "3"), "formula needs --id and --n, or --list"),
     (("formula", "--id", "descents-132", "--n", "3"), "formula descents-132 needs --param d"),
+    (("formula", "--id", "ascents-132", "--n", "400"),
+     "order 400 exceeds the limit 260 for formula ascents-132; pass --force to proceed"),
+    (("formula", "--id", "count-123", "--n", "20000"),
+     "order 20000 exceeds the limit 3500 for formula count-123; pass --force to proceed"),
+    (("formula", "--id", "descents-132", "--n", "20000", "--param", "d=10000"),
+     "order 20000 exceeds the limit 5000 for formula descents-132; pass --force to proceed"),
+    (("formula", "--id", "plateaus-213", "--n", "20000"),
+     "order 20000 exceeds the limit 5700 for formula plateaus-213; pass --force to proceed"),
     (("biject", "phi", "--input", "1,2,2,1,3,3"), "122133 contains 213"),
     (("biject", "psi", "--direction", "inv", "--input", "1,2,3|1,1,1"),
      "base permutation 123 contains 123"),
