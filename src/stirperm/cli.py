@@ -6,7 +6,8 @@ strings for all numbers, and no timings unless asked for.
 
 Input rules, the same for every verb.  Orders are checked while the
 command line is parsed: enumerate --n, series --order and formula --n must
-be integers >= 0.  Series --spec and formula --param are read by one
+be integers >= 0.  Series --spec and formula --param take comma lists, as
+in m=1,d=1,k=3, and --param may also be repeated; both are read by one
 name=integer parser: blank pieces are skipped, all=N assigns every name,
 and a bad integer, an unknown name or a name assigned twice is refused.
 Past argparse's own usage errors, every refusal is a ValueError, which
@@ -114,8 +115,8 @@ def build_parser():
     p_formula.add_argument("--id", dest="formula_id",
                            help="formula id, e.g. count-213 or plateaus-123")
     p_formula.add_argument("--n", type=_order, help="order")
-    p_formula.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                           help="extra integer parameter, e.g. d=2 (repeatable)")
+    p_formula.add_argument("--param", action="append", default=[], metavar="ASSIGN",
+                           help="integer parameters, e.g. d=2 or m=1,d=1,k=3 (repeatable)")
     p_formula.add_argument("--format", choices=("lines", "json"), default="lines")
     p_formula.add_argument("--list", action="store_true", help="list formula ids and exit")
     p_formula.add_argument("--force", action="store_true", help="override the order limit")
@@ -352,7 +353,8 @@ def cmd_formula(args):
         raise ValueError(f"order {args.n} exceeds the limit {limit} for formula "
                          f"{args.formula_id}; pass --force to proceed")
     names = _formula_params(func)
-    params = _assignments(args.param, names, "parameter", f"formula {args.formula_id}")
+    params = _assignments(",".join(args.param).split(","), names, "parameter",
+                          f"formula {args.formula_id}")
     missing = [p for p in names if p not in params]
     if missing:
         raise ValueError(f"formula {args.formula_id} needs --param {','.join(missing)}")

@@ -38,16 +38,15 @@ def count_avoid_213(n):
 def count_avoid_123(n):
     """Number of 123-avoiding Stirling permutations of order n.
 
-    The 132-avoiders are equinumerous, see count_avoid_132.  The sum of
-    binom(n, j) binom(n+j-1, n-j) / (n+1-j) is taken over the common
-    denominator lcm(1..n+1), which then divides the total exactly.
+    The 132-avoiders are equinumerous, see count_avoid_132.  It is the sum
+    of binom(n, j) binom(n+j-1, n-j) / (n+1-j), and binom(n, j) / (n+1-j) =
+    binom(n+1, j) / (n+1), so n+1 divides the sum of binom(n+1, j)
+    binom(n+j-1, n-j) exactly.  At n = 0 that sum is 0 (binom(-1, 0) = 0).
     """
     if n == 0:
         return 1
-    den = math.lcm(*range(1, n + 2))
-    total = sum(binomial(n, j) * binomial(n + j - 1, n - j) * (den // (n + 1 - j))
-                for j in range(n + 1))
-    return exact_div(total, den)
+    return exact_div(sum(binomial(n + 1, j) * binomial(n + j - 1, n - j) for j in range(n + 1)),
+                     n + 1)
 
 
 def count_avoid_132(n):

@@ -21,14 +21,13 @@ solve at the largest order a row that reads it covers.  A side, and each
 solver, calls another module's functions through the module, as in
 ``lambda n: formulas.count_avoid_213(n)``, so that a wrapper or a patch
 installed on the module is the one run.
-The requested orders are an ascending range or sequence, never copied: an
-int cap takes its slice of them by bisection.
+The requested orders ns are a range of step 1, never copied, and fixed
+orders are one run too: so every covered set is one run of consecutive orders.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import permutations
@@ -54,20 +53,10 @@ class CheckResult(namedtuple("CheckResult", "check_id suite status expected actu
 
 
 def format_orders(orders):
-    """Orders as runs, e.g. (1, 2, 3, 5) -> "1..3,5"; "none" when empty.
-
-    A range of step 1 is one run, read off its ends.
-    """
-    if isinstance(orders, range) and orders.step == 1:
-        runs = [[orders[0], orders[-1]]] if orders else []
-    else:
-        runs = []
-        for n in orders:
-            if runs and n == runs[-1][1] + 1:
-                runs[-1][1] = n
-            else:
-                runs.append([n, n])
-    return ",".join(str(a) if a == b else f"{a}..{b}" for a, b in runs) or "none"
+    """A run of consecutive orders by its ends, e.g. (1, 2, 3) -> "1..3"; "none" when empty."""
+    if not orders:
+        return "none"
+    return str(orders[0]) if len(orders) == 1 else f"{orders[0]}..{orders[-1]}"
 
 
 def _first_difference(want, got, where=""):
@@ -92,9 +81,9 @@ class Check(namedtuple("Check", "check_id suite orders expected actual solves",
     __slots__ = ()
 
     def covered(self, ns):
-        """The orders this check compares when the ascending orders ns are requested."""
+        """The orders this check compares when the range ns is requested."""
         if isinstance(self.orders, int):
-            return tuple(ns[bisect_left(ns, 1):bisect_right(ns, self.orders)])
+            return tuple(range(max(ns.start, 1), min(ns.stop, self.orders + 1)))
         return self.orders
 
     def __call__(self, ns):
@@ -398,7 +387,7 @@ SUITES["all"] = tuple(CHECKS)
 
 
 def run_checks(suite, ns):
-    """Run a suite of checks; returns the list of CheckResult objects."""
+    """Run a suite of checks over the range ns; returns the list of CheckResult objects."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     _brute.cache_clear()

@@ -164,6 +164,11 @@ def test_psi_inverse_errors():
         psi_inverse(((2, 1), (2, 1)), "123")
 
 
+def test_verify_psi_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family '321'$"):
+        verify_psi(3, "321")
+
+
 def test_apairs_cardinality():
     for n in range(1, 7):
         assert len(apairs(n, P123)) == count_avoid_123(n)

@@ -532,6 +532,12 @@ def test_negative_order_is_a_usage_error(capsys, argv):
     assert code == 2 and out == "" and "must be an integer >= 0, got '-" in err
 
 
+def test_a_non_integer_order_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "abc")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --n: must be an integer >= 0, got 'abc'\n")
+
+
 def test_biject_phi_round_trip(capsys):
     code, out, _ = run_cli(capsys, "biject", "phi", "--input", "1221")
     assert code == 0
@@ -777,6 +783,18 @@ def test_the_verify_report_at_1_to_6_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_1_TO_6_SHA256[fmt]
 
 
+# SHA-256 of the `verify --n 1..9` text report, which reaches orders 7-9,
+# where the rows on the pruned oracle run: a change that adds a row or
+# rewords a line updates it and says so.
+VERIFY_1_TO_9_TEXT_SHA256 = "9727db7fabe08ee6d016f5e18ddb380eae701ce712afbf9ddf5f66f4717d6427"
+
+
+def test_the_verify_report_at_1_to_9_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "1..9")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_1_TO_9_TEXT_SHA256
+
+
 def _child_env():
     """os.environ with this process's stirperm first on PYTHONPATH, and no PYTHONUNBUFFERED.
 
@@ -915,6 +933,12 @@ def test_series_spec_rejects_a_variable_assigned_twice(capsys, spec, name):
     assert f"variable {name!r} given twice" in err
 
 
+def test_series_spec_skips_a_blank_piece(capsys):
+    argv = ("series", "--eq", "213", "--order", "3", "--spec")
+    plain = run_cli(capsys, *argv, "p=1,q=1")
+    assert plain[0] == 0 and run_cli(capsys, *argv, "p=1,,q=1") == plain
+
+
 def test_series_spec_all_equals_each_variable_set_once(capsys):
     each = run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "p=1,q=1,r=1")
     assert each == run_cli(capsys, "series", "--eq", "213", "--order", "4", "--spec", "all=1")
@@ -933,6 +957,13 @@ def test_formula_rejects_a_repeated_or_unknown_param(capsys, params, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_formula_params_in_one_comma_list_equal_repeated_params(capsys):
+    argv = ("formula", "--id", "stats-213", "--n", "3")
+    repeated = run_cli(capsys, *argv, "--param", "m=1", "--param", "d=1", "--param", "k=3")
+    assert repeated[0] == 0
+    assert run_cli(capsys, *argv, "--param", "m=1,d=1,k=3") == repeated
 
 
 def test_formula_rejects_a_param_for_a_formula_without_params(capsys):
@@ -958,6 +989,19 @@ def test_verify_json_reports_each_check_and_a_summary(capsys):
                            "--format", "json", "--timings")
     checks = json.loads(out)["checks"]
     assert code == 0 and all(isinstance(c["elapsed"], float) for c in checks)
+
+
+def test_verify_timings_add_an_elapsed_column_to_each_text_line(capsys):
+    argv = ("verify", "--suite", "counts", "--n", "1..2")
+    code, plain, _ = run_cli(capsys, *argv)
+    timed_code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    plain, timed = plain.splitlines(), timed.splitlines()
+    assert len(plain) == len(timed) == 4 and timed[-1] == plain[-1]
+    for line, timed_line in zip(plain[:-1], timed[:-1]):
+        head, elapsed, tail = timed_line.partition("s  orders ")
+        assert elapsed and head[-9:-7] == "  " and float(head[-7:]) >= 0
+        assert f"{head[:-9]}  orders {tail}" == line
 
 
 def test_verify_text_is_the_default_format(capsys):
@@ -1010,6 +1054,13 @@ REFUSALS = [
      "not a serialized OrderedTree: '(()'"),
     (("verify", "--suite", "nope"), f"unknown suite 'nope'; choose from [{VERIFY_SUITES}]"),
     (("verify", "--n", "3..1"), "order range '3..1' is empty or starts below 1"),
+    (("enumerate", "--n", "2", "--avoid", "1,x"), "bad word '1,x'"),
+    (("enumerate", "--n", "2", "--avoid", "1,0"), "bad word '1,0': letters must be positive"),
+    (("series", "--eq", "prepend11:"), "empty chain in 'prepend11:'"),
+    (("formula", "--id", "plateaus-213", "--n", "0"), "order must be positive"),
+    (("formula", "--id", "ascents-132", "--n", "0"), "order must be positive"),
+    (("formula", "--id", "descents-132", "--n", "0", "--param", "d=0"),
+     "order must be positive"),
 ]
 
 

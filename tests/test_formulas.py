@@ -181,8 +181,8 @@ def test_integer_sums_equal_their_fraction_sums():
 @pytest.mark.parametrize("call", [lambda: count_avoid_123(2), lambda: descents_132(2, 1)],
                          ids=["count-123", "descents-132"])
 def test_a_sum_that_is_not_an_integer_raises(monkeypatch, call):
-    # with every binomial 1 the count-123 sum is 1/3 + 1/2 + 1 and descents 4/3
-    monkeypatch.setattr(formulas, "binomial", lambda a, b: 1)
+    # with every binom(a, b) = b + 1 the count-123 sum is 10/3 and descents 20/3
+    monkeypatch.setattr(formulas, "binomial", lambda a, b: b + 1)
     with pytest.raises(ValueError, match=r"^-?\d+ not divisible by \d+$"):
         call()
 
