@@ -16,13 +16,13 @@ stdout and exit 2.
 
 Each biject map is its own subcommand and takes only what it uses: phi,
 rho and fc take --direction and a required --input, and psi also
---family.  Any other option is a usage error.  The maps are checked
-exhaustively by `verify --suite bijections`.
+--family; any other option is a usage error.  Each side of a map has one
+text form, so every output is an input of the opposite direction.  The
+maps are checked exhaustively by `verify --suite bijections`.
 
-Each handler imports the modules it runs, so a call loads only those.
-series and formula write their JSON with Polynomial.to_json, one
-coefficient at a time, and load no json module; biject psi and verify
---format json import it.
+Each handler imports the modules it runs, so a call loads only those;
+only verify --format json loads the json module (series and formula
+write theirs with Polynomial.to_json, one coefficient at a time).
 
 series refuses an --order above its equation's limit in series.EQUATIONS,
 a chain whose blocks times --order pass series.CHAIN_LIMIT, and a bad
@@ -387,24 +387,22 @@ def _format_pair(pair):
 
 
 def cmd_biject(args):
-    import json
-
     from . import bijections as b
     from .trees import FCOrderedTree, OrderedTree, TernaryTree
 
-    # (read the input, map it, write the image) per map and direction
-    read, run, write = {
-        ("phi", "fwd"): (parse_word, b.phi, TernaryTree.serialize),
-        ("phi", "inv"): (TernaryTree.parse, b.phi_inverse, format_word),
-        ("psi", "fwd"): (parse_word, b.psi,
-                         lambda ps: json.dumps({"perm": format_word(ps[0]), "s": list(ps[1])})),
-        ("psi", "inv"): (_parse_pair, lambda pair: b.psi_inverse(pair, args.family), format_word),
-        ("rho", "fwd"): (parse_word, b.rho, OrderedTree.serialize),
-        ("rho", "inv"): (OrderedTree.parse, b.rho_inverse, format_word),
-        ("fc", "fwd"): (_parse_pair, b.to_fc_tree, FCOrderedTree.serialize),
-        ("fc", "inv"): (FCOrderedTree.parse, b.from_fc_tree, _format_pair),
-    }[args.map, args.direction]
-    print(write(run(read(args.input))))
+    # a text form is (read, write); each side of a map has one
+    word, pair = (parse_word, format_word), (_parse_pair, _format_pair)
+    ternary, ordered, fc = ((t.parse, t.serialize)
+                            for t in (TernaryTree, OrderedTree, FCOrderedTree))
+    domain, codomain, forward, inverse = {
+        "phi": (word, ternary, b.phi, b.phi_inverse),
+        "psi": (word, pair, b.psi, lambda p: b.psi_inverse(p, args.family)),
+        "rho": (word, ordered, b.rho, b.rho_inverse),
+        "fc": (pair, fc, b.to_fc_tree, b.from_fc_tree),
+    }[args.map]
+    if args.direction == "inv":
+        domain, codomain, forward = codomain, domain, inverse
+    print(codomain[1](forward(domain[0](args.input))))
     return 0
 
 

@@ -123,22 +123,23 @@ def descents_132(n, d):
 def ascent_poly_132(n):
     """Ascent marginal over the 132-avoiders of order n, as a polynomial in r.
 
-    Each summand c r^(n-j+i) (1-2r)^(j-i) of the double sum is expanded by
-    the binomial theorem on plain ints, and each coefficient of the total
-    is divided by n+1 exactly.  c is nonzero only where j+i <= n, so every
-    power lies in 0..n.  The power is r^(n-j+i) because the r^(n-1-j)
-    reading of the formula leaves negative powers of r.
+    The summands c r^(n-j+i) (1-2r)^(j-i) with one d = j-i have their c
+    summed first, then (1-2r)^d is expanded once, on plain ints, and each
+    coefficient is divided by n+1 exactly.  c is nonzero exactly where
+    i <= j and j+i <= n, so every power lies in 0..n.  The power is
+    r^(n-j+i) because the r^(n-1-j) reading leaves negative powers of r.
     """
     if n < 1:
         raise ValueError("order must be positive")
+    by_d = [0] * (n + 1)  # by_d[d]: the sum of c over the summands with j - i = d
+    for j in range(n + 1):
+        for i in range(min(j, n - j) + 1):
+            by_d[j - i] += (binomial(n + 1, j) * binomial(j, i)
+                            * binomial(3 * n + 1 - j - i, 2 * n + 1))
     coeffs = [0] * (n + 1)
-    for j in range(n + 2):
-        for i in range(j + 1):
-            c = binomial(n + 1, j) * binomial(j, i) * binomial(3 * n + 1 - j - i, 2 * n + 1)
-            if not c:
-                continue
-            for k in range(j - i + 1):
-                coeffs[n - j + i + k] += c * binomial(j - i, k) * (-2) ** k
+    for d, c in enumerate(by_d):
+        for k in range(d + 1):
+            coeffs[n - d + k] += c * binomial(d, k) * (-2) ** k
     return Polynomial(R_ONLY, {(e,): exact_div(a, n + 1) for e, a in enumerate(coeffs)})
 
 
@@ -173,7 +174,7 @@ FORMULAS = {
     "plateaus-213": Formula(plateau_poly_213, "plateau marginal over 213-avoiders", 5700),
     "plateaus-123": Formula(plateau_poly_123, "plateau marginal over 123-avoiders", 7900),
     "descents-132": Formula(descents_132, "132-avoiders with d descents", 5000),
-    "ascents-132": Formula(ascent_poly_132, "ascent marginal over 132-avoiders", 260),
+    "ascents-132": Formula(ascent_poly_132, "ascent marginal over 132-avoiders", 500),
     "fibonacci-213-1233": Formula(count_avoid_213_1233, "avoiders of 213 and 1233: F(2n)",
                                   230_000),
 }

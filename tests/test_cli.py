@@ -12,11 +12,14 @@ import pytest
 import stirperm
 from benchmarks import jobs
 from stirperm import cli, formulas, polynomials, series
+from stirperm.bijections import apairs, avoiding_permutations
 from stirperm.cli import main
 from stirperm.generation import generate_all, generate_avoiders
 from stirperm.series import CHAIN_LIMIT, EQUATIONS
+from stirperm.trees import (FCOrderedTree, OrderedTree, TernaryTree, fc_trees, ordered_trees,
+                            ternary_trees)
 from stirperm.verification import CATALAN_CHAINS, CHECKS, RATIONAL_CHAINS
-from stirperm.words import avoids, stats
+from stirperm.words import P123, P132, P213, avoids, format_word, stats
 
 
 def run_cli(capsys, *argv):
@@ -550,9 +553,7 @@ def test_biject_phi_round_trip(capsys):
 
 
 def test_biject_psi(capsys):
-    code, out, _ = run_cli(capsys, "biject", "psi", "--input", "122133")
-    assert code == 0
-    assert json.loads(out) == {"perm": "123", "s": [2]}
+    assert run_cli(capsys, "biject", "psi", "--input", "122133") == (0, "1,2,3|2\n", "")
     code, out, _ = run_cli(
         capsys, "biject", "psi", "--direction", "inv", "--input", "12|2"
     )
@@ -636,6 +637,33 @@ def test_biject_pair_with_a_bad_integer_names_the_pair(capsys, argv):
     code, out, err = run_cli(capsys, "biject", *argv, "--input", "4,6,5,2,1,3|3,x,1")
     assert code == 2 and out == ""
     assert "bad pair '4,6,5,2,1,3|3,x,1'" in err
+
+
+# per map: its options and, per order n, the texts of its objects on each side
+BIJECT_SIDES = {
+    "phi": ((), lambda n: map(format_word, generate_avoiders(n, (P213,))),
+            lambda n: map(TernaryTree.serialize, ternary_trees(n - 1))),
+    "psi-123": (("--family", "123"), lambda n: map(format_word, generate_avoiders(n, (P123,))),
+                lambda n: map(cli._format_pair, apairs(n, P123))),
+    "psi-132": (("--family", "132"), lambda n: map(format_word, generate_avoiders(n, (P132,))),
+                lambda n: map(cli._format_pair, apairs(n, P132))),
+    "rho": ((), lambda n: map(format_word, avoiding_permutations(n, P123)),
+            lambda n: map(OrderedTree.serialize, ordered_trees(n))),
+    "fc": ((), lambda n: map(cli._format_pair, apairs(n, P123)),
+           lambda n: map(FCOrderedTree.serialize, fc_trees(n))),
+}
+
+
+@pytest.mark.parametrize("name", BIJECT_SIDES)
+def test_every_biject_output_is_read_back_by_the_opposite_direction(capsys, name):
+    options, domain, codomain = BIJECT_SIDES[name]
+    argv = ("biject", name.partition("-")[0], *options, "--direction")
+    for n in range(1, 5):
+        for there, back, texts in (("fwd", "inv", domain(n)), ("inv", "fwd", codomain(n))):
+            for text in texts:
+                code, out, err = run_cli(capsys, *argv, there, "--input", text)
+                assert (code, err) == (0, ""), text
+                assert run_cli(capsys, *argv, back, "--input", out.strip()) == (0, text + "\n", "")
 
 
 def test_biject_has_no_verify_map(capsys):
@@ -910,6 +938,8 @@ def test_each_verb_loads_only_the_modules_it_runs():
     assert "json" not in loaded_modules("series", "--eq", "R", "--order", "3", "--format", "json")
     assert "json" not in loaded_modules("formula", "--id", "plateaus-213", "--n", "3",
                                         "--format", "json")
+    # biject writes a pair as perm|s text, as it reads one
+    assert "json" not in loaded_modules("biject", "psi", "--input", "122133")
     assert "json" in loaded_modules("verify", "--suite", "pairs", "--n", "1", "--format", "json")
     for argv in [("enumerate", "--n", "2", "--stats", "--avoid", "213"),
                  ("series", "--eq", "prepend1:1,11", "--order", "3", "--spec", "q=1"),
@@ -1037,8 +1067,8 @@ REFUSALS = [
     (("formula", "--id", "nope", "--n", "3"), f"unknown formula 'nope'; known: {FORMULA_IDS}"),
     (("formula", "--n", "3"), "formula needs --id and --n, or --list"),
     (("formula", "--id", "descents-132", "--n", "3"), "formula descents-132 needs --param d"),
-    (("formula", "--id", "ascents-132", "--n", "400"),
-     "order 400 exceeds the limit 260 for formula ascents-132; pass --force to proceed"),
+    (("formula", "--id", "ascents-132", "--n", "4000"),
+     "order 4000 exceeds the limit 500 for formula ascents-132; pass --force to proceed"),
     (("formula", "--id", "count-123", "--n", "20000"),
      "order 20000 exceeds the limit 3500 for formula count-123; pass --force to proceed"),
     (("formula", "--id", "descents-132", "--n", "20000", "--param", "d=10000"),
@@ -1061,6 +1091,9 @@ REFUSALS = [
     (("formula", "--id", "ascents-132", "--n", "0"), "order must be positive"),
     (("formula", "--id", "descents-132", "--n", "0", "--param", "d=0"),
      "order must be positive"),
+    (("formula", "--id", "stats-213", "--n", "0", "--param", "m=0,d=0,k=0"),
+     "order must be positive"),
+    (("formula", "--id", "fibonacci-213-1233", "--n", "0"), "order must be positive"),
 ]
 
 

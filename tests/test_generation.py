@@ -118,6 +118,11 @@ def test_negative_order_rejected():
         list(generate_all(-1))
 
 
+def test_the_empty_pattern_leaves_no_avoider():
+    # every word, the empty word too, contains the empty pattern
+    assert list(generate_avoiders(3, [()])) == list(generate_avoiders(0, [()])) == []
+
+
 def test_avoiders_are_the_naive_filter_in_the_same_order():
     for n in range(7):
         words = list(generate_all(n))

@@ -27,6 +27,16 @@ def test_basic_arithmetic():
     assert not Polynomial.zero(PQR)
 
 
+def test_malformed_operands_are_refused():
+    p, _, _ = gens()
+    with pytest.raises(ValueError, match=r"exponent \(1, 2\) does not fit the variables"):
+        Polynomial(PQR, {(1, 2): 1})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        p + Polynomial.gens(("p", "q"))[0]
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_specialize_and_evaluate():
     p, q, r = gens()
     poly = p * p * q + 3 * r
